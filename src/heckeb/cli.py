@@ -101,7 +101,7 @@ def build_parser() -> _Parser:
     p = cmd("klbasis", help="Kazhdan-Lusztig basis of H_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=_parse_r, required=True)
-    p.add_argument("--xi", help="exact slope p/q overriding r + 1/2")
+    p.add_argument("--xi", help="exact slope p/q overriding r + 1/101")
 
     p = cmd("cells", help="Kazhdan-Lusztig cells of W_n")
     p.add_argument("--n", type=int, required=True)

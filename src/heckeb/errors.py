@@ -21,6 +21,11 @@ class MalformedTableau(HeckebError):
     """A domino tableau violates standardness or its core convention."""
 
 
+class InvalidSlope(HeckebError):
+    """A weight-order slope xi is not a positive non-integer rational, or an
+    offset from floor(xi) lies outside (0, 1)."""
+
+
 class IrrationalityViolation(HeckebError):
     """A tie occurred in a xi-order comparison: the chosen rational xi is
     unfaithful to the irrational order it stands in for."""
@@ -50,6 +55,12 @@ class ChargeOutOfRange(HeckebError):
 class ConventionViolation(HeckebError):
     """The canonical-basis reduction met an index it cannot resolve; signals
     a convention bug in the Fock/crystal layer."""
+
+
+class KLRecursionViolation(HeckebError):
+    """The recursive Kazhdan-Lusztig construction produced an element that is
+    not congruent to T_w modulo strictly negative coefficients, or two ascents
+    to the same w disagreed; signals a convention bug."""
 
 
 class ConjectureAViolation(HeckebError):

@@ -6,14 +6,18 @@ each s_i is q = e^a.  A total order on Z^2 (an XiOrder) selects negative
 exponents; the Kazhdan-Lusztig element of w is the unique bar-fixed element
 congruent to T_w modulo strictly negative coefficients.
 
-Cells are the strongly connected components of the multiplication graph of
-the C-basis; the conjecture checkers compare them with the fibers of domino
+One sweep over the ascents ws > w builds every C_{ws} from C_w C_s by
+Lusztig's recursion (Hecke algebras with unequal parameters, Thm 6.6) and
+reads the right-cell edges off the same products.  Cells are the strongly
+connected components of that multiplication graph, its star image and their
+union; the conjecture checkers compare them with the fibers of domino
 insertion.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +25,8 @@ from fractions import Fraction
 from .combinat import Bipartition, format_bipartition
 from .domino import (SignedPermutation, group_elements, length, reduced_word,
                      s_t_lambda, StandardBitableau)
-from .errors import BoundExceeded, ConjectureAViolation
-from .laurent import A_ONE, ACoeff, XiOrder
+from .errors import BoundExceeded, ConjectureAViolation, KLRecursionViolation
+from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder
 from .orders import dominance_r
 
 KL_BOUND = 4
@@ -195,43 +199,97 @@ def star(h: HeckeElement) -> HeckeElement:
     return HeckeElement(h.n, {w.inverse(): c for w, c in h.terms.items()})
 
 
-# --- Kazhdan-Lusztig basis ----------------------------------------------
+# --- Kazhdan-Lusztig basis and cells -----------------------------------------
 
 def _len_key(w: SignedPermutation):
     return (length(w), w.window)
 
 
 @functools.lru_cache(maxsize=None)
+def _kl_sweep(n: int, order: XiOrder):
+    """C_w for all w in W_n and the right-preorder edges, from one pass over
+    the ascents (w, s), ws > w, in _len_key order.
+
+    By Lusztig, Hecke algebras with unequal parameters (2003), Thm 6.6,
+    C_w C_s = C_{ws} + sum_{y < w} mu^s_{y,w} C_y with bar-invariant mu.
+    The product C_w C_s = C_w T_s + v_s^{-1} C_w is bar-invariant with
+    leading term T_{ws}; walking its terms from the longest down and
+    subtracting the bar-invariant completion of each coefficient times C_y
+    leaves C_{ws}, and the y with mu != 0 are read off on the way.  So
+    C_w T_s = C_{ws} + sum mu C_y - v_s^{-1} C_w gives the right edges
+    w -> {w, ws} and w -> y; a descent ws < w has C_w T_s = v_s C_w, a
+    self-edge only.  Returns (basis in _len_key order, right edges).
+    """
+    elements = sorted(group_elements(n), key=_len_key)
+    pos = {w: k for k, w in enumerate(elements)}
+    basis = {elements[0]: HeckeElement.unit(n)}
+    edges: dict[SignedPermutation, set[SignedPermutation]] = {}
+
+    def times_c_s(cw: HeckeElement, i: int, ws: SignedPermutation):
+        """C_w C_s reduced to C_{ws}, and the y with mu^s_{y,w} != 0.
+
+        Works in place on one term dict.  Its terms below ws are visited
+        longest first through a heap of _len_key positions; subtracting
+        mu C_y only adds terms below y, each pushed once."""
+        gamma = generator_gamma(i)
+        v_inv = ACoeff({(-gamma[0], -gamma[1]): 1})
+        terms = cw.mul_gen_right(i).terms
+        for y, c in cw.terms.items():
+            terms[y] = terms.get(y, A_ZERO) + c * v_inv
+        heap = [-pos[y] for y in terms if y != ws]
+        heapq.heapify(heap)
+        mu_support = []
+        while heap:
+            y = elements[-heapq.heappop(heap)]
+            mu = order.symmetric_completion(terms[y])
+            if mu.is_zero():
+                continue
+            mu_support.append(y)
+            for z, c in basis[y].terms.items():
+                if z not in terms:
+                    terms[z] = A_ZERO
+                    heapq.heappush(heap, -pos[z])
+                terms[z] = terms[z] - mu * c
+        return HeckeElement(n, terms), mu_support
+
+    for w in elements:
+        cw = basis[w]
+        edges[w] = {w}
+        for i in range(n):
+            ws = w * SignedPermutation.generator(n, i)
+            if length(ws) < length(w):
+                continue
+            c_ws, mu_support = times_c_s(cw, i, ws)
+            if ws not in basis:
+                if c_ws.coeff(ws) != A_ONE or not all(
+                        order.is_strictly_negative(c)
+                        for y, c in c_ws.terms.items() if y != ws):
+                    raise KLRecursionViolation(
+                        f"C[{ws}] = {c_ws} is not T[{ws}] plus strictly "
+                        f"negative terms at xi = {order.xi}")
+                basis[ws] = c_ws
+            elif basis[ws] != c_ws:
+                raise KLRecursionViolation(
+                    f"C[{w}] C[s{i}] gives a second C[{ws}] at xi = {order.xi}")
+            edges[w].add(ws)
+            edges[w].update(mu_support)
+    return {w: basis[w] for w in elements}, edges
+
+
+# Cached as well as the sweep so that cache_info() counts its lookups.
+@functools.lru_cache(maxsize=None)
 def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
         -> dict[SignedPermutation, HeckeElement]:
-    """The Kazhdan-Lusztig basis C_w for all w in W_n.
+    """The Kazhdan-Lusztig basis C_w for all w in W_n, in _len_key order.
 
     Each C_w is bar-fixed and congruent to T_w modulo strictly negative
-    coefficients, built by a length-increasing triangular solve.
+    coefficients.  It is built by Lusztig's recursion C_w C_s = C_{ws} +
+    sum mu C_y (Hecke algebras with unequal parameters, Thm 6.6), in one
+    sweep per (n, xi) that every bound and the cells share.
     """
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
-    basis: dict[SignedPermutation, HeckeElement] = {}
-    for w in sorted(group_elements(n), key=_len_key):
-        x = HeckeElement.t_basis(w)
-        # Step 1: make bar-fixed, correcting the top defect term at a time.
-        defect = bar(x) - x
-        while not defect.is_zero():
-            y = max(defect.terms, key=_len_key)
-            f = defect.terms[y]
-            corr = order.antisymmetric_solution(f)
-            x = x + basis[y].scale(corr)
-            defect = defect + basis[y].scale(corr.bar() - corr)
-            assert y not in defect.terms
-        # Step 2: push off-diagonal coefficients into A_{<0}.
-        for y in sorted(x.terms, key=_len_key, reverse=True):
-            if y == w:
-                continue
-            beta = order.symmetric_completion(x.coeff(y))
-            if not beta.is_zero():
-                x = x - basis[y].scale(beta)
-        basis[w] = x
-    return basis
+    return _kl_sweep(n, order)[0]
 
 
 def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
@@ -245,8 +303,6 @@ def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
         rem = rem - basis[y].scale(c)
     return out
 
-
-# --- cells ----------------------------------------------------------------
 
 def _closure(adjacency: dict) -> dict:
     """Reflexive-transitive closure via DFS from each vertex."""
@@ -277,40 +333,45 @@ def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND):
     """Cell partition of W_n and the underlying preorder reachability.
 
     side is 'L', 'R' or 'LR'.  Returns (list of cells, reachability map);
-    w' is below w iff w' in reach[w].
+    w' is below w iff w' in reach[w].  The right edges w -> y, for y in the
+    C-expansion of some C_w T_s, come from the sweep that builds the basis
+    (Lusztig, Thm 6.6).  The left edges are their images under star, since
+    star(C_w) = C_{w^{-1}}; the two-sided edges are the union of both.
     """
     assert side in ("L", "R", "LR")
-    basis = kl_basis(n, order, bound)
-    adjacency = {w: set() for w in basis}
-    gens = range(n)
-    for w, cw in basis.items():
-        prods = []
-        if side in ("L", "LR"):
-            prods.extend(cw.mul_gen_left(i) for i in gens)
+    if n > bound:
+        raise BoundExceeded(f"n = {n} > bound {bound}")
+    right = _kl_sweep(n, order)[1]
+    adjacency = {w: set() for w in right}
+    for w, below in right.items():
         if side in ("R", "LR"):
-            prods.extend(cw.mul_gen_right(i) for i in gens)
-        for prod in prods:
-            for y in expand_in_kl(prod, basis):
-                adjacency[w].add(y)
+            adjacency[w] |= below
+        if side in ("L", "LR"):
+            adjacency[w.inverse()].update(y.inverse() for y in below)
     reach = _closure(adjacency)
     return _scc_partition(reach), reach
 
 
-def _fibers(n: int, r, picker) -> list[set]:
+def _fibers(stl: dict, picker) -> list[set]:
     out: dict = {}
-    for w in group_elements(n):
-        out.setdefault(picker(*s_t_lambda(w, r)), set()).add(w)
+    for w, (s, t, lam) in stl.items():
+        out.setdefault(picker(s, t, lam), set()).add(w)
     return list(out.values())
 
 
 def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
-    sa = {frozenset(x) for x in a}
-    sb = {frozenset(x) for x in b}
-    if sa == sb:
-        return True, None
-    diff = sa.symmetric_difference(sb)
-    sample = sorted(next(iter(diff)), key=_len_key)
-    return False, f"first differing block: {[str(w) for w in sample]}"
+    """Whether two partitions of the same set agree; if not, name the first
+    element in _len_key order whose blocks differ, and both its blocks."""
+    def names(block):
+        return [str(x) for x in sorted(block, key=_len_key)]
+
+    block_a = {w: block for block in a for w in block}
+    block_b = {w: block for block in b for w in block}
+    for w in sorted(block_a, key=_len_key):
+        if block_a[w] != block_b[w]:
+            return False, (f"first differing element {w}: KL block "
+                           f"{names(block_a[w])}, fiber {names(block_b[w])}")
+    return True, None
 
 
 def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
@@ -318,22 +379,25 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     r = order.r
+    stl = {w: s_t_lambda(w, r) for w in group_elements(n)}
     report = {"n": n, "xi": str(order.xi), "r": r, "clauses": {}}
     for clause, side, picker in (
             ("a_left_vs_T", "L", lambda s, t, lam: t),
             ("b_right_vs_S", "R", lambda s, t, lam: s),
             ("c_twosided_vs_shape", "LR", lambda s, t, lam: lam)):
         part, _ = cells(n, order, side, bound)
-        ok, why = _same_partition(part, _fibers(n, r, picker))
+        ok, why = _same_partition(part, _fibers(stl, picker))
         report["clauses"][clause] = {"ok": ok, **({"detail": why} if why else {})}
     # (c+): two-sided preorder against the dominance order on shapes.
     _, reach = cells(n, order, "LR", bound)
-    shape_of = {w: s_t_lambda(w, r)[2] for w in group_elements(n)}
+    shape_of = {w: lam for w, (_, _, lam) in stl.items()}
+    shapes = list(dict.fromkeys(shape_of.values()))
+    dominated = {(a, b): dominance_r(a, b, r) for a in shapes for b in shapes}
     bad = None
     for w, lw in shape_of.items():
         for w2, lw2 in shape_of.items():
             klle = w in reach[w2]   # w below w2 in the preorder
-            domle = dominance_r(lw, lw2, r)
+            domle = dominated[lw, lw2]
             if klle != domle:
                 bad = (str(w), str(w2), klle, domle)
                 break

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IrrationalityViolation, NonIntegralDivision
+from .errors import (InvalidSlope, IrrationalityViolation,
+                     NonIntegralDivision)
 
 Gamma = tuple[int, int]  # (alpha, beta): exponent of q and of Q
 
@@ -107,15 +108,19 @@ class XiOrder:
     xi: Fraction
 
     def __post_init__(self):
-        assert self.xi > 0
-        assert self.xi.denominator > 1, "xi must not be an integer"
+        if self.xi <= 0:
+            raise InvalidSlope(f"xi = {self.xi} must be positive")
+        if self.xi.denominator == 1:
+            raise InvalidSlope(f"xi = {self.xi} must not be an integer")
 
     @classmethod
     def for_r(cls, r: int, offset: Fraction = Fraction(1, 101)) -> "XiOrder":
         """Order with floor(xi) = r.  The default offset has a large
         denominator so that no exponent pair of modest size can tie; a tie
         raises IrrationalityViolation and asks for a perturbed xi."""
-        assert 0 < offset < 1
+        if not 0 < offset < 1:
+            raise InvalidSlope(f"offset {offset} must lie strictly between "
+                               "0 and 1")
         return cls(Fraction(r) + offset)
 
     @property

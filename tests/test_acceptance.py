@@ -1,6 +1,6 @@
 """Acceptance gate: one test (one pass/fail line under pytest -v) per
 criterion.  Each test is self-contained and exhaustive over its stated
-range; the large-rank variant of the cell check sits behind --runslow.
+range.
 """
 
 import pytest
@@ -174,7 +174,6 @@ def test_c09_conjecture_a():
             assert report["ok"], report
 
 
-@pytest.mark.slow
 def test_c09_conjecture_a_rank4():
     for r in (0, 1, 2, 3):
         report = conjecture_a_report(4, XiOrder.for_r(r))

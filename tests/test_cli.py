@@ -124,3 +124,10 @@ class TestChecksAndExitCodes:
         code, _, err = invoke(capsys, "klbasis", "--n", "2", "--r", "1",
                               "--xi", "1/2")
         assert code == 1 and "inconsistent" in err
+
+    def test_integer_xi_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "klbasis", "--n", "2", "--r", "0",
+                                "--xi", "2")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["heckeb: error: xi = 2 must not be an "
+                                    "integer"]

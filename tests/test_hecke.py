@@ -2,12 +2,52 @@ import pytest
 from fractions import Fraction
 
 from heckeb.domino import SignedPermutation, group_elements, length
-from heckeb.hecke import (HeckeElement, bar, cell_datum, cells,
-                          cellularity_check, conjecture_a_report, dagger,
-                          expand_in_kl, kl_basis, star)
+from heckeb.errors import KLRecursionViolation
+from heckeb.hecke import (HeckeElement, _closure, _len_key, _same_partition,
+                          bar, cell_datum, cells, cellularity_check,
+                          conjecture_a_report, dagger, expand_in_kl, kl_basis,
+                          star)
 from heckeb.laurent import ACoeff, XiOrder
 
 ORDER0 = XiOrder.for_r(0)
+OFFSETS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+
+
+def bar_solve_kl_basis(n, order):
+    """Reference C-basis: make T_w bar-fixed by correcting the top defect
+    term at a time, then push the off-diagonal coefficients into A_{<0}."""
+    basis = {}
+    for w in sorted(group_elements(n), key=_len_key):
+        x = HeckeElement.t_basis(w)
+        defect = bar(x) - x
+        while not defect.is_zero():
+            y = max(defect.terms, key=_len_key)
+            corr = order.antisymmetric_solution(defect.terms[y])
+            x = x + basis[y].scale(corr)
+            defect = defect + basis[y].scale(corr.bar() - corr)
+            assert y not in defect.terms
+        for y in sorted(x.terms, key=_len_key, reverse=True):
+            if y != w:
+                beta = order.symmetric_completion(x.coeff(y))
+                if not beta.is_zero():
+                    x = x - basis[y].scale(beta)
+        basis[w] = x
+    return basis
+
+
+def product_reach(n, order, side):
+    """Reference preorder: w -> y for every y in the C-expansion of a
+    product of C_w with a generator on the given side(s)."""
+    basis = kl_basis(n, order)
+    adjacency = {}
+    for w, cw in basis.items():
+        prods = []
+        if side in ("L", "LR"):
+            prods.extend(cw.mul_gen_left(i) for i in range(n))
+        if side in ("R", "LR"):
+            prods.extend(cw.mul_gen_right(i) for i in range(n))
+        adjacency[w] = {y for prod in prods for y in expand_in_kl(prod, basis)}
+    return _closure(adjacency)
 
 
 def T(w):
@@ -122,6 +162,39 @@ class TestKLBasis:
                         {frozenset(c) for c in ref_cells}
 
 
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+class TestAgainstOracles:
+    def test_basis_matches_bar_solve(self, n, r, offset):
+        order = XiOrder(Fraction(r) + offset)
+        basis = kl_basis(n, order)
+        assert basis == bar_solve_kl_basis(n, order)
+        assert list(basis) == sorted(basis, key=_len_key)
+
+    def test_reach_matches_products(self, n, r, offset):
+        order = XiOrder(Fraction(r) + offset)
+        for side in ("L", "R", "LR"):
+            assert cells(n, order, side)[1] == product_reach(n, order, side)
+
+    def test_star_symmetry(self, n, r, offset):
+        basis = kl_basis(n, XiOrder(Fraction(r) + offset))
+        for w, cw in basis.items():
+            assert star(cw) == basis[w.inverse()]
+
+
+class _NoCompletion(XiOrder):
+    """An order whose completion never corrects anything."""
+
+    def symmetric_completion(self, c):
+        return ACoeff()
+
+
+def test_sweep_rejects_non_kl_elements():
+    with pytest.raises(KLRecursionViolation):
+        kl_basis(3, _NoCompletion(Fraction(1, 2)))
+
+
 class TestCells:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -133,6 +206,16 @@ class TestCells:
         for n in (1, 2, 3):
             report = conjecture_a_report(n, XiOrder.for_r(max(n - 1, 0)))
             assert report["ok"], report
+
+    def test_same_partition_names_both_blocks(self):
+        ws = sorted(group_elements(2), key=_len_key)
+        a = [set(ws[:2]), set(ws[2:])]
+        assert _same_partition(a, [set(ws[2:]), set(ws[:2])]) == (True, None)
+        ok, detail = _same_partition(a, [set(ws[:1]), set(ws[1:])])
+        assert not ok
+        assert detail == (
+            f"first differing element {ws[0]}: "
+            f"KL block {[str(ws[0]), str(ws[1])]}, fiber {[str(ws[0])]}")
 
     def test_cell_count_consistency(self):
         # two-sided cells refine into left cells

@@ -2,7 +2,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from heckeb.errors import IrrationalityViolation, NonIntegralDivision
+from heckeb.errors import (InvalidSlope, IrrationalityViolation,
+                           NonIntegralDivision)
 from heckeb.laurent import (ACoeff, VPoly, XiOrder, gauss_factorial,
                             gauss_integer)
 
@@ -36,8 +37,19 @@ class TestACoeff:
 
 class TestXiOrder:
     def test_rejects_integer_slope(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidSlope):
             XiOrder(Fraction(2))
+
+    @pytest.mark.parametrize("xi", [Fraction(0), Fraction(-1, 2)])
+    def test_rejects_nonpositive_slope(self, xi):
+        with pytest.raises(InvalidSlope):
+            XiOrder(xi)
+
+    @pytest.mark.parametrize("offset", [Fraction(0), Fraction(1),
+                                        Fraction(3, 2), Fraction(-1, 3)])
+    def test_for_r_rejects_offset_outside_unit_interval(self, offset):
+        with pytest.raises(InvalidSlope):
+            XiOrder.for_r(1, offset)
 
     def test_floor(self):
         assert XiOrder.for_r(3).r == 3
@@ -68,8 +80,8 @@ class TestXiOrder:
         c = ACoeff({(1, 0): 2, (0, 0): 5, (-1, 0): 7})
         s = o.symmetric_completion(c)
         assert s.bar() == s
-        # matches c on the non-negative side
-        assert o.negative_part(c - s).is_zero() or True
+        # matches c on the non-negative side: c - s = 5 q^-1
+        assert o.is_strictly_negative(c - s)
         assert (c - s).terms.keys() <= {(-1, 0), (1, 0)}
 
 
