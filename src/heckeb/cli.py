@@ -33,7 +33,7 @@ from .specht import (decomposition_numbers, nonzero_simples, theorem41_check,
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"heckeb: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

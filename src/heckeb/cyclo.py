@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .errors import InvalidArgument
 from .laurent import ACoeff
 
 Poly = list[Fraction]  # dense, index = degree
@@ -157,7 +158,8 @@ class Specialization:
     """
 
     def __init__(self, e: int, d: int):
-        assert e >= 2
+        if e < 2:
+            raise InvalidArgument(f"e = {e} must be at least 2")
         self.e = e
         self.d = d
         self.m = 4 * e

@@ -11,6 +11,12 @@ the standard presentation of the algorithm.
 The recording tableau marks, with label i, the two cells added at step i;
 the identity Q(w) = P(w^{-1}) is exercised by the test suite rather than
 assumed here.
+
+The Hecke algebra works on the integer kernel of W_n (kernel(n), built once
+per n on first use): the elements at positions 0..|W_n|-1 in order of
+length, then window, with tables of length, of left and right
+multiplication by each generator and of the inverse, so that its hot loops
+index lists instead of multiplying and hashing signed permutations.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from . import INFINITY
 from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
                        q_r)
-from .errors import BoundExceeded, MalformedTableau
+from .errors import BoundExceeded, InvalidArgument, MalformedTableau
 
 Cell = tuple[int, int]  # (row, column), 1-based
 
@@ -36,7 +42,9 @@ class SignedPermutation:
 
     def __post_init__(self):
         w = tuple(self.window)
-        assert sorted(abs(x) for x in w) == list(range(1, len(w) + 1)), w
+        if sorted(abs(x) for x in w) != list(range(1, len(w) + 1)):
+            raise InvalidArgument(f"window {' '.join(map(str, w))!r} is not "
+                                  f"a signed permutation of 1..{len(w)}")
         object.__setattr__(self, "window", w)
 
     @property
@@ -49,7 +57,8 @@ class SignedPermutation:
         return self.window[i - 1]
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise InvalidArgument(f"product of W_{self.n} and W_{other.n}")
         return SignedPermutation(tuple(self(other(i))
                                        for i in range(1, self.n + 1)))
 
@@ -78,11 +87,12 @@ class SignedPermutation:
     def generator(cls, n: int, i: int) -> "SignedPermutation":
         """Generator i: index 0 is t (sign change in slot 1), index i >= 1
         is the adjacent transposition s_i."""
+        if not 0 <= i < n:
+            raise InvalidArgument(f"generator index {i} outside 0..{n - 1}")
         w = list(range(1, n + 1))
         if i == 0:
             w[0] = -1
         else:
-            assert 1 <= i < n
             w[i - 1], w[i] = w[i], w[i - 1]
         return cls(tuple(w))
 
@@ -108,6 +118,54 @@ def group_elements(n: int) -> dict[SignedPermutation, tuple[int, tuple[int, ...]
                 out[wg] = (length + 1, word + (i,))
                 queue.append(wg)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """W_n on the positions 0..|W_n|-1, in order of length, then window.
+
+    right[i][k] and left[i][k] are the positions of elements[k] s_i and
+    s_i elements[k] (i = 0 for t); a product by a generator is shorter
+    exactly when its position is smaller.  last[k] is the last letter of the
+    reduced word of elements[k] (-1 at the identity).
+    """
+
+    elements: tuple[SignedPermutation, ...]
+    index: dict[SignedPermutation, int]
+    length: tuple[int, ...]
+    last: tuple[int, ...]
+    right: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...]
+    inverse: tuple[int, ...]
+
+    def along_words(self, start, step) -> list:
+        """[x_0, ..., x_{|W_n|-1}]: x_0 = start at the identity and
+        x_k = step(x_p, i), where elements[k] = elements[p] s_i with
+        i = last[k], extending a table along reduced words."""
+        out = [start]
+        for k in range(1, len(self.elements)):
+            i = self.last[k]
+            out.append(step(out[self.right[i][k]], i))
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def kernel(n: int) -> Kernel:
+    """The integer kernel of W_n, built from the BFS of group_elements."""
+    bfs = group_elements(n)
+    elements = tuple(sorted(bfs, key=lambda w: (bfs[w][0], w.window)))
+    pos = {w.window: k for k, w in enumerate(elements)}
+    gens = [SignedPermutation.generator(n, i) for i in range(n)]
+    return Kernel(
+        elements=elements,
+        index={w: k for k, w in enumerate(elements)},
+        length=tuple(bfs[w][0] for w in elements),
+        last=tuple(bfs[w][1][-1] if bfs[w][1] else -1 for w in elements),
+        right=tuple(tuple(pos[tuple(map(w, g.window))] for w in elements)
+                    for g in gens),
+        left=tuple(tuple(pos[tuple(map(g, w.window))] for w in elements)
+                   for g in gens),
+        inverse=tuple(pos[w.inverse().window] for w in elements))
 
 
 def length(w: SignedPermutation) -> int:
@@ -278,7 +336,8 @@ def _insert_letter(dominoes: dict[int, frozenset[Cell]], core: Partition,
 def resolve_r(r, n: int) -> int:
     if r == INFINITY:
         return max(n - 1, 0)
-    assert isinstance(r, int) and r >= 0
+    if not isinstance(r, int) or r < 0:
+        raise InvalidArgument(f"r = {r} must be a non-negative integer or inf")
     return r
 
 

@@ -5,6 +5,12 @@ class HeckebError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(HeckebError):
+    """An argument lies outside its domain: a window that is not a signed
+    permutation, a generator index outside 0..n-1, a cell side other than
+    L, R or LR, a negative r, or e < 2."""
+
+
 class SizeMismatch(HeckebError):
     """Two bipartitions (or partitions) of different total size were compared."""
 

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .combinat import Bipartition, Partition, format_bipartition
-from .errors import BadResidue, IncompatibleCharges
+from .errors import BadResidue, IncompatibleCharges, InvalidArgument
 from .laurent import VPoly, V_ONE, gauss_factorial
 
 Charge = tuple[int, int]
@@ -80,7 +80,8 @@ class FockVector:
 
     def __init__(self, s: Charge, e: int,
                  terms: dict[Bipartition, VPoly] | None = None):
-        assert e >= 2
+        if e < 2:
+            raise InvalidArgument(f"e = {e} must be at least 2")
         self.s = tuple(s)
         self.e = e
         self.terms = {b: c for b, c in (terms or {}).items() if not c.is_zero()}

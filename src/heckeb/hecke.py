@@ -12,6 +12,13 @@ reads the right-cell edges off the same products.  Cells are the strongly
 connected components of that multiplication graph, its star image and their
 union; the conjecture checkers compare them with the fibers of domino
 insertion.
+
+The hot paths run on the integer kernel of W_n (domino.kernel): products by
+a generator are table lookups, the sweep keys its terms by position and
+accumulates each coefficient in a plain exponent dict until it is final,
+and the preorders are closed as bitsets over positions.  Signed
+permutations appear only at the public boundary (HeckeElement, kl_basis,
+cells).
 """
 
 from __future__ import annotations
@@ -20,13 +27,13 @@ import functools
 import heapq
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import Bipartition, format_bipartition
-from .domino import (SignedPermutation, group_elements, length, reduced_word,
-                     s_t_lambda, StandardBitableau)
-from .errors import BoundExceeded, ConjectureAViolation, KLRecursionViolation
-from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder
+from .domino import (SignedPermutation, group_elements, kernel, length,
+                     reduced_word, s_t_lambda, StandardBitableau)
+from .errors import (BoundExceeded, ConjectureAViolation, InvalidArgument,
+                     KLRecursionViolation)
+from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product
 from .orders import dominance_r
 
 KL_BOUND = 4
@@ -37,6 +44,12 @@ GAMMA_S = (1, 0)   # parameter a of the generators s_i
 
 def generator_gamma(i: int) -> tuple[int, int]:
     return GAMMA_T if i == 0 else GAMMA_S
+
+
+def _quad(i: int) -> ACoeff:
+    """v_s - v_s^{-1} for generator i."""
+    gamma = generator_gamma(i)
+    return ACoeff({gamma: 1, (-gamma[0], -gamma[1]): -1})
 
 
 class HeckeElement:
@@ -81,42 +94,33 @@ class HeckeElement:
     def scale(self, c: ACoeff) -> "HeckeElement":
         return HeckeElement(self.n, {w: cc * c for w, cc in self.terms.items()})
 
-    def mul_gen_right(self, i: int) -> "HeckeElement":
-        """Right multiplication by T of generator i."""
-        g = SignedPermutation.generator(self.n, i)
-        gamma = generator_gamma(i)
-        quad = ACoeff({gamma: 1, (-gamma[0], -gamma[1]): -1})
-        out: dict[SignedPermutation, ACoeff] = {}
-        for w, c in self.terms.items():
-            wg = w * g
-            if length(wg) > length(w):
-                out[wg] = out.get(wg, ACoeff()) + c
-            else:
-                out[wg] = out.get(wg, ACoeff()) + c
-                out[w] = out.get(w, ACoeff()) + c * quad
-        return HeckeElement(self.n, out)
+    def mul_gen(self, i: int, left: bool = False) -> "HeckeElement":
+        """self T_s, or T_s self with left=True, for generator s of index i.
 
-    def mul_gen_left(self, i: int) -> "HeckeElement":
-        g = SignedPermutation.generator(self.n, i)
-        gamma = generator_gamma(i)
-        quad = ACoeff({gamma: 1, (-gamma[0], -gamma[1]): -1})
+        T_w T_s is T_{ws} on an ascent and T_{ws} + (v_s - v_s^{-1}) T_w on
+        a descent, read off the kernel's multiplication tables."""
+        kern = kernel(self.n)
+        table = (kern.left if left else kern.right)[i]
+        elements, index = kern.elements, kern.index
+        quad = _quad(i)
         out: dict[SignedPermutation, ACoeff] = {}
         for w, c in self.terms.items():
-            gw = g * w
-            if length(gw) > length(w):
-                out[gw] = out.get(gw, ACoeff()) + c
-            else:
-                out[gw] = out.get(gw, ACoeff()) + c
-                out[w] = out.get(w, ACoeff()) + c * quad
+            k = index[w]
+            j = table[k]
+            wg = elements[j]
+            out[wg] = out.get(wg, A_ZERO) + c
+            if j < k:
+                out[w] = out.get(w, A_ZERO) + c * quad
         return HeckeElement(self.n, out)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise InvalidArgument(f"product of H_{self.n} and H_{other.n}")
         total = HeckeElement(self.n)
         for w2, c2 in other.terms.items():
             acc = self
             for i in reduced_word(w2):
-                acc = acc.mul_gen_right(i)
+                acc = acc.mul_gen(i)
             total = total + acc.scale(c2)
         return total
 
@@ -134,69 +138,46 @@ class HeckeElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _bar_t(n: int) -> dict[SignedPermutation, HeckeElement]:
-    """bar(T_w) = T_{w^{-1}}^{-1} for all w, built along reduced words."""
-    out = {SignedPermutation.identity(n): HeckeElement.unit(n)}
-    elements = sorted(group_elements(n), key=lambda w: length(w))
-    for w in elements:
-        if w in out:
-            continue
-        word = reduced_word(w)
-        prefix = SignedPermutation.identity(n)
-        for i in word[:-1]:
-            prefix = prefix * SignedPermutation.generator(n, i)
-        i = word[-1]
-        gamma = generator_gamma(i)
-        # bar(T_s) = T_s^{-1} = T_s - (e^gamma - e^{-gamma})
-        bar_ts = HeckeElement.t_basis(SignedPermutation.generator(n, i)) \
-            + HeckeElement.unit(n).scale(
-                ACoeff({gamma: -1, (-gamma[0], -gamma[1]): 1}))
-        out[w] = out[prefix] * bar_ts
-    return out
+def _bar_t(n: int) -> list[HeckeElement]:
+    """bar(T_w) = T_{w^{-1}}^{-1} by kernel position, built along reduced
+    words: bar(T_s) = T_s - (v_s - v_s^{-1})."""
+    return kernel(n).along_words(
+        HeckeElement.unit(n),
+        lambda x, i: x.mul_gen(i) - x.scale(_quad(i)))
 
 
 def bar(h: HeckeElement) -> HeckeElement:
     """The A-antilinear bar involution of H_n."""
-    table = _bar_t(h.n)
+    table, index = _bar_t(h.n), kernel(h.n).index
     total = HeckeElement(h.n)
     for w, c in h.terms.items():
-        total = total + table[w].scale(c.bar())
+        total = total + table[index[w]].scale(c.bar())
     return total
 
 
 @functools.lru_cache(maxsize=None)
-def _dagger_t(n: int) -> dict[SignedPermutation, HeckeElement]:
-    """dagger(T_w) for all w, dagger(T_s) = -T_s^{-1}."""
-    out = {SignedPermutation.identity(n): HeckeElement.unit(n)}
-    for w in sorted(group_elements(n), key=lambda x: length(x)):
-        if w in out:
-            continue
-        word = reduced_word(w)
-        prefix = SignedPermutation.identity(n)
-        for i in word[:-1]:
-            prefix = prefix * SignedPermutation.generator(n, i)
-        i = word[-1]
-        gamma = generator_gamma(i)
-        dag_ts = HeckeElement.t_basis(
-            SignedPermutation.generator(n, i), ACoeff.integer(-1)) \
-            + HeckeElement.unit(n).scale(
-                ACoeff({gamma: 1, (-gamma[0], -gamma[1]): -1}))
-        out[w] = out[prefix] * dag_ts
-    return out
+def _dagger_t(n: int) -> list[HeckeElement]:
+    """dagger(T_w) by kernel position, dagger(T_s) = -T_s^{-1} =
+    -T_s + (v_s - v_s^{-1})."""
+    return kernel(n).along_words(
+        HeckeElement.unit(n),
+        lambda x, i: x.scale(_quad(i)) - x.mul_gen(i))
 
 
 def dagger(h: HeckeElement) -> HeckeElement:
     """The A-algebra involution with T_s -> -T_s^{-1}."""
-    table = _dagger_t(h.n)
+    table, index = _dagger_t(h.n), kernel(h.n).index
     total = HeckeElement(h.n)
     for w, c in h.terms.items():
-        total = total + table[w].scale(c)
+        total = total + table[index[w]].scale(c)
     return total
 
 
 def star(h: HeckeElement) -> HeckeElement:
     """The A-linear anti-automorphism T_w -> T_{w^{-1}}."""
-    return HeckeElement(h.n, {w.inverse(): c for w, c in h.terms.items()})
+    kern = kernel(h.n)
+    return HeckeElement(h.n, {kern.elements[kern.inverse[kern.index[w]]]: c
+                              for w, c in h.terms.items()})
 
 
 # --- Kazhdan-Lusztig basis and cells -----------------------------------------
@@ -208,7 +189,7 @@ def _len_key(w: SignedPermutation):
 @functools.lru_cache(maxsize=None)
 def _kl_sweep(n: int, order: XiOrder):
     """C_w for all w in W_n and the right-preorder edges, from one pass over
-    the ascents (w, s), ws > w, in _len_key order.
+    the ascents (w, s), ws > w, in kernel order.
 
     By Lusztig, Hecke algebras with unequal parameters (2003), Thm 6.6,
     C_w C_s = C_{ws} + sum_{y < w} mu^s_{y,w} C_y with bar-invariant mu.
@@ -218,62 +199,82 @@ def _kl_sweep(n: int, order: XiOrder):
     leaves C_{ws}, and the y with mu != 0 are read off on the way.  So
     C_w T_s = C_{ws} + sum mu C_y - v_s^{-1} C_w gives the right edges
     w -> {w, ws} and w -> y; a descent ws < w has C_w T_s = v_s C_w, a
-    self-edge only.  Returns (basis in _len_key order, right edges).
+    self-edge only.
+
+    Everything is keyed by kernel position.  Returns (basis, edges): basis[w]
+    maps positions to the ACoeff coefficients of C_w, edges[w] is the
+    bitset of the right edges out of w.
     """
-    elements = sorted(group_elements(n), key=_len_key)
-    pos = {w: k for k, w in enumerate(elements)}
-    basis = {elements[0]: HeckeElement.unit(n)}
-    edges: dict[SignedPermutation, set[SignedPermutation]] = {}
+    kern = kernel(n)
+    size = len(kern.elements)
+    basis: list[dict[int, ACoeff] | None] = [None] * size
+    basis[0] = {0: A_ONE}
+    edges = [1 << w for w in range(size)]
 
-    def times_c_s(cw: HeckeElement, i: int, ws: SignedPermutation):
-        """C_w C_s reduced to C_{ws}, and the y with mu^s_{y,w} != 0.
+    def element(terms: dict[int, ACoeff]) -> HeckeElement:
+        return HeckeElement(n, {kern.elements[y]: c for y, c in terms.items()})
 
-        Works in place on one term dict.  Its terms below ws are visited
-        longest first through a heap of _len_key positions; subtracting
-        mu C_y only adds terms below y, each pushed once."""
-        gamma = generator_gamma(i)
-        v_inv = ACoeff({(-gamma[0], -gamma[1]): 1})
-        terms = cw.mul_gen_right(i).terms
-        for y, c in cw.terms.items():
-            terms[y] = terms.get(y, A_ZERO) + c * v_inv
-        heap = [-pos[y] for y in terms if y != ws]
+    def times_c_s(cw: dict[int, ACoeff], i: int, ws: int):
+        """C_w C_s reduced to C_{ws}, and the bitset of the y with
+        mu^s_{y,w} != 0.
+
+        Each coefficient accumulates in its own exponent dict.  The terms
+        below ws are visited longest first through a heap of positions, and
+        a term is final when it is popped: subtracting mu C_y only adds
+        terms below y, each pushed once."""
+        a, b = generator_gamma(i)
+        up, down = {(-a, -b): 1}, {(a, b): 1}
+        table = kern.right[i]
+        work: dict[int, dict] = {}
+        for y, c in cw.items():
+            ys = table[y]
+            # T_y T_s + v_s^{-1} T_y: T_{ys} + v_s^{-1} T_y on an ascent,
+            # T_{ys} + v_s T_y on a descent
+            add_product(work.setdefault(ys, {}), c.terms, A_ONE.terms)
+            add_product(work.setdefault(y, {}), c.terms,
+                        up if ys > y else down)
+        heap = [-y for y in work if y != ws]
         heapq.heapify(heap)
-        mu_support = []
+        out = {ws: ACoeff(work[ws])}
+        mu_support = 0
         while heap:
-            y = elements[-heapq.heappop(heap)]
-            mu = order.symmetric_completion(terms[y])
-            if mu.is_zero():
-                continue
-            mu_support.append(y)
-            for z, c in basis[y].terms.items():
-                if z not in terms:
-                    terms[z] = A_ZERO
-                    heapq.heappush(heap, -pos[z])
-                terms[z] = terms[z] - mu * c
-        return HeckeElement(n, terms), mu_support
+            y = -heapq.heappop(heap)
+            c = ACoeff(work[y])
+            mu = order.symmetric_completion(c)
+            if not mu.is_zero():
+                mu_support |= 1 << y
+                for z, cz in basis[y].items():
+                    if z not in work:
+                        work[z] = {}
+                        heapq.heappush(heap, -z)
+                    add_product(work[z], mu.terms, cz.terms, -1)
+                c = ACoeff(work[y])
+            if not c.is_zero():
+                out[y] = c
+        return out, mu_support
 
-    for w in elements:
+    for w in range(size):
         cw = basis[w]
-        edges[w] = {w}
         for i in range(n):
-            ws = w * SignedPermutation.generator(n, i)
-            if length(ws) < length(w):
+            ws = kern.right[i][w]
+            if ws < w:
                 continue
             c_ws, mu_support = times_c_s(cw, i, ws)
-            if ws not in basis:
-                if c_ws.coeff(ws) != A_ONE or not all(
+            if basis[ws] is None:
+                if c_ws[ws] != A_ONE or not all(
                         order.is_strictly_negative(c)
-                        for y, c in c_ws.terms.items() if y != ws):
+                        for y, c in c_ws.items() if y != ws):
                     raise KLRecursionViolation(
-                        f"C[{ws}] = {c_ws} is not T[{ws}] plus strictly "
-                        f"negative terms at xi = {order.xi}")
+                        f"C[{kern.elements[ws]}] = {element(c_ws)} is not "
+                        f"T[{kern.elements[ws]}] plus strictly negative "
+                        f"terms at xi = {order.xi}")
                 basis[ws] = c_ws
             elif basis[ws] != c_ws:
                 raise KLRecursionViolation(
-                    f"C[{w}] C[s{i}] gives a second C[{ws}] at xi = {order.xi}")
-            edges[w].add(ws)
-            edges[w].update(mu_support)
-    return {w: basis[w] for w in elements}, edges
+                    f"C[{kern.elements[w]}] C[s{i}] gives a second "
+                    f"C[{kern.elements[ws]}] at xi = {order.xi}")
+            edges[w] |= 1 << ws | mu_support
+    return basis, edges
 
 
 # Cached as well as the sweep so that cache_info() counts its lookups.
@@ -289,7 +290,10 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     """
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
-    return _kl_sweep(n, order)[0]
+    elements = kernel(n).elements
+    return {elements[w]: HeckeElement(n, {elements[y]: c
+                                          for y, c in cw.items()})
+            for w, cw in enumerate(_kl_sweep(n, order)[0])}
 
 
 def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
@@ -304,28 +308,48 @@ def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
     return out
 
 
-def _closure(adjacency: dict) -> dict:
-    """Reflexive-transitive closure via DFS from each vertex."""
-    reach = {}
-    for v in adjacency:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for x in adjacency[u]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        reach[v] = seen
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _closure(adjacency: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a graph on positions 0..N-1 given by
+    successor bitsets (Warshall's algorithm on bitset rows)."""
+    reach = [a | 1 << v for v, a in enumerate(adjacency)]
+    for k in range(len(reach)):
+        bit, row = 1 << k, reach[k]
+        reach = [x | row if x & bit else x for x in reach]
     return reach
 
 
-def _scc_partition(reach: dict) -> list[set]:
-    classes = {}
-    for v in reach:
-        key = frozenset(u for u in reach[v] if v in reach[u])
-        classes.setdefault(key, set()).add(v)
+def _scc_partition(reach: list[int]) -> list[list[int]]:
+    """Strongly connected components of a reflexive-transitive closure:
+    two vertices share one exactly when they reach the same set."""
+    classes: dict[int, list[int]] = {}
+    for v, x in enumerate(reach):
+        classes.setdefault(x, []).append(v)
     return list(classes.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _reach(n: int, order: XiOrder, side: str) -> list[int]:
+    """Preorder reachability bitsets by kernel position.  The right edges
+    w -> y, for y in the C-expansion of some C_w T_s, come from the sweep
+    (Lusztig, Thm 6.6); the left edges are their images under star, since
+    star(C_w) = C_{w^{-1}}; the two-sided edges are the union of both."""
+    inverse = kernel(n).inverse
+    right = _kl_sweep(n, order)[1]
+    adjacency = [0] * len(right)
+    for w, below in enumerate(right):
+        if side in ("R", "LR"):
+            adjacency[w] |= below
+        if side in ("L", "LR"):
+            adjacency[inverse[w]] |= sum(1 << inverse[y] for y in _bits(below))
+    return _closure(adjacency)
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,23 +357,19 @@ def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND):
     """Cell partition of W_n and the underlying preorder reachability.
 
     side is 'L', 'R' or 'LR'.  Returns (list of cells, reachability map);
-    w' is below w iff w' in reach[w].  The right edges w -> y, for y in the
-    C-expansion of some C_w T_s, come from the sweep that builds the basis
-    (Lusztig, Thm 6.6).  The left edges are their images under star, since
-    star(C_w) = C_{w^{-1}}; the two-sided edges are the union of both.
+    w' is below w iff w' in reach[w].  Cells are the strongly connected
+    components of the left, right or two-sided multiplication graph of the
+    C-basis (Lusztig, Thm 6.6, via the sweep that builds the basis).
     """
-    assert side in ("L", "R", "LR")
+    if side not in ("L", "R", "LR"):
+        raise InvalidArgument(f"side {side!r} must be 'L', 'R' or 'LR'")
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
-    right = _kl_sweep(n, order)[1]
-    adjacency = {w: set() for w in right}
-    for w, below in right.items():
-        if side in ("R", "LR"):
-            adjacency[w] |= below
-        if side in ("L", "LR"):
-            adjacency[w.inverse()].update(y.inverse() for y in below)
-    reach = _closure(adjacency)
-    return _scc_partition(reach), reach
+    elements = kernel(n).elements
+    reach = _reach(n, order, side)
+    return ([{elements[v] for v in block} for block in _scc_partition(reach)],
+            {elements[v]: {elements[y] for y in _bits(x)}
+             for v, x in enumerate(reach)})
 
 
 def _fibers(stl: dict, picker) -> list[set]:
@@ -379,30 +399,39 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     r = order.r
+    kern = kernel(n)
     stl = {w: s_t_lambda(w, r) for w in group_elements(n)}
     report = {"n": n, "xi": str(order.xi), "r": r, "clauses": {}}
     for clause, side, picker in (
             ("a_left_vs_T", "L", lambda s, t, lam: t),
             ("b_right_vs_S", "R", lambda s, t, lam: s),
             ("c_twosided_vs_shape", "LR", lambda s, t, lam: lam)):
-        part, _ = cells(n, order, side, bound)
+        part = [{kern.elements[v] for v in block}
+                for block in _scc_partition(_reach(n, order, side))]
         ok, why = _same_partition(part, _fibers(stl, picker))
         report["clauses"][clause] = {"ok": ok, **({"detail": why} if why else {})}
-    # (c+): two-sided preorder against the dominance order on shapes.
-    _, reach = cells(n, order, "LR", bound)
+    # (c+): two-sided preorder against the dominance order on shapes.  Row
+    # w2 of the preorder must be the union of the shapes dominated by its
+    # shape; only a mismatch is located by the pair scan.
+    reach = _reach(n, order, "LR")
     shape_of = {w: lam for w, (_, _, lam) in stl.items()}
-    shapes = list(dict.fromkeys(shape_of.values()))
-    dominated = {(a, b): dominance_r(a, b, r) for a in shapes for b in shapes}
+    mask: dict[Bipartition, int] = {}
+    for w, lam in shape_of.items():
+        mask[lam] = mask.get(lam, 0) | 1 << kern.index[w]
+    dominated = {(a, b): dominance_r(a, b, r) for a in mask for b in mask}
+    below = {b: sum(mask[a] for a in mask if dominated[a, b]) for b in mask}
     bad = None
-    for w, lw in shape_of.items():
-        for w2, lw2 in shape_of.items():
-            klle = w in reach[w2]   # w below w2 in the preorder
-            domle = dominated[lw, lw2]
-            if klle != domle:
-                bad = (str(w), str(w2), klle, domle)
+    if any(reach[kern.index[w]] != below[lam] for w, lam in shape_of.items()):
+        for w, lw in shape_of.items():
+            for w2, lw2 in shape_of.items():
+                # w below w2 in the preorder
+                klle = bool(reach[kern.index[w2]] >> kern.index[w] & 1)
+                domle = dominated[lw, lw2]
+                if klle != domle:
+                    bad = (str(w), str(w2), klle, domle)
+                    break
+            if bad:
                 break
-        if bad:
-            break
     report["clauses"]["c_plus_preorder_vs_dominance"] = {
         "ok": bad is None, **({"detail": repr(bad)} if bad else {})}
     report["ok"] = all(c["ok"] for c in report["clauses"].values())
@@ -495,7 +524,7 @@ def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
         for lam in datum.shapes:
             for s in datum.sbt[lam]:
                 for t in datum.sbt[lam]:
-                    prod = datum.basis[(s, t)].mul_gen_left(i)
+                    prod = datum.basis[(s, t)].mul_gen(i, left=True)
                     expansion = datum.expand(prod)
                     rmap = {}
                     for (u, vv), c in expansion.items():
@@ -529,7 +558,7 @@ def structure_coefficients(datum: CellDatum, i: int, lam: Bipartition) \
     t0 = datum.sbt[lam][0]
     out = {}
     for s in datum.sbt[lam]:
-        expansion = datum.expand(datum.basis[(s, t0)].mul_gen_left(i))
+        expansion = datum.expand(datum.basis[(s, t0)].mul_gen(i, left=True))
         for (u, vv), c in expansion.items():
             if u.shape == lam and vv == t0:
                 out[(u, s)] = c

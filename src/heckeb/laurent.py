@@ -62,10 +62,7 @@ class ACoeff:
 
     def __mul__(self, other: "ACoeff") -> "ACoeff":
         out: dict[Gamma, int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                g = (a1 + a2, b1 + b2)
-                out[g] = out.get(g, 0) + c1 * c2
+        add_product(out, self.terms, other.terms)
         return ACoeff(out)
 
     def bar(self) -> "ACoeff":
@@ -97,6 +94,19 @@ class ACoeff:
 
 A_ZERO = ACoeff()
 A_ONE = ACoeff.integer(1)
+
+
+def add_product(acc: dict[Gamma, int], x: dict[Gamma, int],
+                y: dict[Gamma, int], sign: int = 1) -> None:
+    """acc += sign * x * y on exponent dicts, in place.
+
+    The working form of an ACoeff for a loop that owns acc; entries that
+    cancel stay as zeros, which ACoeff(acc) drops."""
+    for (a1, b1), c1 in x.items():
+        c1 *= sign
+        for (a2, b2), c2 in y.items():
+            g = (a1 + a2, b1 + b2)
+            acc[g] = acc.get(g, 0) + c1 * c2
 
 
 @dataclass(frozen=True)
@@ -164,11 +174,14 @@ class XiOrder:
     def symmetric_completion(self, c: ACoeff) -> ACoeff:
         """Bar-fixed element matching c on non-negative exponents: the
         constant term plus e^gamma + e^{-gamma} for each positive gamma."""
-        neg, const, pos = self.split(c)
-        out = ACoeff.integer(const)
-        for g, cc in pos.terms.items():
-            out = out + ACoeff({g: cc, (-g[0], -g[1]): cc})
-        return out
+        out = {}
+        for g, cc in c.terms.items():
+            s = self.sign(g)
+            if s >= 0:
+                out[g] = cc
+            if s > 0:
+                out[(-g[0], -g[1])] = cc
+        return ACoeff(out)
 
 
 class VPoly:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import INFINITY
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition, q_r_inverse)
-from .errors import BoundExceeded, SizeMismatch
+from .errors import BoundExceeded, InvalidArgument, SizeMismatch
 
 HASSE_BOUND = 8
 
@@ -23,7 +23,8 @@ HASSE_BOUND = 8
 def _resolve_r(r, n: int) -> int:
     if r == INFINITY:
         return max(n - 1, 0)
-    assert isinstance(r, int) and r >= 0
+    if not isinstance(r, int) or r < 0:
+        raise InvalidArgument(f"r = {r} must be a non-negative integer or inf")
     return r
 
 

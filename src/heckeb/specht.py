@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .combinat import Bipartition, format_bipartition
 from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
-from .domino import SignedPermutation, group_elements, length, reduced_word
+from .domino import SignedPermutation, group_elements, kernel, length
 from .errors import BoundExceeded, RankDeficiency
 from .hecke import CellDatum, cell_datum, structure_coefficients
 from .laurent import ACoeff, XiOrder
@@ -247,17 +247,11 @@ def _action_matrices(mod: CellModule, n: int) \
         -> dict[SignedPermutation, Matrix]:
     """Matrix of every T_w on the module, built along reduced words."""
     m = mod.spec.m
-    out = {SignedPermutation.identity(n): _identity(mod.dim, m)}
-    for w in sorted(group_elements(n), key=lambda x: length(x)):
-        if w in out:
-            continue
-        word = reduced_word(w)
-        prefix = SignedPermutation.identity(n)
-        for i in word[:-1]:
-            prefix = prefix * SignedPermutation.generator(n, i)
-        # left action: T_w = T_prefix * T_last acts as M_prefix @ M_last
-        out[w] = _mat_mul(out[prefix], mod.generators[word[-1]], m)
-    return out
+    kern = kernel(n)
+    # left action: T_w = T_prefix * T_last acts as M_prefix @ M_last
+    return dict(zip(kern.elements, kern.along_words(
+        _identity(mod.dim, m),
+        lambda prev, i: _mat_mul(prev, mod.generators[i], m))))
 
 
 def _trace(mat: Matrix, m: int) -> CycloNumber:

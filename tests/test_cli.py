@@ -1,8 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from heckeb.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# One malformed input per check that must raise a typed error, not an
+# assertion that python -O strips.
+MALFORMED = {
+    "repeated-letter": ("insert", "--w", "1 1", "--r", "0"),
+    "letter-out-of-range": ("insert", "--w", "1 3", "--r", "0"),
+    "side": ("cells", "--n", "2", "--r", "0", "--side", "X"),
+    "negative-r-order": ("order", "--a", "(1;1)", "--b", "(2;∅)", "--r", "-1"),
+    "negative-r-insert": ("insert", "--w", "-1 3 2", "--r", "-1"),
+    "e-below-two-fock": ("canbasis", "--charge", "0,0", "--e", "1", "--n", "2"),
+    "e-below-two-specht": ("specht", "--n", "2", "--e", "1", "--d", "0",
+                           "--r", "0"),
+}
 
 
 def invoke(capsys, *argv):
@@ -131,3 +150,39 @@ class TestChecksAndExitCodes:
         assert code == 1 and out == ""
         assert err.splitlines() == ["heckeb: error: xi = 2 must not be an "
                                     "integer"]
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, encoding="utf-8",
+                          timeout=120)
+
+
+def assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert [l for l in err.splitlines()
+            if l.startswith("heckeb: error:")] == err.splitlines()[-1:]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_in_process(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+    @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_subprocess(self, flags, argv):
+        done = python(*flags, "-m", "heckeb.cli", *argv)
+        assert done.returncode == 1 and done.stdout == ""
+        assert_one_error_line(done.stderr)
+
+
+def test_import_builds_no_tables():
+    done = python("-c", "import heckeb.cli\n"
+                        "from heckeb.domino import group_elements, kernel\n"
+                        "print(kernel.cache_info().currsize,"
+                        " group_elements.cache_info().currsize)")
+    assert done.stdout == "0 0\n", done.stderr

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 
 from heckeb.cyclo import (CycloNumber, Specialization, cyclotomic_polynomial)
+from heckeb.errors import InvalidArgument
 from heckeb.laurent import ACoeff
 
 
@@ -84,3 +85,8 @@ class TestSpecialization:
         sp = Specialization(2, 0)
         c = ACoeff({(1, 0): 1, (-1, 0): -1})
         assert sp.theta(c) == sp.q0 - sp.q0.inverse()
+
+
+def test_specialization_rejects_e_below_two():
+    with pytest.raises(InvalidArgument):
+        Specialization(1, 0)

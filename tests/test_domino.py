@@ -2,9 +2,11 @@ import pytest
 
 from heckeb import INFINITY
 from heckeb.combinat import bipartitions_of_shape_count
-from heckeb.domino import (SignedPermutation, group_elements, insert, length,
-                           qtilde_r, reduced_word, s_t_lambda,
-                           verify_insertion_bijection)
+from heckeb.domino import (SignedPermutation, group_elements, insert, kernel,
+                           length, qtilde_r, reduced_word, resolve_r,
+                           s_t_lambda, verify_insertion_bijection)
+from heckeb.errors import InvalidArgument
+from heckeb.hecke import _len_key
 
 
 class TestSignedPermutation:
@@ -32,6 +34,57 @@ class TestSignedPermutation:
         for w in group_elements(3):
             assert w * w.inverse() == SignedPermutation.identity(3)
             assert length(w) == length(w.inverse())
+
+
+    @pytest.mark.parametrize("window", [(1, 1), (1, 3), (0,), (2,), (-2, 2)])
+    def test_rejects_non_permutation(self, window):
+        with pytest.raises(InvalidArgument):
+            SignedPermutation(window)
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_generator_index_checked(self, i):
+        with pytest.raises(InvalidArgument):
+            SignedPermutation.generator(3, i)
+
+    def test_product_ranks_checked(self):
+        with pytest.raises(InvalidArgument):
+            SignedPermutation.identity(2) * SignedPermutation.identity(3)
+
+    def test_resolve_r(self):
+        assert resolve_r(INFINITY, 4) == 3 and resolve_r(2, 4) == 2
+        with pytest.raises(InvalidArgument):
+            resolve_r(-1, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+class TestKernel:
+    def test_order_and_index(self, n):
+        kern = kernel(n)
+        assert list(kern.elements) == sorted(group_elements(n), key=_len_key)
+        assert all(kern.index[w] == k for k, w in enumerate(kern.elements))
+
+    def test_length_and_last_letter(self, n):
+        kern = kernel(n)
+        for k, w in enumerate(kern.elements):
+            word = reduced_word(w)
+            assert kern.length[k] == len(word)
+            assert kern.last[k] == (word[-1] if word else -1)
+
+    def test_tables_match_products(self, n):
+        kern = kernel(n)
+        gens = [SignedPermutation.generator(n, i) for i in range(n)]
+        for k, w in enumerate(kern.elements):
+            assert kern.elements[kern.inverse[k]] == w.inverse()
+            for i, g in enumerate(gens):
+                assert kern.elements[kern.right[i][k]] == w * g
+                assert kern.elements[kern.left[i][k]] == g * w
+
+    def test_along_words_rebuilds_elements(self, n):
+        kern = kernel(n)
+        gens = [SignedPermutation.generator(n, i) for i in range(n)]
+        assert kern.along_words(SignedPermutation.identity(n),
+                                lambda w, i: w * gens[i]) == \
+            list(kern.elements)
 
 
 class TestInsertion:

@@ -2,7 +2,8 @@ import pytest
 from fractions import Fraction
 
 from heckeb.combinat import Bipartition, Partition, enumerate_bipartitions
-from heckeb.errors import BadResidue, IncompatibleCharges, NonIntegralDivision
+from heckeb.errors import (BadResidue, IncompatibleCharges, InvalidArgument,
+                           NonIntegralDivision)
 from heckeb.fock import (FockVector, addable_nodes, delta_s, divided_power_f,
                          e_action, f_action, fock_modules_isomorphic,
                          removable_nodes, weight_ni)
@@ -108,3 +109,8 @@ class TestCharges:
         data = json.loads(v.to_json())
         assert data["schema"] == "1"
         assert "|" in v.to_text()
+
+
+def test_e_below_two_is_rejected():
+    with pytest.raises(InvalidArgument):
+        FockVector.vacuum((0, 0), 1)

@@ -1,13 +1,19 @@
-import pytest
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from heckeb.domino import SignedPermutation, group_elements, length
-from heckeb.errors import KLRecursionViolation
-from heckeb.hecke import (HeckeElement, _closure, _len_key, _same_partition,
+import pytest
+
+from heckeb import hecke
+from heckeb.domino import SignedPermutation, group_elements, length, s_t_lambda
+from heckeb.errors import InvalidArgument, KLRecursionViolation
+from heckeb.hecke import (HeckeElement, _len_key, _same_partition,
                           bar, cell_datum, cells, cellularity_check,
                           conjecture_a_report, dagger, expand_in_kl, kl_basis,
                           star)
 from heckeb.laurent import ACoeff, XiOrder
+from heckeb.orders import dominance_r
 
 ORDER0 = XiOrder.for_r(0)
 OFFSETS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -35,6 +41,22 @@ def bar_solve_kl_basis(n, order):
     return basis
 
 
+def dfs_closure(adjacency):
+    """Reference reflexive-transitive closure: a DFS from each vertex."""
+    reach = {}
+    for v in adjacency:
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for x in adjacency[u]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        reach[v] = seen
+    return reach
+
+
 def product_reach(n, order, side):
     """Reference preorder: w -> y for every y in the C-expansion of a
     product of C_w with a generator on the given side(s)."""
@@ -43,11 +65,30 @@ def product_reach(n, order, side):
     for w, cw in basis.items():
         prods = []
         if side in ("L", "LR"):
-            prods.extend(cw.mul_gen_left(i) for i in range(n))
+            prods.extend(cw.mul_gen(i, left=True) for i in range(n))
         if side in ("R", "LR"):
-            prods.extend(cw.mul_gen_right(i) for i in range(n))
+            prods.extend(cw.mul_gen(i) for i in range(n))
         adjacency[w] = {y for prod in prods for y in expand_in_kl(prod, basis)}
-    return _closure(adjacency)
+    return dfs_closure(adjacency)
+
+
+def pair_scan_c_plus(n, order, dominance):
+    """Reference (c+) clause: the first pair (w, w2), in group_elements
+    order, where w below w2 in the two-sided preorder and the dominance of
+    their shapes disagree."""
+    r = order.r
+    reach = product_reach(n, order, "LR")
+    shape_of = {w: s_t_lambda(w, r)[2] for w in group_elements(n)}
+    shapes = list(dict.fromkeys(shape_of.values()))
+    dominated = {(a, b): dominance(a, b, r) for a in shapes for b in shapes}
+    for w, lw in shape_of.items():
+        for w2, lw2 in shape_of.items():
+            klle = w in reach[w2]
+            domle = dominated[lw, lw2]
+            if klle != domle:
+                return {"ok": False, "detail": repr((str(w), str(w2), klle,
+                                                     domle))}
+    return {"ok": True}
 
 
 def T(w):
@@ -216,6 +257,43 @@ class TestCells:
         assert detail == (
             f"first differing element {ws[0]}: "
             f"KL block {[str(ws[0]), str(ws[1])]}, fiber {[str(ws[0])]}")
+
+    @pytest.mark.parametrize("dominance", [dominance_r, lambda a, b, r: a == b],
+                             ids=["dominance", "equality"])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_c_plus_matches_pair_scan(self, n, r, dominance, monkeypatch):
+        # The equality order makes (c+) fail, so the detail of the
+        # fallback scan is compared as well.
+        monkeypatch.setattr(hecke, "dominance_r", dominance)
+        order = XiOrder.for_r(r)
+        report = conjecture_a_report(n, order)
+        clauses = dict(report["clauses"])
+        clauses["c_plus_preorder_vs_dominance"] = pair_scan_c_plus(
+            n, order, dominance)
+        expected = {**report, "clauses": clauses,
+                    "ok": all(c["ok"] for c in clauses.values())}
+        assert report == expected
+        if dominance is not dominance_r and n > 1:
+            assert not report["ok"]
+
+    def test_bad_side_raises(self):
+        with pytest.raises(InvalidArgument):
+            cells(2, ORDER0, "X")
+
+    def test_bad_side_raises_under_optimize(self):
+        code = ("from heckeb.errors import InvalidArgument\n"
+                "from heckeb.hecke import cells\n"
+                "from heckeb.laurent import XiOrder\n"
+                "try:\n"
+                "    cells(2, XiOrder.for_r(0), 'X')\n"
+                "except InvalidArgument:\n"
+                "    print('raised')\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout == "raised\n", done.stderr
 
     def test_cell_count_consistency(self):
         # two-sided cells refine into left cells

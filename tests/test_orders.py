@@ -2,7 +2,7 @@ import pytest
 
 from heckeb import INFINITY
 from heckeb.combinat import enumerate_bipartitions, parse_bipartition
-from heckeb.errors import SizeMismatch
+from heckeb.errors import InvalidArgument, SizeMismatch
 from heckeb.orders import (dominance_inf_explicit, dominance_partitions,
                            dominance_r, hasse)
 from heckeb.combinat import Partition
@@ -113,3 +113,8 @@ class TestExports:
         assert data["schema"] == "1"
         assert len(data["edges"]) == len(d.edges)
         assert d.to_dot().startswith("digraph")
+
+
+def test_negative_r_is_rejected():
+    with pytest.raises(InvalidArgument):
+        dominance_r(B("(1;1)"), B("(2;∅)"), -1)
