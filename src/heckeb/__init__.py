@@ -9,6 +9,25 @@ crystal graphs (`crystal`), canonical bases and decomposition matrices
 numbers (`specht`), and a command-line surface (`cli`).
 """
 
+from .errors import InvalidArgument
+
 INFINITY = float("inf")
 
-__all__ = ["INFINITY"]
+__all__ = ["INFINITY", "check_e", "resolve_r"]
+
+
+def resolve_r(r, n: int) -> int:
+    """The staircase index r of rank n as an integer: r = inf stands for
+    n - 1, the least r from which all the r-orders on Bip(n) agree."""
+    if r == INFINITY:
+        return max(n - 1, 0)
+    if not isinstance(r, int) or r < 0:
+        raise InvalidArgument(f"r = {r} must be a non-negative integer or inf")
+    return r
+
+
+def check_e(e: int) -> int:
+    """e, the order of the root of unity q^2, checked to be at least 2."""
+    if e < 2:
+        raise InvalidArgument(f"e = {e} must be at least 2")
+    return e

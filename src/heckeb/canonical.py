@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 
+from . import check_e
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition)
 from .crystal import crystal_e, crystal_f, epsilon, uglov_bipartitions
@@ -193,7 +194,7 @@ def decomposition_matrix(n: int, s: Charge, e: int, r: int | None = None,
         r = default_r(s)
     basis = canonical_basis(n, s, e, r)
     rows = list(enumerate_bipartitions(n))
-    cols = sorted(basis, key=lambda b: (b.first.parts, b.second.parts))
+    cols = sorted(basis)
     entries = {}
     for mu, g in basis.items():
         for lam, c in g.terms.items():
@@ -205,14 +206,14 @@ def decomposition_matrix(n: int, s: Charge, e: int, r: int | None = None,
 def charge_from(r: int, d: int, e: int) -> Charge:
     """Charge (d + pe, 0) with p = floor((r - d) / e); its order index is
     compatible with the r-dominance order used on the algebra side."""
-    p = (r - d) // e
+    p = (r - d) // check_e(e)
     return (d + p * e, 0)
 
 
 def gamma(mu: Bipartition, s1: Charge, s2: Charge, e: int) -> Bipartition:
     """Canonical crystal isomorphism F(s1) -> F(s2) on vertices: peel mu to
     the vacuum in the s1-crystal and replay the residue word in s2."""
-    if not fock_modules_isomorphic(s1, s2, e):
+    if not fock_modules_isomorphic(s1, s2, check_e(e)):
         raise IncompatibleCharges(f"{s1} and {s2} differ mod {e}Z^2")
     word = []
     cur = mu

@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Every library computation is reachable from exactly one subcommand; all
-configuration is by flags and output ordering is deterministic, so runs are
-byte-identical for fixed inputs.  Exit status: 0 on success, 2 when a check
-subcommand reports a failure, 1 on usage errors.
+Each subcommand runs one library computation.  Three checks are reachable
+from the library and the test suite only: specht.adjointness_check,
+specht.generic_semisimplicity_check and domino.verify_insertion_bijection.
+All configuration is by flags and output ordering is deterministic, so runs
+are byte-identical for fixed inputs.  Exit status: 0 on success, 2 when a
+check subcommand reports a failure, 1 on usage errors.
 """
 
 from __future__ import annotations
@@ -13,21 +15,26 @@ import json
 import sys
 from fractions import Fraction
 
-from . import INFINITY
+from . import INFINITY, resolve_r
 from .combinat import (Bipartition, core_and_quotient, enumerate_bipartitions,
                        format_bipartition, format_partition, parse_bipartition,
                        parse_partition, q_r, q_r_inverse)
 from .canonical import (canonical_basis, charge_from, decomposition_matrix,
                         gamma)
 from .crystal import crystal_graph, uglov_bipartitions
-from .domino import SignedPermutation, insert, s_t_lambda, stl_json
+from .domino import SignedPermutation, _len_key, insert, s_t_lambda, stl_json
 from .errors import HeckebError
-from .hecke import (cells, cellularity_check, conjecture_a_report, kl_basis,
-                    _len_key)
+from .hecke import cells, cellularity_check, conjecture_a_report, kl_basis
 from .laurent import XiOrder
 from .orders import dominance_r, hasse
 from .specht import (decomposition_numbers, nonzero_simples, theorem41_check,
                      theorem41_json)
+
+# The subcommands whose computation has a size bound that --bound
+# overrides, and those that print a JSON report and take no --format.
+_BOUNDED = ("order", "klbasis", "cells", "check-conj-a", "check-cellular",
+           "theorem41", "specht")
+_JSON_REPORTS = ("check-conj-a", "check-cellular", "theorem41")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,9 +58,7 @@ def _parse_charge(text: str) -> tuple[int, int]:
 
 
 def _order_from(args, n: int) -> XiOrder:
-    r = args.r
-    if r == INFINITY:
-        r = max(n - 1, 0)
+    r = resolve_r(args.r, n)
     if getattr(args, "xi", None):
         xi = Fraction(args.xi)
         order = XiOrder(xi)
@@ -69,12 +74,12 @@ def build_parser() -> _Parser:
 
     def cmd(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", default="text",
-                       choices=["json", "dot", "tsv", "text"])
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism degree (accepted for compatibility)")
-        p.add_argument("--bound", type=int, default=None,
-                       help="override the built-in size bound")
+        if name not in _JSON_REPORTS:
+            p.add_argument("--format", default="text",
+                           choices=["json", "dot", "tsv", "text"])
+        if name in _BOUNDED:
+            p.add_argument("--bound", type=int, default=None,
+                           help="override the built-in size bound")
         return p
 
     p = cmd("bip", help="enumerate bipartitions of n")
@@ -176,8 +181,10 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
-def _resolve_int_r(r, n: int) -> int:
-    return max(n - 1, 0) if r == INFINITY else r
+def _bound(args) -> dict:
+    """The bound keyword for the library call: only when --bound is given,
+    so that the library's own default applies otherwise."""
+    return {} if args.bound is None else {"bound": args.bound}
 
 
 def _run_bip(args) -> int:
@@ -196,7 +203,7 @@ def _run_quotient(args) -> int:
         if not args.bipartition or args.r is None:
             raise ValueError("inverse quotient needs --bipartition and --r")
         b = parse_bipartition(args.bipartition)
-        r = _resolve_int_r(args.r, b.size)
+        r = resolve_r(args.r, b.size)
         p = q_r_inverse(b, r)
         out = {"schema": "1", "bipartition": format_bipartition(b), "r": r,
                "partition": format_partition(p)}
@@ -211,7 +218,7 @@ def _run_quotient(args) -> int:
            "core": format_partition(core),
            "quotient": format_bipartition(Bipartition(*quot))}
     if args.r is not None:
-        r = _resolve_int_r(args.r, p.size // 2)
+        r = resolve_r(args.r, p.size // 2)
         out["r"] = r
         out["q_r"] = format_bipartition(q_r(p, r))
     if args.format == "json":
@@ -237,8 +244,7 @@ def _run_order(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("need --n for a Hasse diagram or --a/--b to compare")
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    diagram = hasse(args.n, args.r, **kw)
+    diagram = hasse(args.n, args.r, **_bound(args))
     _emit({"json": diagram.to_json, "dot": diagram.to_dot}
           .get(args.format, diagram.to_text)())
     return 0
@@ -260,8 +266,7 @@ def _run_insert(args) -> int:
 
 def _run_klbasis(args) -> int:
     order = _order_from(args, args.n)
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    basis = kl_basis(args.n, order, **kw)
+    basis = kl_basis(args.n, order, **_bound(args))
     ws = sorted(basis, key=_len_key)
     if args.format == "json":
         _emit(json.dumps({"schema": "1", "n": args.n, "xi": str(order.xi),
@@ -275,8 +280,7 @@ def _run_klbasis(args) -> int:
 
 def _run_cells(args) -> int:
     order = _order_from(args, args.n)
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    parts, _ = cells(args.n, order, args.side, **kw)
+    parts, _ = cells(args.n, order, args.side, **_bound(args))
     blocks = sorted((sorted(c, key=_len_key) for c in parts),
                     key=lambda c: _len_key(c[0]))
     if args.format == "json":
@@ -291,16 +295,14 @@ def _run_cells(args) -> int:
 
 def _run_check_conj_a(args) -> int:
     order = _order_from(args, args.n)
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    report = conjecture_a_report(args.n, order, **kw)
+    report = conjecture_a_report(args.n, order, **_bound(args))
     _emit(json.dumps(report, ensure_ascii=False, indent=2))
     return 0 if report["ok"] else 2
 
 
 def _run_check_cellular(args) -> int:
     order = _order_from(args, args.n)
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    report = cellularity_check(args.n, order, **kw)
+    report = cellularity_check(args.n, order, **_bound(args))
     _emit(json.dumps(report, ensure_ascii=False, indent=2))
     return 0 if report["ok"] else 2
 
@@ -325,9 +327,9 @@ def _run_uglov(args) -> int:
 
 
 def _run_canbasis(args) -> int:
-    r = None if args.r is None else _resolve_int_r(args.r, args.n)
+    r = None if args.r is None else resolve_r(args.r, args.n)
     basis = canonical_basis(args.n, tuple(args.charge), args.e, r)
-    mus = sorted(basis, key=lambda b: (b.first.parts, b.second.parts))
+    mus = sorted(basis)
     if args.format == "json":
         _emit(json.dumps({"schema": "1", "n": args.n,
                           "charge": list(args.charge), "e": args.e,
@@ -342,7 +344,7 @@ def _run_canbasis(args) -> int:
 
 
 def _run_decmat(args) -> int:
-    r = None if args.r is None else _resolve_int_r(args.r, args.n)
+    r = None if args.r is None else resolve_r(args.r, args.n)
     dm = decomposition_matrix(args.n, tuple(args.charge), args.e, r,
                               specialize_v1=args.v1)
     _emit(dm.to_json() if args.format == "json" else dm.to_tsv())
@@ -350,11 +352,9 @@ def _run_decmat(args) -> int:
 
 
 def _run_charge(args) -> int:
-    r = args.r
-    if r == INFINITY:
-        if args.n is None:
-            raise ValueError("r = inf needs --n to resolve")
-        r = max(args.n - 1, 0)
+    if args.r == INFINITY and args.n is None:
+        raise ValueError("r = inf needs --n to resolve")
+    r = resolve_r(args.r, args.n)
     s = charge_from(r, args.d, args.e)
     if args.format == "json":
         _emit(json.dumps({"schema": "1", "r": r, "d": args.d, "e": args.e,
@@ -379,19 +379,18 @@ def _run_gamma(args) -> int:
 
 
 def _run_theorem41(args) -> int:
-    r = _resolve_int_r(args.r, args.n)
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    report = theorem41_check(args.n, args.e, args.d, r, **kw)
+    r = resolve_r(args.r, args.n)
+    report = theorem41_check(args.n, args.e, args.d, r, **_bound(args))
     report["schema"] = "1"
     _emit(theorem41_json(report))
     return 0 if report["status"] == "ok" else 2
 
 
 def _run_specht(args) -> int:
-    r = _resolve_int_r(args.r, args.n)
-    kw = {"bound": args.bound} if args.bound is not None else {}
-    simples = nonzero_simples(args.n, args.e, args.d, r, **kw)
-    rows, cols, entries = decomposition_numbers(args.n, args.e, args.d, r, **kw)
+    r = resolve_r(args.r, args.n)
+    simples = nonzero_simples(args.n, args.e, args.d, r, **_bound(args))
+    rows, cols, entries = decomposition_numbers(args.n, args.e, args.d, r,
+                                                **_bound(args))
     if args.format == "json":
         _emit(json.dumps({
             "schema": "1", "n": args.n, "e": args.e, "d": args.d, "r": r,

@@ -16,10 +16,9 @@ For odd staircase index r the two quotient components are swapped.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
-from .errors import CoreMismatch
+from .errors import CoreMismatch, InvalidArgument
 
 EMPTY_CHARS = {"", "0", "-", "∅", "Ø"}
 
@@ -32,8 +31,10 @@ class Partition:
 
     def __post_init__(self):
         p = tuple(self.parts)
-        assert all(isinstance(x, int) and x > 0 for x in p), p
-        assert all(p[i] >= p[i + 1] for i in range(len(p) - 1)), p
+        if not all(isinstance(x, int) and x > 0 for x in p) \
+                or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+            raise InvalidArgument(f"{p} is not a weakly decreasing tuple of "
+                                  "positive integers")
         object.__setattr__(self, "parts", p)
 
     @property
@@ -78,10 +79,6 @@ class Partition:
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
                 yield (i, j)
-
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i)
-                   for i in range(1, len(other.parts) + 1))
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -141,14 +138,11 @@ class BetaSet:
         parts = tuple(b - (n - i) for i, b in enumerate(self.entries, start=1))
         return Partition(tuple(x for x in parts if x > 0))
 
-    def shifted(self) -> "BetaSet":
-        """The same partition on two more beads."""
-        return BetaSet(tuple(b + 2 for b in self.entries) + (1, 0))
-
 
 def delta_core(r: int) -> Partition:
     """The staircase 2-core (r, r-1, ..., 1); empty for r = 0."""
-    assert r >= 0
+    if r < 0:
+        raise InvalidArgument(f"r = {r} must be non-negative")
     return Partition(tuple(range(r, 0, -1)))
 
 
@@ -251,12 +245,6 @@ def bipartition_count(n: int) -> int:
     return sum(len(partitions(k)) * len(partitions(n - k)) for k in range(n + 1))
 
 
-def partitions_with_core(n: int, r: int) -> tuple[Partition, ...]:
-    """All partitions of 2-weight n and 2-core delta_r, in the order induced
-    by enumerate_bipartitions through q_r_inverse."""
-    return tuple(q_r_inverse(b, r) for b in enumerate_bipartitions(n))
-
-
 # --- text rendering, paper style: "(21;∅)", "(1;11)" -------------------
 
 def format_partition(p: Partition) -> str:
@@ -292,28 +280,6 @@ def parse_bipartition(text: str) -> Bipartition:
     if not _:
         raise ValueError(f"no ';' separator in bipartition {text!r}")
     return Bipartition(parse_partition(left), parse_partition(right))
-
-
-def all_cells(b: Bipartition):
-    """All (row, column, component) nodes of a bipartition, 1-based."""
-    for c in (0, 1):
-        for (i, j) in b.component(c).cells():
-            yield (i, j, c)
-
-
-def pairs_product(n: int) -> int:
-    """|W_n| = 2^n n!, for cross-checks."""
-    return 2 ** n * functools.reduce(lambda a, b: a * b, range(1, n + 1), 1)
-
-
-def compositions_into(n: int, k: int):
-    """Weak compositions of n into k parts (helper for enumeration tests)."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for tail in compositions_into(n - first, k - 1):
-            yield (first,) + tail
 
 
 def bipartitions_of_shape_count(n: int) -> dict[Bipartition, int]:

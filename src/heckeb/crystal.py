@@ -17,6 +17,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
+from . import check_e
 from .combinat import Bipartition, Partition, format_bipartition
 from .errors import BadResidue, ChargeOutOfRange
 from .fock import (Charge, Node, addable_nodes, removable_nodes, residue,
@@ -113,6 +114,7 @@ class CrystalGraph:
 @functools.lru_cache(maxsize=None)
 def crystal_graph(s: Charge, e: int, nmax: int) -> CrystalGraph:
     """BFS from the empty bipartition with the arrows f_i, 0 <= i < e."""
+    check_e(e)
     empty = Bipartition(Partition(()), Partition(()))
     vertices = [empty]
     seen = {empty}

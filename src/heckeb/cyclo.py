@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import InvalidArgument
+from . import check_e
 from .laurent import ACoeff
 
 Poly = list[Fraction]  # dense, index = degree
@@ -158,9 +158,7 @@ class Specialization:
     """
 
     def __init__(self, e: int, d: int):
-        if e < 2:
-            raise InvalidArgument(f"e = {e} must be at least 2")
-        self.e = e
+        self.e = check_e(e)
         self.d = d
         self.m = 4 * e
 

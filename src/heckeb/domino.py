@@ -26,7 +26,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from . import INFINITY
+from . import resolve_r
 from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
                        q_r)
 from .errors import BoundExceeded, InvalidArgument, MalformedTableau
@@ -153,7 +153,7 @@ class Kernel:
 def kernel(n: int) -> Kernel:
     """The integer kernel of W_n, built from the BFS of group_elements."""
     bfs = group_elements(n)
-    elements = tuple(sorted(bfs, key=lambda w: (bfs[w][0], w.window)))
+    elements = tuple(sorted(bfs, key=_len_key))
     pos = {w.window: k for k, w in enumerate(elements)}
     gens = [SignedPermutation.generator(n, i) for i in range(n)]
     return Kernel(
@@ -174,6 +174,11 @@ def length(w: SignedPermutation) -> int:
 
 def reduced_word(w: SignedPermutation) -> tuple[int, ...]:
     return group_elements(w.n)[w][1]
+
+
+def _len_key(w: SignedPermutation):
+    """Sort key of W_n: length, then window."""
+    return (length(w), w.window)
 
 
 # --- domino tableaux ----------------------------------------------------
@@ -331,14 +336,6 @@ def _insert_letter(dominoes: dict[int, frozenset[Cell]], core: Partition,
         current[label] = placed
         shape.add(placed)
     return current
-
-
-def resolve_r(r, n: int) -> int:
-    if r == INFINITY:
-        return max(n - 1, 0)
-    if not isinstance(r, int) or r < 0:
-        raise InvalidArgument(f"r = {r} must be a non-negative integer or inf")
-    return r
 
 
 def insert(w: SignedPermutation, r) -> tuple[DominoTableau, DominoTableau]:

@@ -7,8 +7,8 @@ class HeckebError(Exception):
 
 class InvalidArgument(HeckebError):
     """An argument lies outside its domain: a window that is not a signed
-    permutation, a generator index outside 0..n-1, a cell side other than
-    L, R or LR, a negative r, or e < 2."""
+    permutation, parts that are not a partition, a generator index outside
+    0..n-1, a cell side other than L, R or LR, a negative r, or e < 2."""
 
 
 class SizeMismatch(HeckebError):

@@ -9,12 +9,12 @@ order on boxes (by content, ties broken towards the second component).
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 
+from . import check_e
 from .combinat import Bipartition, Partition, format_bipartition
-from .errors import BadResidue, IncompatibleCharges, InvalidArgument
+from .errors import BadResidue, IncompatibleCharges
 from .laurent import VPoly, V_ONE, gauss_factorial
 
 Charge = tuple[int, int]
@@ -80,10 +80,8 @@ class FockVector:
 
     def __init__(self, s: Charge, e: int,
                  terms: dict[Bipartition, VPoly] | None = None):
-        if e < 2:
-            raise InvalidArgument(f"e = {e} must be at least 2")
         self.s = tuple(s)
-        self.e = e
+        self.e = check_e(e)
         self.terms = {b: c for b, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
@@ -127,14 +125,8 @@ class FockVector:
         return FockVector(self.s, self.e,
                           {b: cc * c for b, cc in self.terms.items()})
 
-    def bar_coeffs(self) -> "FockVector":
-        """v -> v^{-1} on every coefficient (basis vectors fixed)."""
-        return FockVector(self.s, self.e,
-                          {b: c.bar() for b, c in self.terms.items()})
-
     def support(self) -> list[Bipartition]:
-        return sorted(self.terms,
-                      key=lambda b: (b.first.parts, b.second.parts))
+        return sorted(self.terms)
 
     def to_text(self) -> str:
         if not self.terms:

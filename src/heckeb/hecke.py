@@ -29,8 +29,8 @@ import json
 from dataclasses import dataclass
 
 from .combinat import Bipartition, format_bipartition
-from .domino import (SignedPermutation, group_elements, kernel, length,
-                     reduced_word, s_t_lambda, StandardBitableau)
+from .domino import (SignedPermutation, _len_key, group_elements, kernel,
+                     length, reduced_word, s_t_lambda, StandardBitableau)
 from .errors import (BoundExceeded, ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
 from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product
@@ -127,10 +127,8 @@ class HeckeElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        def key(w):
-            return (length(w), w.window)
         bits = []
-        for w in sorted(self.terms, key=key):
+        for w in sorted(self.terms, key=_len_key):
             bits.append(f"({self.terms[w]})*T[{w}]")
         return " + ".join(bits)
 
@@ -181,10 +179,6 @@ def star(h: HeckeElement) -> HeckeElement:
 
 
 # --- Kazhdan-Lusztig basis and cells -----------------------------------------
-
-def _len_key(w: SignedPermutation):
-    return (length(w), w.window)
-
 
 @functools.lru_cache(maxsize=None)
 def _kl_sweep(n: int, order: XiOrder):
@@ -296,16 +290,25 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
             for w, cw in enumerate(_kl_sweep(n, order)[0])}
 
 
-def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
-    """Coefficients of h in the C-basis (triangular back-substitution)."""
+def _back_substitute(h: HeckeElement, basis: dict, leading) -> dict:
+    """Coefficients of h in a basis that is triangular over _len_key.
+
+    leading(y) is (key, sign): basis[key] is T_y times sign (+1 or -1)
+    plus terms shorter in _len_key order."""
     rem = h
-    out: dict[SignedPermutation, ACoeff] = {}
+    out = {}
     while not rem.is_zero():
         y = max(rem.terms, key=_len_key)
-        c = rem.terms[y]
-        out[y] = c
-        rem = rem - basis[y].scale(c)
+        key, sign = leading(y)
+        c = rem.terms[y] if sign > 0 else -rem.terms[y]
+        out[key] = c
+        rem = rem - basis[key].scale(c)
     return out
+
+
+def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
+    """Coefficients of h in the C-basis (triangular back-substitution)."""
+    return _back_substitute(h, basis, lambda y: (y, 1))
 
 
 def _bits(x: int):
@@ -459,16 +462,8 @@ class CellDatum:
         The basis is triangular over length with leading coefficient
         (-1)^{l(w)} on T_w, so back-substitution in length order applies.
         """
-        rem = h
-        out: dict[tuple, ACoeff] = {}
-        while not rem.is_zero():
-            y = max(rem.terms, key=_len_key)
-            sign = -1 if length(y) % 2 else 1
-            c = rem.terms[y] * ACoeff.integer(sign)
-            key = self.leading[y]
-            out[key] = c
-            rem = rem - self.basis[key].scale(c)
-        return out
+        return _back_substitute(
+            h, self.basis, lambda y: (self.leading[y], (-1) ** length(y)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -498,7 +493,7 @@ def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
             sbt[lam].append(s)
     for lam in sbt:
         sbt[lam].sort(key=lambda x: (x.first, x.second))
-    shape_list = sorted(sbt, key=lambda lam: (lam.first.parts, lam.second.parts))
+    shape_list = sorted(sbt)
     return CellDatum(n, order, r, shape_list, sbt, w_of, basis, leading)
 
 

@@ -1,6 +1,6 @@
 """Sparse exact Laurent polynomials.
 
-Two rings live here:
+Two rings live here, sharing the ring code of the base class Laurent:
 
 * ACoeff -- the group ring of Z^2 written multiplicatively, i.e. Laurent
   polynomials in q = e^a and Q = e^b (a = (1,0), b = (0,1)).  A total order
@@ -17,48 +17,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InvalidSlope, IrrationalityViolation,
+from .errors import (InvalidArgument, InvalidSlope, IrrationalityViolation,
                      NonIntegralDivision)
 
 Gamma = tuple[int, int]  # (alpha, beta): exponent of q and of Q
 
 
-class ACoeff:
-    """Integer Laurent polynomial in q and Q (sparse)."""
+class Laurent:
+    """Sparse integer Laurent polynomial: a dict from exponents to nonzero
+    integer coefficients.  A subclass fixes the exponents, their
+    arithmetic (products, bar) and how a monomial is written."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Gamma, int] | None = None):
+    def __init__(self, terms: dict | None = None):
         self.terms = {g: c for g, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def monomial(cls, alpha: int, beta: int, coeff: int = 1) -> "ACoeff":
-        return cls({(alpha, beta): coeff})
-
-    @classmethod
-    def integer(cls, c: int) -> "ACoeff":
-        return cls({(0, 0): c})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ACoeff) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "ACoeff") -> "ACoeff":
+    def __add__(self, other):
         out = dict(self.terms)
         for g, c in other.terms.items():
             out[g] = out.get(g, 0) + c
-        return ACoeff(out)
+        return type(self)(out)
 
-    def __neg__(self) -> "ACoeff":
-        return ACoeff({g: -c for g, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({g: -c for g, c in self.terms.items()})
 
-    def __sub__(self, other: "ACoeff") -> "ACoeff":
+    def __sub__(self, other):
         return self + (-other)
+
+    def _monomial_text(self, exp) -> str:
+        """The monomial of exponent exp; empty for the unit."""
+        raise NotImplementedError
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for exp in sorted(self.terms):
+            c = self.terms[exp]
+            mono = self._monomial_text(exp)
+            if not mono:
+                bits.append(f"{c}")
+            elif c == 1:
+                bits.append(mono)
+            elif c == -1:
+                bits.append(f"-{mono}")
+            else:
+                bits.append(f"{c}*{mono}")
+        return " + ".join(bits).replace("+ -", "- ")
+
+    __repr__ = __str__
+
+
+class ACoeff(Laurent):
+    """Integer Laurent polynomial in q and Q (sparse)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def integer(cls, c: int) -> "ACoeff":
+        return cls({(0, 0): c})
 
     def __mul__(self, other: "ACoeff") -> "ACoeff":
         out: dict[Gamma, int] = {}
@@ -69,27 +96,11 @@ class ACoeff:
         """The involution e^gamma -> e^{-gamma}."""
         return ACoeff({(-a, -b): c for (a, b), c in self.terms.items()})
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b) in sorted(self.terms):
-            c = self.terms[(a, b)]
-            mono = "*".join(
-                ([] if a == 0 else [f"q^{a}" if a != 1 else "q"])
-                + ([] if b == 0 else [f"Q^{b}" if b != 1 else "Q"]))
-            if not mono:
-                bits.append(f"{c}")
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c}*{mono}")
-        out = " + ".join(bits).replace("+ -", "- ")
-        return out
-
-    __repr__ = __str__
+    def _monomial_text(self, exp: Gamma) -> str:
+        a, b = exp
+        return "*".join(
+            ([] if a == 0 else [f"q^{a}" if a != 1 else "q"])
+            + ([] if b == 0 else [f"Q^{b}" if b != 1 else "Q"]))
 
 
 A_ZERO = ACoeff()
@@ -145,31 +156,15 @@ class XiOrder:
                 f"gamma = {gamma} ties at xi = {self.xi}; perturb xi")
         return (val > 0) - (val < 0)
 
-    def split(self, x: ACoeff) -> tuple[ACoeff, int, ACoeff]:
-        """Decompose x as (negative part, constant term, positive part)."""
-        neg, pos = {}, {}
-        const = 0
-        for g, c in x.terms.items():
-            s = self.sign(g)
-            if s < 0:
-                neg[g] = c
-            elif s > 0:
-                pos[g] = c
-            else:
-                const = c
-        return ACoeff(neg), const, ACoeff(pos)
-
-    def negative_part(self, x: ACoeff) -> ACoeff:
-        return self.split(x)[0]
-
     def is_strictly_negative(self, x: ACoeff) -> bool:
         return all(self.sign(g) < 0 for g in x.terms)
 
     def antisymmetric_solution(self, f: ACoeff) -> ACoeff:
         """The unique x with all exponents negative and x - bar(x) = f,
         for f with bar(f) = -f: the strictly-negative truncation of f."""
-        assert f.bar() == -f, "f is not antisymmetric"
-        return self.negative_part(f)
+        if f.bar() != -f:
+            raise InvalidArgument(f"{f} is not antisymmetric")
+        return ACoeff({g: c for g, c in f.terms.items() if self.sign(g) < 0})
 
     def symmetric_completion(self, c: ACoeff) -> ACoeff:
         """Bar-fixed element matching c on non-negative exponents: the
@@ -184,13 +179,10 @@ class XiOrder:
         return ACoeff(out)
 
 
-class VPoly:
+class VPoly(Laurent):
     """Integer Laurent polynomial in v (sparse)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "VPoly":
@@ -199,27 +191,6 @@ class VPoly:
     @classmethod
     def integer(cls, c: int) -> "VPoly":
         return cls({0: c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "VPoly") -> "VPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return VPoly(out)
-
-    def __neg__(self) -> "VPoly":
-        return VPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "VPoly") -> "VPoly":
-        return self + (-other)
 
     def __mul__(self, other: "VPoly") -> "VPoly":
         out: dict[int, int] = {}
@@ -231,16 +202,9 @@ class VPoly:
     def bar(self) -> "VPoly":
         return VPoly({-e: c for e, c in self.terms.items()})
 
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
-
     def in_v_zv(self) -> bool:
         """All exponents strictly positive (element of v Z[v])."""
         return all(e > 0 for e in self.terms)
-
-    def in_zv(self) -> bool:
-        """All exponents non-negative (element of Z[v])."""
-        return all(e >= 0 for e in self.terms)
 
     def symmetric_completion(self) -> "VPoly":
         """Bar-fixed polynomial agreeing with self in degrees <= 0:
@@ -280,30 +244,11 @@ class VPoly:
                     del rem[ne]
         return VPoly(out)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                bits.append(f"{c}")
-            else:
-                mono = "v" if e == 1 else f"v^{e}"
-                if c == 1:
-                    bits.append(mono)
-                elif c == -1:
-                    bits.append(f"-{mono}")
-                else:
-                    bits.append(f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    __repr__ = __str__
+    def _monomial_text(self, exp: int) -> str:
+        return "" if exp == 0 else "v" if exp == 1 else f"v^{exp}"
 
 
-V_ZERO = VPoly()
 V_ONE = VPoly.integer(1)
-V = VPoly.monomial(1)
 
 
 def gauss_integer(n: int) -> VPoly:

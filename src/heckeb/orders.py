@@ -12,20 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import INFINITY
+from . import resolve_r
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition, q_r_inverse)
-from .errors import BoundExceeded, InvalidArgument, SizeMismatch
+from .errors import BoundExceeded, SizeMismatch
 
 HASSE_BOUND = 8
-
-
-def _resolve_r(r, n: int) -> int:
-    if r == INFINITY:
-        return max(n - 1, 0)
-    if not isinstance(r, int) or r < 0:
-        raise InvalidArgument(f"r = {r} must be a non-negative integer or inf")
-    return r
 
 
 def dominance_partitions(p: Partition, q: Partition) -> bool:
@@ -45,7 +37,7 @@ def dominance_r(a: Bipartition, b: Bipartition, r) -> bool:
     """The order on bipartitions induced by q_r^{-1} (r may be INFINITY)."""
     if a.size != b.size:
         raise SizeMismatch(f"|{a}| = {a.size} != {b.size} = |{b}|")
-    rr = _resolve_r(r, a.size)
+    rr = resolve_r(r, a.size)
     return dominance_partitions(q_r_inverse(a, rr), q_r_inverse(b, rr))
 
 
@@ -130,7 +122,7 @@ def hasse(n: int, r, bound: int = HASSE_BOUND) -> HasseDiagram:
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     verts = list(enumerate_bipartitions(n))
-    rr = _resolve_r(r, n)
+    rr = resolve_r(r, n)
     pre = {v: q_r_inverse(v, rr) for v in verts}
     below = {
         v: {w for w in verts

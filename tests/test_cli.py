@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 
 from heckeb.cli import run
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # One malformed input per check that must raise a typed error, not an
 # assertion that python -O strips.
@@ -21,7 +24,24 @@ MALFORMED = {
     "e-below-two-fock": ("canbasis", "--charge", "0,0", "--e", "1", "--n", "2"),
     "e-below-two-specht": ("specht", "--n", "2", "--e", "1", "--d", "0",
                            "--r", "0"),
+    "e-below-two-crystal": ("crystal", "--charge", "0,0", "--e", "1",
+                            "--n", "2"),
+    "e-below-two-uglov": ("uglov", "--charge", "0,0", "--e", "1", "--n", "2"),
+    "e-below-two-charge": ("charge", "--r", "2", "--d", "0", "--e", "0"),
+    "e-below-two-gamma": ("gamma", "--mu", "(2;2)", "--charge1", "0,0",
+                          "--charge2", "2,0", "--e", "0"),
+    "negative-r-charge": ("charge", "--r", "-1", "--d", "0", "--e", "2"),
+    "negative-r-quotient": ("quotient", "--partition", "643", "--r", "-1"),
+    "partition-not-decreasing": ("quotient", "--partition", "46"),
 }
+
+# The README's CLI commands with the SHA-256 of b"exit <code>\n" + stdout,
+# as the benchmark's reference file records them.
+README_DIGESTS = {
+    tuple(shlex.split(label)[1:]): digest
+    for label, digest in json.loads(
+        (ROOT / "perfbench" / "references.json").read_text("utf-8")).items()
+    if label.startswith("heckeb ")}
 
 
 def invoke(capsys, *argv):
@@ -103,6 +123,16 @@ class TestGoldenOutputs:
         data = json.loads(out)
         assert code == 0 and data["shape"] == "(1;2)"
 
+    def test_readme_commands_byte_identical(self, capsys):
+        assert len(README_DIGESTS) == 17
+        wrong = []
+        for argv, digest in README_DIGESTS.items():
+            code, out, _ = invoke(capsys, *argv)
+            got = hashlib.sha256(b"exit %d\n" % code + out.encode("utf-8"))
+            if got.hexdigest() != digest:
+                wrong.append(shlex.join(argv))
+        assert wrong == []
+
     def test_determinism(self, capsys):
         a = invoke(capsys, "klbasis", "--n", "2", "--r", "0")
         b = invoke(capsys, "klbasis", "--n", "2", "--r", "0")
@@ -138,6 +168,16 @@ class TestChecksAndExitCodes:
         assert code == 1 and "error" in err
         code, _, err = invoke(capsys, "nosuch")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("bip", "--n", "2", "--jobs", "2"),
+        ("bip", "--n", "2", "--bound", "0"),
+        ("check-conj-a", "--n", "2", "--r", "0", "--format", "json"),
+    ], ids=["jobs", "bound", "format-on-json-report"])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
 
     def test_xi_consistency_enforced(self, capsys):
         code, _, err = invoke(capsys, "klbasis", "--n", "2", "--r", "1",

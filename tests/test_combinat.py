@@ -7,7 +7,7 @@ from heckeb.combinat import (BetaSet, Bipartition, Partition,
                              format_partition, parse_bipartition,
                              parse_partition, partitions, q_r, q_r_inverse,
                              staircase_index, two_core)
-from heckeb.errors import CoreMismatch
+from heckeb.errors import CoreMismatch, InvalidArgument
 
 
 def P(*parts):
@@ -24,6 +24,15 @@ partition_strategy = st.lists(
 
 
 class TestPartition:
+    @pytest.mark.parametrize("parts", [(4, 6), (2, 0), (-1,)])
+    def test_rejects_non_partitions(self, parts):
+        with pytest.raises(InvalidArgument):
+            Partition(parts)
+
+    def test_delta_core_rejects_negative_r(self):
+        with pytest.raises(InvalidArgument):
+            delta_core(-1)
+
     def test_basic(self):
         p = P(4, 2, 1)
         assert p.size == 7

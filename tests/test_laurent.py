@@ -2,8 +2,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from heckeb.errors import (InvalidSlope, IrrationalityViolation,
-                           NonIntegralDivision)
+from heckeb.errors import (InvalidArgument, InvalidSlope,
+                           IrrationalityViolation, NonIntegralDivision)
 from heckeb.laurent import (ACoeff, VPoly, XiOrder, gauss_factorial,
                             gauss_integer)
 
@@ -33,6 +33,10 @@ class TestACoeff:
 
     def test_str(self):
         assert str(ACoeff({(1, 0): 1, (0, -1): -2})) == "-2*Q^-1 + q"
+
+    def test_no_instance_dict(self):
+        for x in (ACoeff({(1, 0): 1}), VPoly({1: 1})):
+            assert not hasattr(x, "__dict__")
 
 
 class TestXiOrder:
@@ -74,6 +78,8 @@ class TestXiOrder:
         x = o.antisymmetric_solution(f)
         assert x - x.bar() == f
         assert o.is_strictly_negative(x)
+        with pytest.raises(InvalidArgument):
+            o.antisymmetric_solution(ACoeff({(0, 1): 1}))
 
     def test_symmetric_completion(self):
         o = XiOrder.for_r(0)
@@ -97,6 +103,9 @@ class TestVPoly:
         if a.is_zero() or b.is_zero():
             return
         assert (a * b).exact_div(b) == a
+
+    def test_str(self):
+        assert str(VPoly({2: 3, 0: -2, -1: 1})) == "v^-1 - 2 + 3*v^2"
 
     def test_exact_div_failure(self):
         with pytest.raises(NonIntegralDivision):
