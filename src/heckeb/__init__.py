@@ -13,7 +13,7 @@ from .errors import InvalidArgument
 
 INFINITY = float("inf")
 
-__all__ = ["INFINITY", "check_e", "resolve_r"]
+__all__ = ["INFINITY", "check_e", "check_n", "resolve_r"]
 
 
 def resolve_r(r, n: int) -> int:
@@ -31,3 +31,11 @@ def check_e(e: int) -> int:
     if e < 2:
         raise InvalidArgument(f"e = {e} must be at least 2")
     return e
+
+
+def check_n(n: int) -> int:
+    """n, the rank of W_n and the size of a bipartition, checked to be
+    non-negative."""
+    if n < 0:
+        raise InvalidArgument(f"n = {n} must be non-negative")
+    return n

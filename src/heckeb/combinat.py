@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import check_n
 from .errors import CoreMismatch, InvalidArgument
 
 EMPTY_CHARS = {"", "0", "-", "∅", "Ø"}
@@ -233,6 +234,7 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     Order: |first| descending, then first lexicographic, then second
     lexicographic (deterministic, used by golden files).
     """
+    check_n(n)
     out = []
     for k in range(n, -1, -1):
         for p in partitions(k):

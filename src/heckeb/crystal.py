@@ -17,7 +17,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
-from . import check_e
+from . import check_e, check_n
 from .combinat import Bipartition, Partition, format_bipartition
 from .errors import BadResidue, ChargeOutOfRange
 from .fock import (Charge, Node, addable_nodes, removable_nodes, residue,
@@ -115,6 +115,7 @@ class CrystalGraph:
 def crystal_graph(s: Charge, e: int, nmax: int) -> CrystalGraph:
     """BFS from the empty bipartition with the arrows f_i, 0 <= i < e."""
     check_e(e)
+    check_n(nmax)
     empty = Bipartition(Partition(()), Partition(()))
     vertices = [empty]
     seen = {empty}

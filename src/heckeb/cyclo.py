@@ -8,9 +8,11 @@ coefficients; m = 4e covers the specializations sending q to a primitive
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 from . import check_e
+from .errors import InvalidArgument
 from .laurent import ACoeff
 
 Poly = list[Fraction]  # dense, index = degree
@@ -31,12 +33,11 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
 
 
 def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    a = list(a)
+    """Quotient and remainder of a by b; b must have a nonzero lead."""
+    a = _trim(list(a))
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     lead = b[-1]
-    while len(a) >= len(b) and _trim(a):
-        if not a:
-            break
+    while len(a) >= len(b):
         d = len(a) - len(b)
         c = a[-1] / lead
         q[d] = c
@@ -58,20 +59,81 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+@functools.lru_cache(maxsize=None)
+def _powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_m for 0 <= k < m, as integer coefficient tuples of
+    length deg Phi_m.
+
+    Phi_m is monic with integer coefficients, so each row is integral.  A
+    product of two residues has degree at most 2 deg - 2, and since Phi_m
+    divides x^m - 1 its term x^k reduces by the row of k mod m."""
+    phi = [int(c) for c in cyclotomic_polynomial(m)]
+    deg = len(phi) - 1
+    rows = []
+    for k in range(m):
+        if k < deg:
+            row = [0] * deg
+            row[k] = 1
+        else:
+            # x^k = x * x^{k-1}, with x^deg = -sum_{j<deg} phi_j x^j
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [a - top * p for a, p in zip(row, phi)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _exact(c):
+    """A coefficient as an int when integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        if type(c) is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _tidy(coeffs) -> tuple:
+    """_exact on every coefficient, with ints passed through inline."""
+    return tuple(c if type(c) is int else _exact(c) for c in coeffs)
+
+
+def _reduce(m: int, coeffs) -> tuple:
+    """Residue mod Phi_m of a dense coefficient list of any length, with
+    integral coefficients kept as int."""
+    powers = _powers(m)
+    deg = len(powers[0])
+    out = list(coeffs[:deg])
+    out += [0] * (deg - len(out))
+    for k in range(deg, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for j, p in enumerate(powers[k % m]):
+                if p:
+                    out[j] += c * p
+    return _tidy(out)
+
+
 class CycloNumber:
-    """Element of Q(zeta_m), reduced modulo the m-th cyclotomic polynomial."""
+    """Element of Q(zeta_m), reduced modulo the m-th cyclotomic polynomial.
+
+    coeffs has length deg Phi_m; each entry is an int, or a Fraction when
+    it is not integral, so equality, hashing and rendering do not depend
+    on how a value was reached."""
 
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs):
         self.m = m
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > deg:
-            _, c = _poly_divmod(c, list(phi))
-        c += [Fraction(0)] * (deg - len(c))
-        self.coeffs = tuple(c[:deg])
+        self.coeffs = _reduce(m, [_exact(x) for x in coeffs])
+
+    @classmethod
+    def _of(cls, m: int, coeffs: tuple) -> "CycloNumber":
+        """A residue from coefficients already reduced and exact."""
+        out = object.__new__(cls)
+        out.m = m
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls, m: int) -> "CycloNumber":
@@ -79,15 +141,14 @@ class CycloNumber:
 
     @classmethod
     def rational(cls, m: int, x) -> "CycloNumber":
-        return cls(m, [Fraction(x)])
+        return cls(m, [x])
 
     @classmethod
     def zeta_power(cls, m: int, k: int) -> "CycloNumber":
-        k %= m
-        return cls(m, [Fraction(0)] * k + [Fraction(1)])
+        return cls._of(m, _powers(m)[k % m])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CycloNumber) and self.m == other.m
@@ -96,27 +157,40 @@ class CycloNumber:
     def __hash__(self):
         return hash((self.m, self.coeffs))
 
+    def _check_m(self, other: "CycloNumber") -> None:
+        if self.m != other.m:
+            raise InvalidArgument(
+                f"Q(zeta_{self.m}) and Q(zeta_{other.m}) do not mix")
+
     def __add__(self, other: "CycloNumber") -> "CycloNumber":
-        assert self.m == other.m
-        return CycloNumber(self.m, [a + b for a, b in
-                                    zip(self.coeffs, other.coeffs)])
+        self._check_m(other)
+        return CycloNumber._of(
+            self.m, _tidy(map(operator.add, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.m, [-a for a in self.coeffs])
+        return CycloNumber._of(self.m, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: "CycloNumber") -> "CycloNumber":
         return self + (-other)
 
     def __mul__(self, other: "CycloNumber") -> "CycloNumber":
-        assert self.m == other.m
-        return CycloNumber(self.m, _poly_mul(list(self.coeffs),
-                                             list(other.coeffs)))
+        """Convolution, then the top terms folded back by the power table."""
+        self._check_m(other)
+        a, b = self.coeffs, other.coeffs
+        conv = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        return CycloNumber._of(self.m, _reduce(self.m, conv))
 
     def inverse(self) -> "CycloNumber":
         """Extended Euclid against the cyclotomic polynomial."""
         if self.is_zero():
             raise ZeroDivisionError
-        r0, r1 = list(cyclotomic_polynomial(self.m)), _trim(list(self.coeffs))
+        r0 = list(cyclotomic_polynomial(self.m))
+        r1 = _trim([Fraction(c) for c in self.coeffs])
         s0: Poly = []
         s1: Poly = [Fraction(1)]
         while r1:
@@ -163,12 +237,12 @@ class Specialization:
         self.m = 4 * e
 
     def theta(self, c: ACoeff) -> CycloNumber:
-        out = CycloNumber.zero(self.m)
+        """q^alpha Q^beta -> zeta_m^k with k = 2 alpha + (e + 2d) beta; the
+        integer coefficients are gathered by k mod m and reduced once."""
+        acc = [0] * self.m
         for (alpha, beta), coeff in c.terms.items():
-            k = (2 * alpha + (self.e + 2 * self.d) * beta) % self.m
-            out = out + CycloNumber.zeta_power(self.m, k) \
-                * CycloNumber.rational(self.m, coeff)
-        return out
+            acc[(2 * alpha + (self.e + 2 * self.d) * beta) % self.m] += coeff
+        return CycloNumber._of(self.m, _reduce(self.m, acc))
 
     @property
     def q0(self) -> CycloNumber:

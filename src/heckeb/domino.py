@@ -26,7 +26,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from . import resolve_r
+from . import check_n, resolve_r
 from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
                        q_r)
 from .errors import BoundExceeded, InvalidArgument, MalformedTableau
@@ -105,6 +105,7 @@ def group_elements(n: int) -> dict[SignedPermutation, tuple[int, tuple[int, ...]
     indices (0 for t) left to right.  The BFS explores generator indices in
     increasing order, so the stored word is a deterministic normal form.
     """
+    check_n(n)
     gens = [SignedPermutation.generator(n, i) for i in range(n)]
     e = SignedPermutation.identity(n)
     out = {e: (0, ())}

@@ -8,7 +8,8 @@ class HeckebError(Exception):
 class InvalidArgument(HeckebError):
     """An argument lies outside its domain: a window that is not a signed
     permutation, parts that are not a partition, a generator index outside
-    0..n-1, a cell side other than L, R or LR, a negative r, or e < 2."""
+    0..n-1, a cell side other than L, R or LR, a negative r or n, or
+    e < 2."""
 
 
 class SizeMismatch(HeckebError):
@@ -76,3 +77,8 @@ class ConjectureAViolation(HeckebError):
 class RankDeficiency(HeckebError):
     """Trace functions of the computed simple modules are linearly dependent;
     signals a simples-detection bug."""
+
+
+class NonIntegralMultiplicity(HeckebError):
+    """A decomposition number solved from the trace system is not an
+    integer; signals a bug in the trace system or in the simples."""

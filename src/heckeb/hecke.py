@@ -144,13 +144,22 @@ def _bar_t(n: int) -> list[HeckeElement]:
         lambda x, i: x.mul_gen(i) - x.scale(_quad(i)))
 
 
+def _image(h: HeckeElement, table: list[HeckeElement], coeff) \
+        -> HeckeElement:
+    """sum_w coeff(c_w) table[w] for h = sum_w c_w T_w, accumulated on one
+    exponent dict per T_y."""
+    index = kernel(h.n).index
+    acc: dict[SignedPermutation, dict] = {}
+    for w, c in h.terms.items():
+        x = coeff(c).terms
+        for y, d in table[index[w]].terms.items():
+            add_product(acc.setdefault(y, {}), x, d.terms)
+    return HeckeElement(h.n, {y: ACoeff(t) for y, t in acc.items()})
+
+
 def bar(h: HeckeElement) -> HeckeElement:
     """The A-antilinear bar involution of H_n."""
-    table, index = _bar_t(h.n), kernel(h.n).index
-    total = HeckeElement(h.n)
-    for w, c in h.terms.items():
-        total = total + table[index[w]].scale(c.bar())
-    return total
+    return _image(h, _bar_t(h.n), ACoeff.bar)
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,11 +173,7 @@ def _dagger_t(n: int) -> list[HeckeElement]:
 
 def dagger(h: HeckeElement) -> HeckeElement:
     """The A-algebra involution with T_s -> -T_s^{-1}."""
-    table, index = _dagger_t(h.n), kernel(h.n).index
-    total = HeckeElement(h.n)
-    for w, c in h.terms.items():
-        total = total + table[index[w]].scale(c)
-    return total
+    return _image(h, _dagger_t(h.n), lambda c: c)
 
 
 def star(h: HeckeElement) -> HeckeElement:

@@ -19,9 +19,9 @@ from .combinat import Bipartition, format_bipartition
 from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
 from .domino import SignedPermutation, group_elements, kernel, length
-from .errors import BoundExceeded, RankDeficiency
+from .errors import BoundExceeded, NonIntegralMultiplicity, RankDeficiency
 from .hecke import CellDatum, cell_datum, structure_coefficients
-from .laurent import ACoeff, XiOrder
+from .laurent import ACoeff, XiOrder, add_product
 
 Matrix = list[list[CycloNumber]]
 
@@ -131,10 +131,26 @@ class CellModule:
 def _generic_data(n: int, r: int):
     """Generator-action and Gram matrices over the generic ring, per shape.
 
-    Returns (datum, {shape: (sbt, gens, gram)}) with matrix entries ACoeff.
+    Returns (datum, {shape: (sbt, gens, gram)}) with matrix entries ACoeff;
+    gens[i][U][S] is the coefficient of C_{U,T0} in T_{s_i} C_{S,T0}.
+
+    The Gram form is read off the cell-module action, with no product in
+    the algebra.  phi(S, T) is defined by C_{T0,S} C_{T,T0} = phi(S, T)
+    C_{T0,T0} modulo shapes strictly below (Graham-Lehrer, Cellular
+    algebras, Invent. Math. 123, 1996, section 2).  By the cellular
+    axiom, h C_{T,T0} is sum_U r_h(U, T) C_{U,T0} modulo the same ideal
+    for every h, and r_h is linear in h, so with h = C_{T0,S} =
+    sum_w c_w T_w:
+
+        phi(S, T) = r_h(T0, T) = sum_w c_w r_{T_w}(T0, T).
+
+    r_{T_w} is the matrix of T_w on the cell module.  Its row T0 extends
+    along reduced words: T_w = T_{ws} T_s for a descent s, so row(w) =
+    row(ws) M_s, one row vector times a generator matrix per element.
     """
     order = XiOrder.for_r(r)
     datum = cell_datum(n, order)
+    kern = kernel(n)
     zero = ACoeff()
     modules = {}
     for lam in datum.shapes:
@@ -147,14 +163,29 @@ def _generic_data(n: int, r: int):
             for (u, s), c in coeffs.items():
                 mat[idx[u]][idx[s]] = c
             gens.append(mat)
+        # the nonzero entries of each generator matrix, row by row
+        sparse = [[[(b, c.terms) for b, c in enumerate(row) if c.terms]
+                   for row in mat] for mat in gens]
+
+        def times_gen(row: list[dict], i: int) -> list[dict]:
+            out: list[dict] = [{} for _ in sbt]
+            for a, x in enumerate(row):
+                if x:
+                    for b, y in sparse[i][a]:
+                        add_product(out[b], x, y)
+            return [{g: c for g, c in acc.items() if c} for acc in out]
+
+        unit = [{(0, 0): 1}] + [{} for _ in sbt[1:]]
+        rows = kern.along_words(unit, times_gen)
         t0 = sbt[0]
-        gram = [[zero for _ in sbt] for _ in sbt]
+        gram = []
         for s in sbt:
-            for t in sbt:
-                prod = datum.basis[(t0, s)] * datum.basis[(t, t0)]
-                coeff = datum.expand(prod).get((t0, t0))
-                if coeff is not None:
-                    gram[idx[s]][idx[t]] = coeff
+            acc: list[dict] = [{} for _ in sbt]
+            for w, c in datum.basis[(t0, s)].terms.items():
+                for t, x in enumerate(rows[kern.index[w]]):
+                    if x:
+                        add_product(acc[t], c.terms, x)
+            gram.append([ACoeff(a) for a in acc])
         modules[lam] = (sbt, gens, gram)
     return datum, modules
 
@@ -283,10 +314,15 @@ def _radical_traces(mod: CellModule, n: int,
     return out
 
 
-def _as_int(x: CycloNumber) -> int:
-    assert all(c == 0 for c in x.coeffs[1:]), f"non-rational value {x}"
-    assert x.coeffs[0].denominator == 1, f"non-integral value {x}"
-    return int(x.coeffs[0])
+def _as_int(x: CycloNumber, n: int, e: int, d: int, r: int,
+            lam: Bipartition, mu: Bipartition) -> int:
+    """The decomposition number [S_lam : D_mu] that x must be, as an int."""
+    c = x.coeffs[0]
+    if any(x.coeffs[1:]) or c.denominator != 1:
+        raise NonIntegralMultiplicity(
+            f"[S_{format_bipartition(lam)} : D_{format_bipartition(mu)}] = "
+            f"{x} at n = {n}, e = {e}, d = {d}, r = {r} is not an integer")
+    return int(c)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,7 +355,7 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     entries = {}
     for lam, sol in zip(modules, sols):
         for mu, x in zip(simples, sol):
-            val = _as_int(x)
+            val = _as_int(x, n, e, d, r, lam, mu)
             if val:
                 entries[(lam, mu)] = val
     return list(modules), simples, entries

@@ -33,6 +33,11 @@ MALFORMED = {
     "negative-r-charge": ("charge", "--r", "-1", "--d", "0", "--e", "2"),
     "negative-r-quotient": ("quotient", "--partition", "643", "--r", "-1"),
     "partition-not-decreasing": ("quotient", "--partition", "46"),
+    "negative-n-klbasis": ("klbasis", "--n", "-1", "--r", "0"),
+    "negative-n-conj-a": ("check-conj-a", "--n", "-1", "--r", "0"),
+    "negative-n-bip": ("bip", "--n", "-1"),
+    "negative-n-specht": ("specht", "--n", "-1", "--e", "2", "--d", "0",
+                          "--r", "0"),
 }
 
 # The README's CLI commands with the SHA-256 of b"exit <code>\n" + stdout,
@@ -222,7 +227,11 @@ class TestMalformedInput:
 
 def test_import_builds_no_tables():
     done = python("-c", "import heckeb.cli\n"
+                        "from heckeb.cyclo import _powers\n"
                         "from heckeb.domino import group_elements, kernel\n"
+                        "from heckeb.specht import _generic_data\n"
                         "print(kernel.cache_info().currsize,"
-                        " group_elements.cache_info().currsize)")
-    assert done.stdout == "0 0\n", done.stderr
+                        " group_elements.cache_info().currsize,"
+                        " _powers.cache_info().currsize,"
+                        " _generic_data.cache_info().currsize)")
+    assert done.stdout == "0 0 0 0\n", done.stderr

@@ -29,6 +29,11 @@ class TestPartition:
         with pytest.raises(InvalidArgument):
             Partition(parts)
 
+    def test_enumerate_rejects_negative_n(self):
+        with pytest.raises(InvalidArgument):
+            enumerate_bipartitions(-1)
+        assert len(enumerate_bipartitions(0)) == 1
+
     def test_delta_core_rejects_negative_r(self):
         with pytest.raises(InvalidArgument):
             delta_core(-1)

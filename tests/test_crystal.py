@@ -5,7 +5,7 @@ from heckeb.combinat import (Bipartition, Partition, enumerate_bipartitions,
 from heckeb.crystal import (crystal_e, crystal_f, crystal_graph, epsilon,
                             flotw_oracle, phi, signature_word,
                             uglov_bipartitions)
-from heckeb.errors import ChargeOutOfRange
+from heckeb.errors import ChargeOutOfRange, InvalidArgument
 from heckeb.fock import f_action, FockVector
 
 
@@ -110,6 +110,10 @@ class TestFlotw:
             oracle = {b for b in enumerate_bipartitions(n)
                       if flotw_oracle(b, s, e)}
             assert bfs == oracle, (s, e, n)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(InvalidArgument):
+            crystal_graph((0, 0), 2, -1)
 
     def test_out_of_range_charge(self):
         with pytest.raises(ChargeOutOfRange):

@@ -1,9 +1,52 @@
-import pytest
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from heckeb.cyclo import (CycloNumber, Specialization, cyclotomic_polynomial)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heckeb import cyclo
+from heckeb.cyclo import (CycloNumber, Specialization, _poly_divmod,
+                          _poly_mul, cyclotomic_polynomial)
 from heckeb.errors import InvalidArgument
 from heckeb.laurent import ACoeff
+
+MODULI = (8, 12, 16, 20)
+
+coefficient = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+def coefficient_vectors(m):
+    """Dense coefficient lists, some longer than deg Phi_m."""
+    return st.lists(coefficient, max_size=2 * (len(cyclotomic_polynomial(m))
+                                               - 1) + 2)
+
+
+def fraction_residue(m, coeffs):
+    """The residue mod Phi_m as Fractions by polynomial long division: the
+    reference for the integer-first kernel."""
+    phi = list(cyclotomic_polynomial(m))
+    deg = len(phi) - 1
+    rem = [Fraction(c) for c in coeffs]
+    if len(rem) > deg:
+        _, rem = _poly_divmod(rem, phi)
+    return tuple(rem + [Fraction(0)] * (deg - len(rem)))
+
+
+def fraction_str(coeffs):
+    """The rendering of a residue with every coefficient a Fraction."""
+    bits = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mono = "1" if k == 0 else (f"z^{k}" if k > 1 else "z")
+        bits.append(mono if c == 1 and k > 0 else
+                    (f"-{mono}" if c == -1 and k > 0 else
+                     (f"{c}" if k == 0 else f"{c}*{mono}")))
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
 def as_ints(poly):
@@ -90,3 +133,78 @@ class TestSpecialization:
 def test_specialization_rejects_e_below_two():
     with pytest.raises(InvalidArgument):
         Specialization(1, 0)
+
+
+def test_power_table_is_reduction():
+    for m in range(1, 25):
+        for k, row in enumerate(cyclo._powers(m)):
+            assert all(type(c) is int for c in row)
+            assert row == fraction_residue(m, [0] * k + [1])
+
+
+class TestIntegerFirstKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(MODULI))
+    def test_construction_and_product(self, data, m):
+        a = data.draw(coefficient_vectors(m))
+        b = data.draw(coefficient_vectors(m))
+        x, y = CycloNumber(m, a), CycloNumber(m, b)
+        assert x.coeffs == fraction_residue(m, a)
+        product = _poly_mul(list(fraction_residue(m, a)),
+                            list(fraction_residue(m, b)))
+        assert (x * y).coeffs == fraction_residue(m, product)
+        for z in (x, y, x * y, x + y, x - y):
+            assert all(type(c) is int if c.denominator == 1
+                       else type(c) is Fraction for c in z.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(MODULI))
+    def test_inverse(self, data, m):
+        x = CycloNumber(m, data.draw(coefficient_vectors(m)))
+        if not x.is_zero():
+            assert x * x.inverse() == CycloNumber.rational(m, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(MODULI))
+    def test_hash_and_str_ignore_coefficient_type(self, data, m):
+        a = data.draw(coefficient_vectors(m))
+        x = CycloNumber(m, a)
+        as_fractions = CycloNumber(m, [Fraction(c) for c in a])
+        # the same value reached through a product with one
+        via_product = CycloNumber(m, a) * CycloNumber(m, [Fraction(1)])
+        for y in (as_fractions, via_product):
+            assert x == y and hash(x) == hash(y)
+        assert hash(x) == hash((m, fraction_residue(m, a)))
+        assert str(x) == fraction_str(fraction_residue(m, a))
+
+
+def test_trailing_zeros_are_ignored():
+    # a coefficient list longer than deg Phi_m that ends in zeros
+    assert CycloNumber(8, [0, 0, 0, 1, 0]) == CycloNumber.zeta_power(8, 3)
+    assert CycloNumber(8, [0, 0, 1, 0, 0]) == CycloNumber.zeta_power(8, 2)
+    q, rem = _poly_divmod([Fraction(c) for c in (0, 0, 0, 1, 0)],
+                          list(cyclotomic_polynomial(8)))
+    assert q == [] and rem == [0, 0, 0, 1]
+
+
+def test_mixed_moduli_raise():
+    a, b = CycloNumber(8, [1, 1]), CycloNumber(12, [1, 1])
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(InvalidArgument):
+            op()
+
+
+def test_mixed_moduli_raise_under_optimize():
+    code = ("from heckeb.cyclo import CycloNumber\n"
+            "from heckeb.errors import InvalidArgument\n"
+            "a, b = CycloNumber(8, [1, 1]), CycloNumber(12, [1, 1])\n"
+            "for op in (a.__add__, a.__mul__):\n"
+            "    try:\n"
+            "        op(b)\n"
+            "    except InvalidArgument:\n"
+            "        print('raised')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout == "raised\nraised\n", done.stderr

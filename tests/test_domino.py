@@ -50,6 +50,11 @@ class TestSignedPermutation:
         with pytest.raises(InvalidArgument):
             SignedPermutation.identity(2) * SignedPermutation.identity(3)
 
+    def test_negative_rank_rejected(self):
+        with pytest.raises(InvalidArgument):
+            group_elements(-1)
+        assert list(group_elements(0)) == [SignedPermutation(())]
+
     def test_resolve_r(self):
         assert resolve_r(INFINITY, 4) == 3 and resolve_r(2, 4) == 2
         with pytest.raises(InvalidArgument):

@@ -1,13 +1,59 @@
+import hashlib
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from heckeb.combinat import parse_bipartition, bipartitions_of_shape_count
+from heckeb import specht
+from heckeb.combinat import (format_bipartition, parse_bipartition,
+                             bipartitions_of_shape_count)
+from heckeb.cyclo import CycloNumber
+from heckeb.errors import NonIntegralMultiplicity
+from heckeb.hecke import cell_datum
+from heckeb.laurent import ACoeff, XiOrder
 from heckeb.specht import (adjointness_check, cell_module,
                            decomposition_numbers, generic_semisimplicity_check,
                            nonzero_simples, theorem41_check)
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# The 15 Theorem 4.1 cases at rank 3 with the SHA-256 of their canonical
+# text, as the benchmark's reference file records them.
+THEOREM41_DIGESTS = {
+    tuple(int(x) for x in label.split()[4::2]): digest
+    for label, digest in json.loads(
+        (ROOT / "perfbench" / "references.json").read_text("utf-8")).items()
+    if label.startswith("theorem41 --n 3 ")}
+
 
 def B(text):
     return parse_bipartition(text)
+
+
+def product_gram(n, r):
+    """The Gram matrices by definition: phi(S, T) is the coefficient of
+    C_{T0,T0} in the product C_{T0,S} C_{T,T0}, expanded in the cellular
+    basis.  The reference for the action-based Gram of _generic_data."""
+    datum = cell_datum(n, XiOrder.for_r(r))
+    out = {}
+    for lam in datum.shapes:
+        sbt = datum.sbt[lam]
+        t0 = sbt[0]
+        out[lam] = [[datum.expand(datum.basis[(t0, s)] * datum.basis[(t, t0)])
+                     .get((t0, t0), ACoeff()) for t in sbt] for s in sbt]
+    return out
+
+
+def run_optimized(code):
+    """stdout of code run under python -O."""
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestCellModules:
@@ -17,6 +63,15 @@ class TestCellModules:
             for lam, want in counts.items():
                 mod = cell_module(n, 2, 0, 0, lam)
                 assert mod.dim == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_gram_matches_products(self, n, r):
+        _, generic = specht._generic_data(n, r)
+        want = product_gram(n, r)
+        assert set(generic) == set(want)
+        for lam, (_, _, gram) in generic.items():
+            assert gram == want[lam], format_bipartition(lam)
 
     def test_gram_symmetric(self):
         for n in (1, 2, 3):
@@ -61,6 +116,38 @@ class TestSimplesAndDecomposition:
                 assert all(v >= 0 for v in entries.values())
 
 
+class TestNonIntegralMultiplicity:
+    LAM, MU = B("(1;∅)"), B("(∅;1)")
+
+    @pytest.mark.parametrize("coeffs", [[Fraction(1, 2)], [1, 1]],
+                             ids=["fraction", "irrational"])
+    def test_raises(self, coeffs):
+        with pytest.raises(NonIntegralMultiplicity) as info:
+            specht._as_int(CycloNumber(8, coeffs), 1, 2, 0, 0,
+                           self.LAM, self.MU)
+        message = str(info.value)
+        assert "S_(1;∅) : D_(∅;1)" in message
+        assert "n = 1, e = 2, d = 0, r = 0" in message
+        assert str(CycloNumber(8, coeffs)) in message
+
+    def test_integral_values(self):
+        assert specht._as_int(CycloNumber(8, [Fraction(6, 3)]), 1, 2, 0, 0,
+                              self.LAM, self.MU) == 2
+
+    def test_raises_under_optimize(self):
+        code = ("from fractions import Fraction\n"
+                "from heckeb import specht\n"
+                "from heckeb.combinat import parse_bipartition as B\n"
+                "from heckeb.cyclo import CycloNumber\n"
+                "from heckeb.errors import NonIntegralMultiplicity\n"
+                "try:\n"
+                "    specht._as_int(CycloNumber(8, [Fraction(1, 2)]),"
+                " 1, 2, 0, 0, B('(1;∅)'), B('(∅;1)'))\n"
+                "except NonIntegralMultiplicity:\n"
+                "    print('raised')\n")
+        assert run_optimized(code) == "raised\n"
+
+
 class TestTheorem41:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -72,3 +159,25 @@ class TestTheorem41:
         report = theorem41_check(1, 2, 0, 0)
         assert any("assumed" in a for a in report["assumptions"])
         assert report["charge"] == [0, 0]
+
+
+def theorem41_canonical(report, e, d, r):
+    """The canonical text of one case: the report, then the decomposition
+    numbers it compared (the benchmark's theorem41-rank3 format)."""
+    _, _, entries = decomposition_numbers(3, e, d, r, specht.SPECHT_BOUND)
+    rows = sorted([format_bipartition(a), format_bipartition(b), v]
+                  for (a, b), v in entries.items())
+    return (specht.theorem41_json(report) + "\n"
+            + json.dumps(rows, ensure_ascii=False) + "\n").encode()
+
+
+def test_theorem41_rank3_matches_references():
+    assert len(THEOREM41_DIGESTS) == 15
+    wrong = []
+    for (e, d, r), digest in sorted(THEOREM41_DIGESTS.items()):
+        report = theorem41_check(3, e, d, r)
+        text = theorem41_canonical(report, e, d, r)
+        if report["status"] != "ok" \
+                or hashlib.sha256(text).hexdigest() != digest:
+            wrong.append((e, d, r))
+    assert wrong == []
