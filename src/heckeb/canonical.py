@@ -16,7 +16,8 @@ from . import check_e
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition)
 from .crystal import crystal_e, crystal_f, epsilon, uglov_bipartitions
-from .errors import ConventionViolation, IncompatibleCharges, NotUglov
+from .errors import (ConventionViolation, IncompatibleCharges, NotUglov,
+                     OrderCycle)
 from .fock import Charge, FockVector, divided_power_f, fock_modules_isomorphic
 from .laurent import VPoly, V_ONE
 from .orders import dominance_r
@@ -71,7 +72,9 @@ def _linear_extension(bips: list[Bipartition], r: int) -> list[Bipartition]:
                 remaining.remove(b)
                 break
         else:
-            raise AssertionError("cycle in dominance order")
+            raise OrderCycle(
+                f"r = {r}: no minimal element among "
+                + ", ".join(format_bipartition(b) for b in remaining))
     return out
 
 

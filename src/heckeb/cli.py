@@ -5,13 +5,16 @@ from the library and the test suite only: specht.adjointness_check,
 specht.generic_semisimplicity_check and domino.verify_insertion_bijection.
 All configuration is by flags and output ordering is deterministic, so runs
 are byte-identical for fixed inputs.  Exit status: 0 on success, 2 when a
-check subcommand reports a failure, 1 on usage errors.
+check subcommand reports a failure, 1 on usage errors, and 141 (128 +
+SIGPIPE, as for a process the signal ends) with nothing on stderr when the
+reader of stdout closes it early, as `heckeb ... | head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,6 +38,8 @@ from .specht import (decomposition_numbers, nonzero_simples, theorem41_check,
 _BOUNDED = ("order", "klbasis", "cells", "check-conj-a", "check-cellular",
            "theorem41", "specht")
 _JSON_REPORTS = ("check-conj-a", "check-cellular", "theorem41")
+# The status of a process ended by SIGPIPE, as a shell reports it.
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -448,7 +453,15 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at interpreter exit
+        # does not fail on the closed pipe a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import check_e
 from .errors import InvalidArgument
-from .laurent import ACoeff
+from .laurent import ACoeff, unpack
 
 Poly = list[Fraction]  # dense, index = degree
 
@@ -240,7 +240,8 @@ class Specialization:
         """q^alpha Q^beta -> zeta_m^k with k = 2 alpha + (e + 2d) beta; the
         integer coefficients are gathered by k mod m and reduced once."""
         acc = [0] * self.m
-        for (alpha, beta), coeff in c.terms.items():
+        for key, coeff in c.terms.items():
+            alpha, beta = unpack(key)
             acc[(2 * alpha + (self.e + 2 * self.d) * beta) % self.m] += coeff
         return CycloNumber._of(self.m, _reduce(self.m, acc))
 

@@ -15,10 +15,17 @@ insertion.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position and
-accumulates each coefficient in a plain exponent dict until it is final,
-and the preorders are closed as bitsets over positions.  Signed
-permutations appear only at the public boundary (HeckeElement, kl_basis,
-cells).
+works on plain exponent dicts, and the preorders are closed as bitsets
+over positions.  Signed permutations appear only at the public boundary
+(HeckeElement, kl_basis, cells).
+
+An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
+it while |beta| < 2^15.  Every exponent met in H_n stays within
+l(w_0) = n^2: a coefficient of T_x T_y, of bar(T_w) or of C_w gains at most
+one factor v_s^{+-1} per letter of a reduced word, so |alpha| + |beta| is at
+most l(w_0).  The Gram forms and determinants built from them in specht
+multiply a handful of such coefficients, so no rank within reach comes
+near the bound.
 """
 
 from __future__ import annotations
@@ -33,23 +40,24 @@ from .domino import (SignedPermutation, _len_key, group_elements, kernel,
                      length, reduced_word, s_t_lambda, StandardBitableau)
 from .errors import (BoundExceeded, ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
-from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product
+from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product, pack
 from .orders import dominance_r
 
 KL_BOUND = 4
 
-GAMMA_T = (0, 1)   # parameter b of the generator t
-GAMMA_S = (1, 0)   # parameter a of the generators s_i
+GAMMA_T = pack(0, 1)   # parameter b of the generator t
+GAMMA_S = pack(1, 0)   # parameter a of the generators s_i
 
 
-def generator_gamma(i: int) -> tuple[int, int]:
+def generator_gamma(i: int) -> int:
+    """The exponent key of v_s for generator i."""
     return GAMMA_T if i == 0 else GAMMA_S
 
 
 def _quad(i: int) -> ACoeff:
     """v_s - v_s^{-1} for generator i."""
     gamma = generator_gamma(i)
-    return ACoeff({gamma: 1, (-gamma[0], -gamma[1]): -1})
+    return ACoeff({gamma: 1, -gamma: -1})
 
 
 class HeckeElement:
@@ -185,14 +193,34 @@ def star(h: HeckeElement) -> HeckeElement:
 
 # --- Kazhdan-Lusztig basis and cells -----------------------------------------
 
+class _SignMemo(dict):
+    """Exponent key -> whether its sign under order is >= 0, computed on
+    first lookup; a tie raises there and is never stored."""
+
+    def __init__(self, order: XiOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, key: int) -> bool:
+        nonneg = self[key] = self.order.sign(key) >= 0
+        return nonneg
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """terms without its zero coefficients; terms itself if it has none."""
+    if 0 in terms.values():
+        return {k: x for k, x in terms.items() if x}
+    return terms
+
+
 @functools.lru_cache(maxsize=None)
 def _kl_sweep(n: int, order: XiOrder):
     """C_w for all w in W_n and the right-preorder edges, from one pass over
     the ascents (w, s), ws > w, in kernel order.
 
     By Lusztig, Hecke algebras with unequal parameters (2003), Thm 6.6,
-    C_w C_s = C_{ws} + sum_{y < w} mu^s_{y,w} C_y with bar-invariant mu.
-    The product C_w C_s = C_w T_s + v_s^{-1} C_w is bar-invariant with
+    C_w C_s = C_{ws} + sum_{y < w, ys < y} mu^s_{y,w} C_y with bar-invariant
+    mu.  The product C_w C_s = C_w T_s + v_s^{-1} C_w is bar-invariant with
     leading term T_{ws}; walking its terms from the longest down and
     subtracting the bar-invariant completion of each coefficient times C_y
     leaves C_{ws}, and the y with mu != 0 are read off on the way.  So
@@ -200,55 +228,71 @@ def _kl_sweep(n: int, order: XiOrder):
     w -> {w, ws} and w -> y; a descent ws < w has C_w T_s = v_s C_w, a
     self-edge only.
 
-    Everything is keyed by kernel position.  Returns (basis, edges): basis[w]
-    maps positions to the ACoeff coefficients of C_w, edges[w] is the
-    bitset of the right edges out of w.
+    A term at y with ys > y is left as it is: mu^s_{y,w} vanishes there.
+    Were its completion nonzero all the same, the term would keep a
+    non-negative exponent and fail the check on the new C_{ws}, or differ
+    from the C_{ws} already built, so skipping it hides no violation.
+
+    Everything is keyed by kernel position, and coefficients are plain
+    exponent dicts; the signs of the exponents met are memoized for the
+    sweep.  Returns (basis, edges): basis[w] maps positions to the
+    exponent dicts of the coefficients of C_w, edges[w] is the bitset of
+    the right edges out of w.
     """
     kern = kernel(n)
     size = len(kern.elements)
-    basis: list[dict[int, ACoeff] | None] = [None] * size
-    basis[0] = {0: A_ONE}
+    unit = {0: 1}
+    basis: list[dict[int, dict[int, int]] | None] = [None] * size
+    basis[0] = {0: unit}
     edges = [1 << w for w in range(size)]
+    nonneg = _SignMemo(order)
 
-    def element(terms: dict[int, ACoeff]) -> HeckeElement:
-        return HeckeElement(n, {kern.elements[y]: c for y, c in terms.items()})
-
-    def times_c_s(cw: dict[int, ACoeff], i: int, ws: int):
+    def times_c_s(cw: dict[int, dict[int, int]], i: int, ws: int):
         """C_w C_s reduced to C_{ws}, and the bitset of the y with
         mu^s_{y,w} != 0.
 
-        Each coefficient accumulates in its own exponent dict.  The terms
-        below ws are visited longest first through a heap of positions, and
-        a term is final when it is popped: subtracting mu C_y only adds
-        terms below y, each pushed once."""
-        a, b = generator_gamma(i)
-        up, down = {(-a, -b): 1}, {(a, b): 1}
+        The terms below ws are visited longest first through a heap of
+        positions, and a term is final when it is popped: subtracting
+        mu C_y only adds terms below y, each pushed once."""
+        g = generator_gamma(i)
         table = kern.right[i]
-        work: dict[int, dict] = {}
+        work: dict[int, dict[int, int]] = {}
         for y, c in cw.items():
             ys = table[y]
             # T_y T_s + v_s^{-1} T_y: T_{ys} + v_s^{-1} T_y on an ascent,
             # T_{ys} + v_s T_y on a descent
-            add_product(work.setdefault(ys, {}), c.terms, A_ONE.terms)
-            add_product(work.setdefault(y, {}), c.terms,
-                        up if ys > y else down)
+            acc = work.get(ys)
+            if acc is None:
+                work[ys] = dict(c)
+            else:
+                for k, x in c.items():
+                    acc[k] = acc.get(k, 0) + x
+            shift = -g if ys > y else g
+            acc = work.get(y)
+            if acc is None:
+                work[y] = {k + shift: x for k, x in c.items()}
+            else:
+                for k, x in c.items():
+                    k += shift
+                    acc[k] = acc.get(k, 0) + x
         heap = [-y for y in work if y != ws]
         heapq.heapify(heap)
-        out = {ws: ACoeff(work[ws])}
+        out = {ws: work[ws]}
         mu_support = 0
         while heap:
             y = -heapq.heappop(heap)
-            c = ACoeff(work[y])
-            mu = order.symmetric_completion(c)
-            if not mu.is_zero():
-                mu_support |= 1 << y
-                for z, cz in basis[y].items():
-                    if z not in work:
-                        work[z] = {}
-                        heapq.heappush(heap, -z)
-                    add_product(work[z], mu.terms, cz.terms, -1)
-                c = ACoeff(work[y])
-            if not c.is_zero():
+            c = _nonzero(work[y])
+            if table[y] < y and any(map(nonneg.__getitem__, c)):
+                mu = order.symmetric_completion(ACoeff(c)).terms
+                if mu:
+                    mu_support |= 1 << y
+                    for z, cz in basis[y].items():
+                        if z not in work:
+                            work[z] = {}
+                            heapq.heappush(heap, -z)
+                        add_product(work[z], mu, cz, -1)
+                    c = _nonzero(work[y])
+            if c:
                 out[y] = c
         return out, mu_support
 
@@ -260,11 +304,13 @@ def _kl_sweep(n: int, order: XiOrder):
                 continue
             c_ws, mu_support = times_c_s(cw, i, ws)
             if basis[ws] is None:
-                if c_ws[ws] != A_ONE or not all(
-                        order.is_strictly_negative(c)
+                if c_ws[ws] != unit or any(
+                        any(map(nonneg.__getitem__, c))
                         for y, c in c_ws.items() if y != ws):
+                    element = HeckeElement(n, {kern.elements[y]: ACoeff(c)
+                                               for y, c in c_ws.items()})
                     raise KLRecursionViolation(
-                        f"C[{kern.elements[ws]}] = {element(c_ws)} is not "
+                        f"C[{kern.elements[ws]}] = {element} is not "
                         f"T[{kern.elements[ws]}] plus strictly negative "
                         f"terms at xi = {order.xi}")
                 basis[ws] = c_ws
@@ -290,7 +336,7 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     elements = kernel(n).elements
-    return {elements[w]: HeckeElement(n, {elements[y]: c
+    return {elements[w]: HeckeElement(n, {elements[y]: ACoeff._of(c)
                                           for y, c in cw.items()})
             for w, cw in enumerate(_kl_sweep(n, order)[0])}
 

@@ -8,6 +8,14 @@ Two rings live here, sharing the ring code of the base class Laurent:
   rational stand-in; comparisons that would tie reveal the stand-in as
   unfaithful and raise instead of ordering arbitrarily.
 
+  An exponent (alpha, beta) is stored as the single integer key
+  alpha * 2^16 + beta (pack / unpack), valid for |beta| < 2^15.  Keys add
+  as the pairs do, negate as they do, and sort in the lexicographic order
+  of the pairs, so a product adds ints, bar negates keys and a polynomial
+  prints as it would from pairs.  A sum of two keys decodes to the sum of
+  the pairs only while the beta of the sum stays in range; every exponent
+  met in H_n lies within l(w_0) = n^2 (see hecke), far inside it.
+
 * VPoly -- Laurent polynomials in the crystal variable v, with Gaussian
   integers and exact division for divided powers.
 """
@@ -20,13 +28,30 @@ from fractions import Fraction
 from .errors import (InvalidArgument, InvalidSlope, IrrationalityViolation,
                      NonIntegralDivision)
 
-Gamma = tuple[int, int]  # (alpha, beta): exponent of q and of Q
+_SHIFT = 16
+_HALF = 1 << 15
+_MASK = (1 << _SHIFT) - 1
+
+
+def pack(alpha: int, beta: int) -> int:
+    """The key of the exponent q^alpha Q^beta; |beta| < 2^15."""
+    if not -_HALF < beta < _HALF:
+        raise InvalidArgument(
+            f"exponent ({alpha}, {beta}): |{beta}| >= 2^15 has no key")
+    return (alpha << _SHIFT) + beta
+
+
+def unpack(key: int) -> tuple[int, int]:
+    """The exponent pair (alpha, beta) of a key."""
+    beta = ((key + _HALF) & _MASK) - _HALF
+    return (key - beta) >> _SHIFT, beta
 
 
 class Laurent:
-    """Sparse integer Laurent polynomial: a dict from exponents to nonzero
-    integer coefficients.  A subclass fixes the exponents, their
-    arithmetic (products, bar) and how a monomial is written."""
+    """Sparse integer Laurent polynomial: a dict from integer exponents to
+    nonzero integer coefficients.  Products add exponents and bar negates
+    them; a subclass fixes what an exponent means and how a monomial is
+    written."""
 
     __slots__ = ("terms",)
 
@@ -54,6 +79,15 @@ class Laurent:
     def __sub__(self, other):
         return self + (-other)
 
+    def __mul__(self, other):
+        out: dict[int, int] = {}
+        add_product(out, self.terms, other.terms)
+        return type(self)(out)
+
+    def bar(self):
+        """The involution exponent -> -exponent."""
+        return type(self)({-g: c for g, c in self.terms.items()})
+
     def _monomial_text(self, exp) -> str:
         """The monomial of exponent exp; empty for the unit."""
         raise NotImplementedError
@@ -79,25 +113,23 @@ class Laurent:
 
 
 class ACoeff(Laurent):
-    """Integer Laurent polynomial in q and Q (sparse)."""
+    """Integer Laurent polynomial in q and Q (sparse), keyed by pack."""
 
     __slots__ = ()
 
     @classmethod
     def integer(cls, c: int) -> "ACoeff":
-        return cls({(0, 0): c})
+        return cls({0: c})
 
-    def __mul__(self, other: "ACoeff") -> "ACoeff":
-        out: dict[Gamma, int] = {}
-        add_product(out, self.terms, other.terms)
-        return ACoeff(out)
+    @classmethod
+    def _of(cls, terms: dict[int, int]) -> "ACoeff":
+        """An ACoeff owning terms, which has no zero coefficient."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
-    def bar(self) -> "ACoeff":
-        """The involution e^gamma -> e^{-gamma}."""
-        return ACoeff({(-a, -b): c for (a, b), c in self.terms.items()})
-
-    def _monomial_text(self, exp: Gamma) -> str:
-        a, b = exp
+    def _monomial_text(self, exp: int) -> str:
+        a, b = unpack(exp)
         return "*".join(
             ([] if a == 0 else [f"q^{a}" if a != 1 else "q"])
             + ([] if b == 0 else [f"Q^{b}" if b != 1 else "Q"]))
@@ -107,17 +139,17 @@ A_ZERO = ACoeff()
 A_ONE = ACoeff.integer(1)
 
 
-def add_product(acc: dict[Gamma, int], x: dict[Gamma, int],
-                y: dict[Gamma, int], sign: int = 1) -> None:
+def add_product(acc: dict[int, int], x: dict[int, int],
+                y: dict[int, int], sign: int = 1) -> None:
     """acc += sign * x * y on exponent dicts, in place.
 
-    The working form of an ACoeff for a loop that owns acc; entries that
-    cancel stay as zeros, which ACoeff(acc) drops."""
-    for (a1, b1), c1 in x.items():
+    The working form of a Laurent polynomial for a loop that owns acc;
+    entries that cancel stay as zeros, which the constructor drops."""
+    for k1, c1 in x.items():
         c1 *= sign
-        for (a2, b2), c2 in y.items():
-            g = (a1 + a2, b1 + b2)
-            acc[g] = acc.get(g, 0) + c1 * c2
+        for k2, c2 in y.items():
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + c1 * c2
 
 
 @dataclass(frozen=True)
@@ -133,6 +165,9 @@ class XiOrder:
             raise InvalidSlope(f"xi = {self.xi} must be positive")
         if self.xi.denominator == 1:
             raise InvalidSlope(f"xi = {self.xi} must not be an integer")
+        # sign() compares on these integers, read off xi once
+        object.__setattr__(self, "_num", self.xi.numerator)
+        object.__setattr__(self, "_den", self.xi.denominator)
 
     @classmethod
     def for_r(cls, r: int, offset: Fraction = Fraction(1, 101)) -> "XiOrder":
@@ -148,12 +183,13 @@ class XiOrder:
     def r(self) -> int:
         return int(self.xi)
 
-    def sign(self, gamma: Gamma) -> int:
-        a, b = gamma
-        val = a * self.xi.denominator + b * self.xi.numerator
-        if val == 0 and gamma != (0, 0):
+    def sign(self, key: int) -> int:
+        """The sign of alpha + xi*beta for the exponent of key."""
+        a, b = unpack(key)
+        val = a * self._den + b * self._num
+        if val == 0 and key:
             raise IrrationalityViolation(
-                f"gamma = {gamma} ties at xi = {self.xi}; perturb xi")
+                f"gamma = {(a, b)} ties at xi = {self.xi}; perturb xi")
         return (val > 0) - (val < 0)
 
     def is_strictly_negative(self, x: ACoeff) -> bool:
@@ -175,7 +211,7 @@ class XiOrder:
             if s >= 0:
                 out[g] = cc
             if s > 0:
-                out[(-g[0], -g[1])] = cc
+                out[-g] = cc
         return ACoeff(out)
 
 
@@ -191,16 +227,6 @@ class VPoly(Laurent):
     @classmethod
     def integer(cls, c: int) -> "VPoly":
         return cls({0: c})
-
-    def __mul__(self, other: "VPoly") -> "VPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return VPoly(out)
-
-    def bar(self) -> "VPoly":
-        return VPoly({-e: c for e, c in self.terms.items()})
 
     def in_v_zv(self) -> bool:
         """All exponents strictly positive (element of v Z[v])."""

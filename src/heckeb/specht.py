@@ -175,7 +175,7 @@ def _generic_data(n: int, r: int):
                         add_product(out[b], x, y)
             return [{g: c for g, c in acc.items() if c} for acc in out]
 
-        unit = [{(0, 0): 1}] + [{} for _ in sbt[1:]]
+        unit = [{0: 1}] + [{} for _ in sbt[1:]]
         rows = kern.along_words(unit, times_gen)
         t0 = sbt[0]
         gram = []

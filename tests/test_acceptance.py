@@ -180,6 +180,14 @@ def test_c09_conjecture_a_rank4():
         assert report["ok"], report
 
 
+@pytest.mark.parametrize("xi", [Fraction(3, 4), Fraction(7, 4)])
+def test_c09_conjecture_a_rank4_second_chambers(xi):
+    # for_r(r) samples the rank-4 chamber just above r; 3/4 and 7/4 lie in
+    # the chambers (1/2, 1) and (3/2, 2), past the walls at 1/2 and 3/2
+    report = conjecture_a_report(4, XiOrder(xi))
+    assert report["ok"], report
+
+
 def test_c10_cellularity():
     for n in (1, 2, 3):
         for r in (0, 1, max(n - 1, 0)):

@@ -1,11 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from heckeb import canonical
 from heckeb.canonical import (canonical_basis, charge_from,
                               decomposition_matrix, default_r, gamma,
                               peeling_path, principal_monomial)
-from heckeb.combinat import Bipartition, Partition, parse_bipartition
+from heckeb.combinat import (Bipartition, Partition, enumerate_bipartitions,
+                             parse_bipartition)
 from heckeb.crystal import uglov_bipartitions
-from heckeb.errors import IncompatibleCharges, NotUglov
+from heckeb.errors import IncompatibleCharges, NotUglov, OrderCycle
 from heckeb.fock import FockVector
 from heckeb.laurent import VPoly, V_ONE
 from heckeb.orders import dominance_r
@@ -71,6 +77,38 @@ class TestCanonicalBasis:
         basis = canonical_basis(1, (0, 0), 2)
         g = basis[B("(1;∅)")]
         assert g.terms == {B("(1;∅)"): V_ONE, B("(∅;1)"): VPoly.monomial(1)}
+
+
+class TestLinearExtension:
+    def test_ascending_in_dominance(self):
+        for r in (0, 1, 2):
+            out = canonical._linear_extension(list(enumerate_bipartitions(3)),
+                                              r)
+            assert sorted(out) == sorted(enumerate_bipartitions(3))
+            for i, a in enumerate(out):
+                assert not any(dominance_r(b, a, r) for b in out[i + 1:])
+
+    def test_cycle_raises_typed_error(self, monkeypatch):
+        # every bipartition dominated by every other: no minimal element
+        monkeypatch.setattr(canonical, "dominance_r", lambda a, b, r: True)
+        with pytest.raises(OrderCycle):
+            canonical._linear_extension(list(enumerate_bipartitions(2)), 0)
+
+    def test_cycle_raises_typed_error_under_optimize(self):
+        code = ("from heckeb import canonical\n"
+                "from heckeb.combinat import enumerate_bipartitions\n"
+                "from heckeb.errors import OrderCycle\n"
+                "canonical.dominance_r = lambda a, b, r: True\n"
+                "try:\n"
+                "    canonical._linear_extension("
+                "list(enumerate_bipartitions(2)), 0)\n"
+                "except OrderCycle:\n"
+                "    print('raised')\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout == "raised\n", done.stderr
 
 
 class TestDecompositionMatrix:

@@ -227,11 +227,33 @@ class TestMalformedInput:
 
 def test_import_builds_no_tables():
     done = python("-c", "import heckeb.cli\n"
+                        "from heckeb.combinat import q_r\n"
                         "from heckeb.cyclo import _powers\n"
                         "from heckeb.domino import group_elements, kernel\n"
                         "from heckeb.specht import _generic_data\n"
                         "print(kernel.cache_info().currsize,"
                         " group_elements.cache_info().currsize,"
                         " _powers.cache_info().currsize,"
-                        " _generic_data.cache_info().currsize)")
-    assert done.stdout == "0 0 0 0\n", done.stderr
+                        " _generic_data.cache_info().currsize,"
+                        " q_r.cache_info().currsize)")
+    assert done.stdout == "0 0 0 0 0\n", done.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # the rank-4 basis is far larger than a pipe buffer, so writing it
+    # meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heckeb.cli", "klbasis", "--n", "4", "--r", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"C[1 2 3 4] = ")
+    assert err == b""
+    assert code == 141

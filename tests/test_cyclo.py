@@ -10,7 +10,7 @@ from heckeb import cyclo
 from heckeb.cyclo import (CycloNumber, Specialization, _poly_divmod,
                           _poly_mul, cyclotomic_polynomial)
 from heckeb.errors import InvalidArgument
-from heckeb.laurent import ACoeff
+from heckeb.laurent import ACoeff, pack
 
 MODULI = (8, 12, 16, 20)
 
@@ -116,8 +116,8 @@ class TestSpecialization:
 
     def test_theta_ring_map(self):
         sp = Specialization(2, 0)
-        a = ACoeff({(1, 0): 2, (0, -1): 1, (-2, 3): -5})
-        b = ACoeff({(0, 1): 3, (2, 0): -1})
+        a = ACoeff({pack(1, 0): 2, pack(0, -1): 1, pack(-2, 3): -5})
+        b = ACoeff({pack(0, 1): 3, pack(2, 0): -1})
         assert sp.theta(a * b) == sp.theta(a) * sp.theta(b)
         assert sp.theta(a + b) == sp.theta(a) + sp.theta(b)
         assert sp.theta(ACoeff.integer(7)) == CycloNumber.rational(sp.m, 7)
@@ -126,7 +126,7 @@ class TestSpecialization:
         # (x - q0)(x + q0^-1) at x = q0 vanishes by construction; check the
         # specialized quadratic coefficient q - q^-1 maps consistently
         sp = Specialization(2, 0)
-        c = ACoeff({(1, 0): 1, (-1, 0): -1})
+        c = ACoeff({pack(1, 0): 1, pack(-1, 0): -1})
         assert sp.theta(c) == sp.q0 - sp.q0.inverse()
 
 
