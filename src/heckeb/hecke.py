@@ -14,10 +14,16 @@ union; the conjecture checkers compare them with the fibers of domino
 insertion.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
-a generator are table lookups, the sweep keys its terms by position and
-works on plain exponent dicts, and the preorders are closed as bitsets
-over positions.  Signed permutations appear only at the public boundary
-(HeckeElement, kl_basis, cells).
+a generator are table lookups, the sweep keys its terms by position, and
+the preorders are closed as bitsets over positions.  Signed permutations
+appear only at the public boundary (HeckeElement, kl_basis, cells).
+
+The sweep hash-conses its coefficients: each value is one interned tuple
+of (exponent key, coefficient) pairs, shared by every C_w that holds it
+(40,249 terms and 1,281 values at rank 4).  A work entry is copied into a
+dict of its own before anything is added to it, so a shared tuple is never
+changed; kl_basis wraps each value once as an ACoeff that all C_w share,
+and no code changes the terms of an ACoeff it did not build.
 
 An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
 it while |beta| < 2^15.  Every exponent met in H_n stays within
@@ -159,9 +165,9 @@ def _image(h: HeckeElement, table: list[HeckeElement], coeff) \
     index = kernel(h.n).index
     acc: dict[SignedPermutation, dict] = {}
     for w, c in h.terms.items():
-        x = coeff(c).terms
+        x = coeff(c).terms.items()
         for y, d in table[index[w]].terms.items():
-            add_product(acc.setdefault(y, {}), x, d.terms)
+            add_product(acc.setdefault(y, {}), x, d.terms.items())
     return HeckeElement(h.n, {y: ACoeff(t) for y, t in acc.items()})
 
 
@@ -193,24 +199,58 @@ def star(h: HeckeElement) -> HeckeElement:
 
 # --- Kazhdan-Lusztig basis and cells -----------------------------------------
 
-class _SignMemo(dict):
-    """Exponent key -> whether its sign under order is >= 0, computed on
-    first lookup; a tie raises there and is never stored."""
+class _Coefficients:
+    """The coefficients of one sweep, each value held once (hash-consing).
+
+    A coefficient is a tuple of (key, coefficient) pairs sorted by key,
+    with no zero coefficient; intern returns the one tuple of each value.
+    Its shifts by +-gamma_s, whether it has a non-negative exponent and its
+    symmetric completion are memoized by id: every argument must be a tuple
+    that intern returned, and the table keeps each one alive, so no id is
+    reused while the memos live.  The last two go through order, so a tie
+    raises there and is never stored."""
+
+    __slots__ = ("order", "values", "shifted", "_nonneg", "_completion")
 
     def __init__(self, order: XiOrder):
-        super().__init__()
         self.order = order
+        self.values: dict[tuple, tuple] = {}
+        # shift -> id(c) -> c shifted; shifts are +-gamma_t and +-gamma_s
+        self.shifted: dict[int, dict[int, tuple]] = {
+            g: {} for g in (GAMMA_T, -GAMMA_T, GAMMA_S, -GAMMA_S)}
+        self._nonneg: dict[int, bool] = {}
+        self._completion: dict[int, tuple] = {}
 
-    def __missing__(self, key: int) -> bool:
-        nonneg = self[key] = self.order.sign(key) >= 0
-        return nonneg
+    def intern(self, terms: dict[int, int]) -> tuple:
+        """The shared tuple of terms, zeros dropped; () if all cancel."""
+        if 0 in terms.values():
+            terms = {k: x for k, x in terms.items() if x}
+        c = tuple(sorted(terms.items()))
+        return self.values.setdefault(c, c)
 
+    def shift(self, c: tuple, g: int) -> tuple:
+        """c times e^g."""
+        memo = self.shifted[g]
+        out = memo.get(id(c))
+        if out is None:
+            out = memo[id(c)] = self.intern({k + g: x for k, x in c})
+        return out
 
-def _nonzero(terms: dict[int, int]) -> dict[int, int]:
-    """terms without its zero coefficients; terms itself if it has none."""
-    if 0 in terms.values():
-        return {k: x for k, x in terms.items() if x}
-    return terms
+    def has_nonneg(self, c: tuple) -> bool:
+        """Whether some exponent of c is >= 0 under the order."""
+        out = self._nonneg.get(id(c))
+        if out is None:
+            sign = self.order.sign
+            out = self._nonneg[id(c)] = any(sign(k) >= 0 for k, _ in c)
+        return out
+
+    def completion(self, c: tuple) -> tuple:
+        """order.symmetric_completion of c, as (key, coefficient) pairs."""
+        out = self._completion.get(id(c))
+        if out is None:
+            done = self.order.symmetric_completion(ACoeff(dict(c)))
+            out = self._completion[id(c)] = tuple(done.terms.items())
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,21 +273,29 @@ def _kl_sweep(n: int, order: XiOrder):
     non-negative exponent and fail the check on the new C_{ws}, or differ
     from the C_{ws} already built, so skipping it hides no violation.
 
-    Everything is keyed by kernel position, and coefficients are plain
-    exponent dicts; the signs of the exponents met are memoized for the
-    sweep.  Returns (basis, edges): basis[w] maps positions to the
-    exponent dicts of the coefficients of C_w, edges[w] is the bitset of
-    the right edges out of w.
+    Everything is keyed by kernel position, and the positions are the
+    kernel's own int objects.  Each coefficient is one interned tuple of
+    _Coefficients: the 40,249 terms of the rank-4 basis hold 1,281 values.
+    Copy on write: a work entry holds the shared tuple while a single
+    product term lands on its position, becomes a dict of its own when a
+    second term or a mu C_y subtraction arrives, and is interned again
+    when popped; a shared tuple is never changed.  Returns (basis, edges):
+    basis[w] maps positions to the coefficients of C_w, edges[w] is the
+    bitset of the right edges out of w.
     """
     kern = kernel(n)
     size = len(kern.elements)
-    unit = {0: 1}
-    basis: list[dict[int, dict[int, int]] | None] = [None] * size
-    basis[0] = {0: unit}
+    # every position once, as the int object of the kernel's tables
+    position = sorted(kern.inverse)
+    coeffs = _Coefficients(order)
+    intern, shift, shifted = coeffs.intern, coeffs.shift, coeffs.shifted
+    has_nonneg, completion = coeffs.has_nonneg, coeffs.completion
+    unit = intern({0: 1})
+    basis: list[dict[int, tuple] | None] = [None] * size
+    basis[0] = {position[0]: unit}
     edges = [1 << w for w in range(size)]
-    nonneg = _SignMemo(order)
 
-    def times_c_s(cw: dict[int, dict[int, int]], i: int, ws: int):
+    def times_c_s(cw: dict[int, tuple], i: int, ws: int):
         """C_w C_s reduced to C_{ws}, and the bitset of the y with
         mu^s_{y,w} != 0.
 
@@ -256,42 +304,45 @@ def _kl_sweep(n: int, order: XiOrder):
         mu C_y only adds terms below y, each pushed once."""
         g = generator_gamma(i)
         table = kern.right[i]
-        work: dict[int, dict[int, int]] = {}
+        work: dict[int, tuple | dict[int, int]] = {}
         for y, c in cw.items():
             ys = table[y]
             # T_y T_s + v_s^{-1} T_y: T_{ys} + v_s^{-1} T_y on an ascent,
             # T_{ys} + v_s T_y on a descent
-            acc = work.get(ys)
-            if acc is None:
-                work[ys] = dict(c)
-            else:
-                for k, x in c.items():
-                    acc[k] = acc.get(k, 0) + x
-            shift = -g if ys > y else g
-            acc = work.get(y)
-            if acc is None:
-                work[y] = {k + shift: x for k, x in c.items()}
-            else:
-                for k, x in c.items():
-                    k += shift
+            h = -g if ys > y else g
+            # shift's memo lookup, inlined on the hottest loop
+            for z, cz in ((ys, c), (y, shifted[h].get(id(c)) or shift(c, h))):
+                acc = work.get(z)
+                if acc is None:
+                    work[z] = cz
+                    continue
+                if type(acc) is tuple:
+                    acc = work[z] = dict(acc)
+                for k, x in cz:
                     acc[k] = acc.get(k, 0) + x
         heap = [-y for y in work if y != ws]
         heapq.heapify(heap)
-        out = {ws: work[ws]}
+        c = work[ws]
+        out = {ws: c if type(c) is tuple else intern(c)}
         mu_support = 0
         while heap:
-            y = -heapq.heappop(heap)
-            c = _nonzero(work[y])
-            if table[y] < y and any(map(nonneg.__getitem__, c)):
-                mu = order.symmetric_completion(ACoeff(c)).terms
+            y = position[-heapq.heappop(heap)]
+            c = work[y]
+            if type(c) is not tuple:
+                c = intern(c)
+            if table[y] < y and has_nonneg(c):
+                mu = completion(c)
                 if mu:
                     mu_support |= 1 << y
                     for z, cz in basis[y].items():
-                        if z not in work:
-                            work[z] = {}
+                        acc = work.get(z)
+                        if acc is None:
+                            acc = work[z] = {}
                             heapq.heappush(heap, -z)
-                        add_product(work[z], mu, cz, -1)
-                    c = _nonzero(work[y])
+                        elif type(acc) is tuple:
+                            acc = work[z] = dict(acc)
+                        add_product(acc, mu, cz, -1)
+                    c = intern(work[y])
             if c:
                 out[y] = c
         return out, mu_support
@@ -305,10 +356,10 @@ def _kl_sweep(n: int, order: XiOrder):
             c_ws, mu_support = times_c_s(cw, i, ws)
             if basis[ws] is None:
                 if c_ws[ws] != unit or any(
-                        any(map(nonneg.__getitem__, c))
-                        for y, c in c_ws.items() if y != ws):
-                    element = HeckeElement(n, {kern.elements[y]: ACoeff(c)
-                                               for y, c in c_ws.items()})
+                        has_nonneg(c) for y, c in c_ws.items() if y != ws):
+                    element = HeckeElement(
+                        n, {kern.elements[y]: ACoeff(dict(c))
+                            for y, c in c_ws.items()})
                     raise KLRecursionViolation(
                         f"C[{kern.elements[ws]}] = {element} is not "
                         f"T[{kern.elements[ws]}] plus strictly negative "
@@ -331,12 +382,22 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     Each C_w is bar-fixed and congruent to T_w modulo strictly negative
     coefficients.  It is built by Lusztig's recursion C_w C_s = C_{ws} +
     sum mu C_y (Hecke algebras with unequal parameters, Thm 6.6), in one
-    sweep per (n, xi) that every bound and the cells share.
+    sweep per (n, xi) that every bound and the cells share.  Each distinct
+    coefficient is one ACoeff that every C_w holding it shares, so it must
+    never be changed in place.
     """
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     elements = kernel(n).elements
-    return {elements[w]: HeckeElement(n, {elements[y]: ACoeff._of(c)
+    wrapped: dict[int, ACoeff] = {}
+
+    def wrap(c: tuple) -> ACoeff:
+        out = wrapped.get(id(c))
+        if out is None:
+            out = wrapped[id(c)] = ACoeff._of(dict(c))
+        return out
+
+    return {elements[w]: HeckeElement(n, {elements[y]: wrap(c)
                                           for y, c in cw.items()})
             for w, cw in enumerate(_kl_sweep(n, order)[0])}
 

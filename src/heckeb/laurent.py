@@ -22,6 +22,7 @@ Two rings live here, sharing the ring code of the base class Laurent:
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,7 +82,7 @@ class Laurent:
 
     def __mul__(self, other):
         out: dict[int, int] = {}
-        add_product(out, self.terms, other.terms)
+        add_product(out, self.terms.items(), other.terms.items())
         return type(self)(out)
 
     def bar(self):
@@ -113,7 +114,11 @@ class Laurent:
 
 
 class ACoeff(Laurent):
-    """Integer Laurent polynomial in q and Q (sparse), keyed by pack."""
+    """Integer Laurent polynomial in q and Q (sparse), keyed by pack.
+
+    An ACoeff may be shared: hecke.kl_basis gives one object per distinct
+    coefficient to every C_w that holds it.  Its terms are therefore never
+    changed in place; arithmetic returns a new ACoeff."""
 
     __slots__ = ()
 
@@ -139,15 +144,16 @@ A_ZERO = ACoeff()
 A_ONE = ACoeff.integer(1)
 
 
-def add_product(acc: dict[int, int], x: dict[int, int],
-                y: dict[int, int], sign: int = 1) -> None:
-    """acc += sign * x * y on exponent dicts, in place.
+def add_product(acc: dict[int, int], x: Iterable[tuple[int, int]],
+                y: Collection[tuple[int, int]], sign: int = 1) -> None:
+    """acc += sign * x * y, in place; x and y are (exponent, coefficient)
+    pairs, such as dict.items() or an interned tuple of hecke's sweep.
 
     The working form of a Laurent polynomial for a loop that owns acc;
     entries that cancel stay as zeros, which the constructor drops."""
-    for k1, c1 in x.items():
+    for k1, c1 in x:
         c1 *= sign
-        for k2, c2 in y.items():
+        for k2, c2 in y:
             k = k1 + k2
             acc[k] = acc.get(k, 0) + c1 * c2
 

@@ -164,7 +164,7 @@ def _generic_data(n: int, r: int):
                 mat[idx[u]][idx[s]] = c
             gens.append(mat)
         # the nonzero entries of each generator matrix, row by row
-        sparse = [[[(b, c.terms) for b, c in enumerate(row) if c.terms]
+        sparse = [[[(b, c.terms.items()) for b, c in enumerate(row) if c.terms]
                    for row in mat] for mat in gens]
 
         def times_gen(row: list[dict], i: int) -> list[dict]:
@@ -172,7 +172,7 @@ def _generic_data(n: int, r: int):
             for a, x in enumerate(row):
                 if x:
                     for b, y in sparse[i][a]:
-                        add_product(out[b], x, y)
+                        add_product(out[b], x.items(), y)
             return [{g: c for g, c in acc.items() if c} for acc in out]
 
         unit = [{0: 1}] + [{} for _ in sbt[1:]]
@@ -184,7 +184,7 @@ def _generic_data(n: int, r: int):
             for w, c in datum.basis[(t0, s)].terms.items():
                 for t, x in enumerate(rows[kern.index[w]]):
                     if x:
-                        add_product(acc[t], c.terms, x)
+                        add_product(acc[t], c.terms.items(), x.items())
             gram.append([ACoeff(a) for a in acc])
         modules[lam] = (sbt, gens, gram)
     return datum, modules

@@ -239,6 +239,12 @@ def test_import_builds_no_tables():
     assert done.stdout == "0 0 0 0 0\n", done.stderr
 
 
+def test_import_writes_nothing():
+    # perfbench's set-up probe reads this child's stdout as one float
+    done = python("-c", "import heckeb.cli")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
 def test_closed_stdout_exits_quietly():
     # the rank-4 basis is far larger than a pipe buffer, so writing it
     # meets the closed pipe

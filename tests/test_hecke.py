@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -243,6 +244,41 @@ def test_sweep_raises_on_a_tie():
     with pytest.raises(IrrationalityViolation) as info:
         kl_basis(4, XiOrder(Fraction(1, 2)))
     assert "_kl_sweep" in [entry.name for entry in info.traceback]
+
+
+# SHA-256 of the rank-4 basis as perfbench prints it (C[w] = ... lines in
+# _len_key order), captured before the sweep shared its coefficients; the
+# bar-solve oracle above reaches only n <= 3.
+RANK4_BASIS_SHA256 = {
+    0: "896a920c4e6bcdcd5f860053346632e80eab35f072ae109b7c570e075d356432",
+    1: "9f7c10dbcb7d98b479f2ddd12d60b253bb4edb57be6701fb1bef4b9a512c3a98",
+    2: "10547564c61051a7481608802cc5eea2d76281d6c568f14b13c102b3bf4d7ff1",
+    3: "794ef51cb068e8cfe90c22cbb8ee57d887980cadb2a7760e50082db515fe5d95",
+}
+
+
+@pytest.mark.parametrize("r", sorted(RANK4_BASIS_SHA256))
+def test_rank4_basis_digest(r):
+    basis = kl_basis(4, XiOrder.for_r(r))
+    h = hashlib.sha256()
+    for w in sorted(basis, key=_len_key):
+        h.update(f"C[{w}] = {basis[w]}\n".encode())
+    assert h.hexdigest() == RANK4_BASIS_SHA256[r]
+
+
+def test_sweep_shares_each_coefficient():
+    # one object per distinct coefficient value, in the sweep and in
+    # kl_basis, and one int object per position
+    order = XiOrder.for_r(1)
+    basis = hecke._kl_sweep(4, order)[0]
+    held = [c for cw in basis for c in cw.values()]
+    assert len(held) == 40249
+    assert len({id(c) for c in held}) == len(set(held)) < 2000
+    assert len({id(y) for cw in basis for y in cw}) == len(basis)
+    wrapped = [c for cw in kl_basis(4, order).values()
+               for c in cw.terms.values()]
+    assert len(wrapped) == 40249
+    assert len({id(c) for c in wrapped}) == len(set(wrapped)) < 2000
 
 
 class TestCells:
