@@ -181,13 +181,11 @@ def staircase_index(core: Partition) -> int:
     return r
 
 
-@functools.lru_cache(maxsize=4096)
 def q_r(p: Partition, r: int) -> Bipartition:
     """2-quotient of p as a bipartition, components swapped for odd r.
 
     Restricted to partitions with 2-core delta_r this is a bijection onto
-    bipartitions.  Cached: domino.qtilde_r asks for the quotient of every
-    sub-shape of every tableau, a few dozen distinct partitions per rank.
+    bipartitions.
     """
     core, (q0, q1) = core_and_quotient(p)
     if core != delta_core(r):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import check_n, resolve_r
 from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
-                       q_r)
+                       staircase_index)
 from .errors import BoundExceeded, InvalidArgument, MalformedTableau
 
 Cell = tuple[int, int]  # (row, column), 1-based
@@ -405,34 +405,36 @@ class StandardBitableau:
 
 
 def qtilde_r(d: DominoTableau) -> StandardBitableau:
-    """Bitableau image of a standard domino tableau, via 2-quotients of the
-    chain of sub-shapes."""
-    from .combinat import staircase_index
+    """Bitableau image of a standard domino tableau: the box that each
+    domino adds to the 2-quotient, read on the abacus.
+
+    Row i of a shape is the bead at lambda_i - i, the content of the row's
+    last cell.  Adding domino k moves one bead two places along its
+    runner: a horizontal domino the bead of its row, a vertical one the
+    bead of its lower row, up to the upper row's new position.  Either way
+    the bead lands on p, the largest content of the domino's cells.  Box k
+    goes to component 0 for odd p and 1 for even p, swapped for odd r as in
+    combinat.q_r, in the row given by the bead's rank on its runner: one
+    plus the number of beads above p on the same runner."""
     r = staircase_index(d.core)
-    comps: list[list[list[int]]] = [[], []]
-    prev = q_r(d.core, r)
-    for k in d.entries:
-        cur = q_r(d.shape_at(k), r)
-        placed = False
-        for c in (0, 1):
-            old, new = prev.component(c), cur.component(c)
-            if old == new:
-                continue
-            diff = [i for i in range(1, len(new.parts) + 1)
-                    if new.part(i) != old.part(i)]
-            if placed or len(diff) != 1 or new.part(diff[0]) != old.part(diff[0]) + 1:
-                raise MalformedTableau(
-                    f"quotient chain does not grow by one box at entry {k}")
-            row = diff[0]
-            if row == len(comps[c]) + 1:
-                comps[c].append([])
-            comps[c][row - 1].append(k)
-            placed = True
-        if not placed:
-            raise MalformedTableau(f"no growth at entry {k}")
-        prev = cur
-    out = StandardBitableau(tuple(tuple(r_) for r_ in comps[0]),
-                            tuple(tuple(r_) for r_ in comps[1]))
+    # no shape of d has more rows than this; the beads of the rows below
+    # never move and lie below every p
+    rows = r + 2 * len(d.dominoes)
+    beads = {d.core.part(i) - i for i in range(1, rows + 1)}
+    comps: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for k, dom in sorted(d.dominoes):
+        p = max(j - i for i, j in dom)
+        if p - 2 not in beads or p in beads:
+            raise MalformedTableau(f"entry {k} moves no bead two places")
+        beads.remove(p - 2)
+        beads.add(p)
+        comp = comps[(p + r + 1) % 2]
+        row = sum(1 for b in beads if b > p and (b - p) % 2 == 0)
+        if row == len(comp):
+            comp.append([])
+        comp[row].append(k)
+    out = StandardBitableau(tuple(map(tuple, comps[0])),
+                            tuple(map(tuple, comps[1])))
     out.validate()
     return out
 

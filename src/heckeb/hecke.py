@@ -8,7 +8,10 @@ congruent to T_w modulo strictly negative coefficients.
 
 One sweep over the ascents ws > w builds every C_{ws} from C_w C_s by
 Lusztig's recursion (Hecke algebras with unequal parameters, Thm 6.6) and
-reads the right-cell edges off the same products.  Cells are the strongly
+reads the right-cell edges off the same products.  It reduces only the
+descent positions z, zs < z, of each product: C_w C_s and every mu C_y it
+subtracts (ys < y) are multiplied by v_s under T_s (Thm 6.6(b)), so their
+coefficient at zs is v_s^{-1} times the one at z.  Cells are the strongly
 connected components of that multiplication graph, its star image and their
 union; the conjecture checkers compare them with the fibers of domino
 insertion.
@@ -268,10 +271,19 @@ def _kl_sweep(n: int, order: XiOrder):
     w -> {w, ws} and w -> y; a descent ws < w has C_w T_s = v_s C_w, a
     self-edge only.
 
-    A term at y with ys > y is left as it is: mu^s_{y,w} vanishes there.
-    Were its completion nonzero all the same, the term would keep a
-    non-negative exponent and fail the check on the new C_{ws}, or differ
-    from the C_{ws} already built, so skipping it hides no violation.
+    Half of every product is known in advance.  X = C_w C_s has
+    X T_s = v_s X, as C_s T_s = v_s C_s, and C_y T_s = v_s C_y when ys < y
+    (Thm 6.6(b)).  For such an X, comparing the coefficients of X T_s and
+    v_s X at a descent position z (zs < z) gives x_{zs} = v_s^{-1} x_z.  So
+    each term c_y T_y of C_w lands once, on a descent position: at ys with
+    c_y on an ascent ys > y, at y with v_s c_y on a descent.  The heap holds
+    descent positions only, mu C_y is subtracted only at the descent
+    positions of C_y, and at the end each ascent position zs is filled with
+    the coefficient at z shifted by -gamma_s.  mu^s_{y,w} vanishes at an
+    ascent y, so nothing is lost there; the checks below run on the full
+    C_{ws}, and every C_{ws} is built again along each of its right
+    descents and compared with the first build, so the half for one
+    generator is checked against the half for every other.
 
     Everything is keyed by kernel position, and the positions are the
     kernel's own int objects.  Each coefficient is one interned tuple of
@@ -299,27 +311,28 @@ def _kl_sweep(n: int, order: XiOrder):
         """C_w C_s reduced to C_{ws}, and the bitset of the y with
         mu^s_{y,w} != 0.
 
-        The terms below ws are visited longest first through a heap of
-        positions, and a term is final when it is popped: subtracting
-        mu C_y only adds terms below y, each pushed once."""
+        The descent positions below ws are visited longest first through a
+        heap, and a term is final when it is popped: subtracting mu C_y only
+        adds terms below y, each pushed once.  Ascent positions come last."""
         g = generator_gamma(i)
         table = kern.right[i]
         work: dict[int, tuple | dict[int, int]] = {}
         for y, c in cw.items():
-            ys = table[y]
-            # T_y T_s + v_s^{-1} T_y: T_{ys} + v_s^{-1} T_y on an ascent,
-            # T_{ys} + v_s T_y on a descent
-            h = -g if ys > y else g
-            # shift's memo lookup, inlined on the hottest loop
-            for z, cz in ((ys, c), (y, shifted[h].get(id(c)) or shift(c, h))):
-                acc = work.get(z)
-                if acc is None:
-                    work[z] = cz
-                    continue
-                if type(acc) is tuple:
-                    acc = work[z] = dict(acc)
-                for k, x in cz:
-                    acc[k] = acc.get(k, 0) + x
+            # T_y T_s + v_s^{-1} T_y is T_{ys} + v_s^{-1} T_y on an ascent
+            # and T_{ys} + v_s T_y on a descent; keep the descent term
+            if table[y] > y:
+                z, cz = table[y], c
+            else:
+                # shift's memo lookup, inlined on the hottest loop
+                z, cz = y, shifted[g].get(id(c)) or shift(c, g)
+            acc = work.get(z)
+            if acc is None:
+                work[z] = cz
+                continue
+            if type(acc) is tuple:
+                acc = work[z] = dict(acc)
+            for k, x in cz:
+                acc[k] = acc.get(k, 0) + x
         heap = [-y for y in work if y != ws]
         heapq.heapify(heap)
         c = work[ws]
@@ -330,11 +343,13 @@ def _kl_sweep(n: int, order: XiOrder):
             c = work[y]
             if type(c) is not tuple:
                 c = intern(c)
-            if table[y] < y and has_nonneg(c):
+            if has_nonneg(c):
                 mu = completion(c)
                 if mu:
                     mu_support |= 1 << y
                     for z, cz in basis[y].items():
+                        if table[z] > z:
+                            continue
                         acc = work.get(z)
                         if acc is None:
                             acc = work[z] = {}
@@ -345,6 +360,9 @@ def _kl_sweep(n: int, order: XiOrder):
                     c = intern(work[y])
             if c:
                 out[y] = c
+        down = shifted[-g]
+        for z, c in list(out.items()):
+            out[table[z]] = down.get(id(c)) or shift(c, -g)
         return out, mu_support
 
     for w in range(size):

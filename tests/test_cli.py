@@ -227,16 +227,14 @@ class TestMalformedInput:
 
 def test_import_builds_no_tables():
     done = python("-c", "import heckeb.cli\n"
-                        "from heckeb.combinat import q_r\n"
                         "from heckeb.cyclo import _powers\n"
                         "from heckeb.domino import group_elements, kernel\n"
                         "from heckeb.specht import _generic_data\n"
                         "print(kernel.cache_info().currsize,"
                         " group_elements.cache_info().currsize,"
                         " _powers.cache_info().currsize,"
-                        " _generic_data.cache_info().currsize,"
-                        " q_r.cache_info().currsize)")
-    assert done.stdout == "0 0 0 0 0\n", done.stderr
+                        " _generic_data.cache_info().currsize)")
+    assert done.stdout == "0 0 0 0\n", done.stderr
 
 
 def test_import_writes_nothing():

@@ -1,12 +1,36 @@
 import pytest
 
 from heckeb import INFINITY
-from heckeb.combinat import bipartitions_of_shape_count
-from heckeb.domino import (SignedPermutation, group_elements, insert, kernel,
+from heckeb.combinat import (Partition, bipartitions_of_shape_count, q_r,
+                             staircase_index)
+from heckeb.domino import (DominoTableau, SignedPermutation,
+                           StandardBitableau, group_elements, insert, kernel,
                            length, qtilde_r, reduced_word, resolve_r,
                            s_t_lambda, verify_insertion_bijection)
-from heckeb.errors import InvalidArgument
+from heckeb.errors import InvalidArgument, MalformedTableau
 from heckeb.hecke import _len_key
+
+
+def quotient_chain_qtilde_r(d):
+    """Reference q~_r: the 2-quotients of the chain of sub-shapes of d,
+    entry k placed in the one box by which they grow at step k."""
+    r = staircase_index(d.core)
+    comps = [[], []]
+    prev = q_r(d.core, r)
+    for k in d.entries:
+        cur = q_r(d.shape_at(k), r)
+        grown = [(c, i) for c in (0, 1)
+                 for i in range(1, len(cur.component(c).parts) + 1)
+                 if cur.component(c).part(i) != prev.component(c).part(i)]
+        assert len(grown) == 1
+        c, row = grown[0]
+        assert cur.component(c).part(row) == prev.component(c).part(row) + 1
+        if row == len(comps[c]) + 1:
+            comps[c].append([])
+        comps[c][row - 1].append(k)
+        prev = cur
+    return StandardBitableau(tuple(map(tuple, comps[0])),
+                             tuple(map(tuple, comps[1])))
 
 
 class TestSignedPermutation:
@@ -128,6 +152,19 @@ class TestInsertion:
                 s = qtilde_r(p)
                 s.validate()
                 assert s == s_t_lambda(w, r)[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_qtilde_r_matches_quotient_chain(self, n):
+        for r in range(n + 1) if n < 5 else (0, 1):
+            for w in group_elements(n):
+                for d in insert(w, r):
+                    assert qtilde_r(d) == quotient_chain_qtilde_r(d)
+
+    def test_qtilde_r_rejects_a_detached_domino(self):
+        # a vertical domino in rows 2 and 3 of the empty shape
+        d = DominoTableau(Partition(), ((1, frozenset({(2, 1), (3, 1)})),))
+        with pytest.raises(MalformedTableau):
+            qtilde_r(d)
 
     def test_stability_for_large_r(self):
         # S_r, T_r, and the shape stabilize once r >= n-1

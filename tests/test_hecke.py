@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,14 +8,15 @@ from pathlib import Path
 import pytest
 
 from heckeb import hecke
-from heckeb.domino import SignedPermutation, group_elements, length, s_t_lambda
+from heckeb.domino import (SignedPermutation, group_elements, kernel, length,
+                           s_t_lambda)
 from heckeb.errors import (InvalidArgument, IrrationalityViolation,
                            KLRecursionViolation)
 from heckeb.hecke import (HeckeElement, _len_key, _same_partition,
                           bar, cell_datum, cells, cellularity_check,
                           conjecture_a_report, dagger, expand_in_kl, kl_basis,
                           star)
-from heckeb.laurent import ACoeff, XiOrder, pack
+from heckeb.laurent import ACoeff, XiOrder, add_product, pack
 from heckeb.orders import dominance_r
 
 ORDER0 = XiOrder.for_r(0)
@@ -41,6 +43,60 @@ def bar_solve_kl_basis(n, order):
                     x = x - basis[y].scale(beta)
         basis[w] = x
     return basis
+
+
+def full_sweep(n, order):
+    """Reference sweep: Lusztig's recursion reducing every term of C_w C_s,
+    at ascent and descent positions alike.  Returns (basis, edges) in the
+    layout of hecke._kl_sweep."""
+    kern = kernel(n)
+    size = len(kern.elements)
+    coeffs = hecke._Coefficients(order)
+    intern, shift = coeffs.intern, coeffs.shift
+    unit_c = intern({0: 1})
+    basis = [None] * size
+    basis[0] = {0: unit_c}
+    edges = [1 << w for w in range(size)]
+
+    def times_c_s(cw, i, ws):
+        g = hecke.generator_gamma(i)
+        table = kern.right[i]
+        work = {}
+        for y, c in cw.items():
+            h = -g if table[y] > y else g
+            for z, cz in ((table[y], c), (y, shift(c, h))):
+                add_product(work.setdefault(z, {}), cz, ((0, 1),))
+        heap = [-y for y in work if y != ws]
+        heapq.heapify(heap)
+        out = {ws: intern(work[ws])}
+        mu_support = 0
+        while heap:
+            y = -heapq.heappop(heap)
+            c = intern(work[y])
+            if table[y] < y and coeffs.has_nonneg(c):
+                mu = coeffs.completion(c)
+                if mu:
+                    mu_support |= 1 << y
+                    for z, cz in basis[y].items():
+                        if z not in work:
+                            work[z] = {}
+                            heapq.heappush(heap, -z)
+                        add_product(work[z], mu, cz, -1)
+                    c = intern(work[y])
+            if c:
+                out[y] = c
+        return out, mu_support
+
+    for w in range(size):
+        for i in range(n):
+            ws = kern.right[i][w]
+            if ws < w:
+                continue
+            c_ws, mu_support = times_c_s(basis[w], i, ws)
+            assert basis[ws] in (None, c_ws)
+            basis[ws] = c_ws
+            edges[w] |= 1 << ws | mu_support
+    return basis, edges
 
 
 def dfs_closure(adjacency):
@@ -220,6 +276,10 @@ class TestAgainstOracles:
         for side in ("L", "R", "LR"):
             assert cells(n, order, side)[1] == product_reach(n, order, side)
 
+    def test_sweep_matches_full_sweep(self, n, r, offset):
+        order = XiOrder(Fraction(r) + offset)
+        assert hecke._kl_sweep(n, order) == full_sweep(n, order)
+
     def test_star_symmetry(self, n, r, offset):
         basis = kl_basis(n, XiOrder(Fraction(r) + offset))
         for w, cw in basis.items():
@@ -246,6 +306,12 @@ def test_sweep_raises_on_a_tie():
     assert "_kl_sweep" in [entry.name for entry in info.traceback]
 
 
+@pytest.mark.parametrize("xi", [Fraction(3, 4), XiOrder.for_r(1).xi])
+def test_rank4_sweep_matches_full_sweep(xi):
+    order = XiOrder(xi)
+    assert hecke._kl_sweep(4, order) == full_sweep(4, order)
+
+
 # SHA-256 of the rank-4 basis as perfbench prints it (C[w] = ... lines in
 # _len_key order), captured before the sweep shared its coefficients; the
 # bar-solve oracle above reaches only n <= 3.
@@ -255,15 +321,33 @@ RANK4_BASIS_SHA256 = {
     2: "10547564c61051a7481608802cc5eea2d76281d6c568f14b13c102b3bf4d7ff1",
     3: "794ef51cb068e8cfe90c22cbb8ee57d887980cadb2a7760e50082db515fe5d95",
 }
+# The same digest at xi = 3/4 and 7/4, across the walls at 1/2 and 3/2 from
+# the slopes above, where the rank-4 basis differs from theirs; captured
+# before the sweep reduced only the descent half of each product.
+RANK4_CHAMBER_SHA256 = {
+    Fraction(3, 4):
+        "d78eb787c825e8175fcf1df95d77f162197a6e203256235b00cc08c510231a03",
+    Fraction(7, 4):
+        "2510f0f30cd1ae03864618a3027880f08791b0d8bf448bf4e7df545fb28f6b70",
+}
+
+
+def basis_digest(order):
+    basis = kl_basis(4, order)
+    h = hashlib.sha256()
+    for w in sorted(basis, key=_len_key):
+        h.update(f"C[{w}] = {basis[w]}\n".encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("r", sorted(RANK4_BASIS_SHA256))
 def test_rank4_basis_digest(r):
-    basis = kl_basis(4, XiOrder.for_r(r))
-    h = hashlib.sha256()
-    for w in sorted(basis, key=_len_key):
-        h.update(f"C[{w}] = {basis[w]}\n".encode())
-    assert h.hexdigest() == RANK4_BASIS_SHA256[r]
+    assert basis_digest(XiOrder.for_r(r)) == RANK4_BASIS_SHA256[r]
+
+
+@pytest.mark.parametrize("xi", sorted(RANK4_CHAMBER_SHA256))
+def test_rank4_chamber_digest(xi):
+    assert basis_digest(XiOrder(xi)) == RANK4_CHAMBER_SHA256[xi]
 
 
 def test_sweep_shares_each_coefficient():
