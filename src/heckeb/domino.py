@@ -198,33 +198,17 @@ class DominoTableau:
     def entries(self) -> tuple[int, ...]:
         return tuple(sorted(k for k, _ in self.dominoes))
 
-    def domino(self, k: int) -> frozenset[Cell]:
-        return dict(self.dominoes)[k]
-
     def shape_at(self, k: int) -> Partition:
-        """Shape of core plus dominoes with entries at most k."""
-        cells = set(self.core.cells())
-        for label, dom in self.dominoes:
+        """Shape of core plus dominoes with entries at most k; raises
+        MalformedTableau unless each in turn extends a Young diagram."""
+        rows = list(self.core.parts)
+        for label, cells in sorted(self.dominoes):
             if label <= k:
-                cells |= dom
-        return _cells_to_partition(cells)
-
-    @property
-    def shape(self) -> Partition:
-        return self.shape_at(len(self.dominoes))
+                _place(rows, _domino(cells))
+        return Partition(tuple(rows))
 
     def validate(self) -> None:
-        seen = set(self.core.cells())
-        for label in self.entries:
-            dom = self.domino(label)
-            if len(dom) != 2 or not _adjacent(*sorted(dom)):
-                raise MalformedTableau(f"entry {label} is not a domino: {dom}")
-            if dom & seen:
-                raise MalformedTableau(f"entry {label} overlaps earlier cells")
-            seen |= dom
-            if _cells_to_partition(seen) is None:
-                raise MalformedTableau(
-                    f"shape after entry {label} is not a partition")
+        self.shape_at(max(self.entries, default=0))
 
     def to_text(self) -> str:
         grid = {}
@@ -246,117 +230,101 @@ class DominoTableau:
         return "\n".join(lines)
 
 
-def _adjacent(c1: Cell, c2: Cell) -> bool:
-    (a, b), (c, d) = c1, c2
-    return abs(a - c) + abs(b - d) == 1
+# The integer core of insertion: a domino is (row, column, horizontal), its
+# top-left cell and orientation, and a shape is the list of its row lengths.
+Domino = tuple[int, int, bool]
 
 
-def _cells_to_partition(cells: set[Cell]) -> Partition | None:
-    if not cells:
-        return Partition()
-    rows: dict[int, int] = {}
-    for (i, j) in cells:
-        rows[i] = max(rows.get(i, 0), j)
-    nrows = max(rows)
-    parts = [rows.get(i, 0) for i in range(1, nrows + 1)]
-    if sorted(parts, reverse=True) != parts or 0 in parts:
-        return None
-    if sum(parts) != len(cells):
-        return None
-    return Partition(tuple(parts))
+def _cells(dom: Domino) -> frozenset[Cell]:
+    i, j, horizontal = dom
+    return frozenset({(i, j), (i, j + 1) if horizontal else (i + 1, j)})
 
 
-class _Shape:
-    """Row/column lengths of a growing Young diagram, as cell sets."""
-
-    def __init__(self, cells):
-        self.cells = set(cells)
-        self.rows: dict[int, int] = {}
-        self.cols: dict[int, int] = {}
-        for (i, j) in self.cells:
-            self.rows[i] = max(self.rows.get(i, 0), j)
-            self.cols[j] = max(self.cols.get(j, 0), i)
-
-    def row(self, i: int) -> int:
-        return self.rows.get(i, 0)
-
-    def col(self, j: int) -> int:
-        return self.cols.get(j, 0)
-
-    def add(self, dom):
-        for (i, j) in dom:
-            assert (i, j) not in self.cells
-            self.cells.add((i, j))
-            self.rows[i] = max(self.rows.get(i, 0), j)
-            self.cols[j] = max(self.cols.get(j, 0), i)
+def _domino(cells: frozenset[Cell]) -> Domino:
+    """The integer form of a domino given by its two cells."""
+    if len(cells) == 2:
+        (i, j), (k, l) = sorted(cells)
+        if (k - i, l - j) in ((0, 1), (1, 0)):
+            return i, j, k == i
+    raise MalformedTableau(f"{set(cells)} is not a domino")
 
 
-def _is_horizontal(dom: frozenset[Cell]) -> bool:
-    (a, _), (c, _) = sorted(dom)
-    return a == c
+def _place(rows: list[int], dom: Domino) -> None:
+    """Add dom to the shape with row lengths rows, in place.  Its cells must
+    be free and the shape must stay a Young diagram: dom starts right after
+    the end of each row it lies in, below a row that reaches its end."""
+    i, j, horizontal = dom
+    last = i if horizontal else i + 1
+    rows.extend([0] * (last - len(rows)))
+    end = j + horizontal
+    if rows[i - 1] != j - 1 or rows[last - 1] != j - 1 \
+            or (i > 1 and rows[i - 2] < end):
+        raise MalformedTableau(f"domino at ({i}, {j}) does not extend the "
+                               f"shape {rows} to a Young diagram")
+    rows[i - 1] = rows[last - 1] = end
 
 
-def _insert_letter(dominoes: dict[int, frozenset[Cell]], core: Partition,
-                   m: int, horizontal: bool) -> dict[int, frozenset[Cell]]:
-    """Insert letter m into the tableau, bumping larger letters."""
-    smaller = {l: d for l, d in dominoes.items() if l < m}
-    shape = _Shape(set(core.cells()).union(*smaller.values())
-                   if smaller else set(core.cells()))
+def _bump(rows: list[int], dom: Domino) -> Domino:
+    """Where dom lands on the shape with row lengths rows (Garfinkle
+    bumping): in place if both cells are free; at the end of the next row
+    (horizontal) or column (vertical) if both are covered; flipped around
+    its free cell (the "twist") if only its top-left cell is covered."""
+    i, j, horizontal = dom
+    top = i <= len(rows) and rows[i - 1] >= j
+    k = i if horizontal else i + 1
+    if not (k <= len(rows) and rows[k - 1] >= j + horizontal):
+        if not top:
+            return dom
+        return (i, j + 1, False) if horizontal else (i + 1, j, True)
+    if not top:
+        raise MalformedTableau(f"domino at ({i}, {j}) collides with the "
+                               f"shape {rows} away from its top-left cell")
     if horizontal:
-        c = shape.row(1)
-        new = frozenset({(1, c + 1), (1, c + 2)})
-    else:
-        rr = shape.col(1)
-        new = frozenset({(rr + 1, 1), (rr + 2, 1)})
-    current = dict(smaller)
-    current[m] = new
-    shape.add(new)
-    for label in sorted(l for l in dominoes if l > m):
-        dom = dominoes[label]
-        inter = dom & shape.cells
-        if not inter:
-            placed = dom
-        elif len(inter) == 2:
-            if _is_horizontal(dom):
-                i = next(iter(dom))[0] + 1
-                c = shape.row(i)
-                placed = frozenset({(i, c + 1), (i, c + 2)})
-            else:
-                j = next(iter(dom))[1] + 1
-                rr = shape.col(j)
-                placed = frozenset({(rr + 1, j), (rr + 2, j)})
-        else:
-            # One-cell collision ("twist"): the covered cell is necessarily
-            # the top-left one; the domino flips around the free cell.
-            (i, j) = min(dom)
-            assert inter == {(i, j)}, (dom, inter)
-            if _is_horizontal(dom):
-                placed = frozenset({(i, j + 1), (i + 1, j + 1)})
-            else:
-                placed = frozenset({(i + 1, j), (i + 1, j + 1)})
-        current[label] = placed
-        shape.add(placed)
-    return current
+        return i + 1, (rows[i] if i < len(rows) else 0) + 1, True
+    return sum(1 for x in rows if x > j) + 1, j + 1, False
+
+
+def _grown(before: list[int], after: list[int]) -> Domino:
+    """The one domino by which the shape grew from before to after."""
+    before = before + [0] * (len(after) - len(before))
+    return _domino(frozenset((i, j) for i, (a, b) in enumerate(
+        zip(before, after), 1) for j in range(a + 1, b + 1)))
+
+
+def _insert(window: tuple[int, ...], r: int) \
+        -> tuple[list[Domino], list[Domino]]:
+    """Domino insertion of a window around delta_r: (P, Q), entry k at
+    index k - 1.  Letter m goes to the end of row 1 (horizontal) or column 1
+    (vertical) of the entries below it; the larger entries bump in order."""
+    core = list(range(r, 0, -1))
+    p: list = [None] * len(window)
+    q: list[Domino] = []
+    shape = core
+    for v in window:
+        m = abs(v)
+        rows = list(core)
+        for dom in p[:m - 1]:
+            if dom is not None:
+                _place(rows, dom)
+        # rows has no zero entry
+        p[m - 1] = (1, (rows[0] if rows else 0) + 1, True) if v > 0 \
+            else (len(rows) + 1, 1, False)
+        _place(rows, p[m - 1])
+        for k in range(m, len(p)):
+            if p[k] is not None:
+                p[k] = _bump(rows, p[k])
+                _place(rows, p[k])
+        q.append(_grown(shape, rows))
+        shape = rows
+    return p, q
 
 
 def insert(w: SignedPermutation, r) -> tuple[DominoTableau, DominoTableau]:
     """Domino insertion: returns (P, Q) with equal shape and core delta_r."""
     rr = resolve_r(r, w.n)
     core = delta_core(rr)
-    dominoes: dict[int, frozenset[Cell]] = {}
-    recording: dict[int, frozenset[Cell]] = {}
-    for step in range(1, w.n + 1):
-        v = w(step)
-        before = set(core.cells()).union(*dominoes.values()) \
-            if dominoes else set(core.cells())
-        dominoes = _insert_letter(dominoes, core, abs(v), v > 0)
-        after = set(core.cells()).union(*dominoes.values())
-        grown = after - before
-        assert len(grown) == 2
-        recording[step] = frozenset(grown)
-    p = DominoTableau(core, tuple(sorted(dominoes.items())))
-    q = DominoTableau(core, tuple(sorted(recording.items())))
-    return p, q
+    return tuple(DominoTableau(core, tuple(enumerate(map(_cells, t), 1)))
+                 for t in _insert(w.window, rr))
 
 
 # --- standard bitableaux ------------------------------------------------
@@ -372,9 +340,6 @@ class StandardBitableau:
     @property
     def n(self) -> int:
         return sum(len(r) for r in self.first) + sum(len(r) for r in self.second)
-
-    def component(self, c: int):
-        return self.first if c == 0 else self.second
 
     @property
     def shape(self) -> Bipartition:
@@ -406,24 +371,31 @@ class StandardBitableau:
 
 def qtilde_r(d: DominoTableau) -> StandardBitableau:
     """Bitableau image of a standard domino tableau: the box that each
-    domino adds to the 2-quotient, read on the abacus.
+    domino adds to the 2-quotient, read on the abacus (see _qtilde)."""
+    return _qtilde(staircase_index(d.core),
+                   [(k, _domino(cells)) for k, cells in sorted(d.dominoes)])
+
+
+def _qtilde(r: int, dominoes: list[tuple[int, Domino]]) -> StandardBitableau:
+    """q~_r of the dominoes (entry, domino), in increasing entry order,
+    on top of delta_r.
 
     Row i of a shape is the bead at lambda_i - i, the content of the row's
     last cell.  Adding domino k moves one bead two places along its
     runner: a horizontal domino the bead of its row, a vertical one the
     bead of its lower row, up to the upper row's new position.  Either way
-    the bead lands on p, the largest content of the domino's cells.  Box k
-    goes to component 0 for odd p and 1 for even p, swapped for odd r as in
-    combinat.q_r, in the row given by the bead's rank on its runner: one
-    plus the number of beads above p on the same runner."""
-    r = staircase_index(d.core)
-    # no shape of d has more rows than this; the beads of the rows below
-    # never move and lie below every p
-    rows = r + 2 * len(d.dominoes)
-    beads = {d.core.part(i) - i for i in range(1, rows + 1)}
+    the bead lands on p, the largest content of the domino's cells: j - i
+    plus one for a horizontal domino at (i, j).  Box k goes to component 0
+    for odd p and 1 for even p, swapped for odd r as in combinat.q_r, in
+    the row given by the bead's rank on its runner: one plus the number of
+    beads above p on the same runner."""
+    # no shape has more rows than this; the beads of the rows below never
+    # move and lie below every p
+    rows = r + 2 * len(dominoes)
+    beads = {max(r + 1 - i, 0) - i for i in range(1, rows + 1)}
     comps: tuple[list[list[int]], list[list[int]]] = ([], [])
-    for k, dom in sorted(d.dominoes):
-        p = max(j - i for i, j in dom)
+    for k, (i, j, horizontal) in dominoes:
+        p = j - i + horizontal
         if p - 2 not in beads or p in beads:
             raise MalformedTableau(f"entry {k} moves no bead two places")
         beads.remove(p - 2)
@@ -443,9 +415,8 @@ def s_t_lambda(w: SignedPermutation, r) -> tuple[StandardBitableau,
                                                  StandardBitableau,
                                                  Bipartition]:
     """(S_r(w), T_r(w), lambda_r(w))."""
-    p, q = insert(w, r)
-    s = qtilde_r(p)
-    t = qtilde_r(q)
+    rr = resolve_r(r, w.n)
+    s, t = (_qtilde(rr, list(enumerate(x, 1))) for x in _insert(w.window, rr))
     return s, t, s.shape
 
 

@@ -18,7 +18,7 @@ insertion.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
-the preorders are closed as bitsets over positions.  Signed permutations
+the preorders are bitsets closed along successor lists.  Signed permutations
 appear only at the public boundary (HeckeElement, kl_basis, cells).
 
 The sweep hash-conses its coefficients: each value is one interned tuple
@@ -44,13 +44,13 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .combinat import Bipartition, format_bipartition
+from .combinat import Bipartition, format_bipartition, q_r_inverse
 from .domino import (SignedPermutation, _len_key, group_elements, kernel,
                      length, reduced_word, s_t_lambda, StandardBitableau)
 from .errors import (BoundExceeded, ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
 from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product, pack
-from .orders import dominance_r
+from .orders import dominance_partitions, dominance_r
 
 KL_BOUND = 4
 
@@ -191,6 +191,20 @@ def _dagger_t(n: int) -> list[HeckeElement]:
 def dagger(h: HeckeElement) -> HeckeElement:
     """The A-algebra involution with T_s -> -T_s^{-1}."""
     return _image(h, _dagger_t(h.n), lambda c: c)
+
+
+def _dagger_bar_fixed(h: HeckeElement) -> HeckeElement:
+    """dagger(h) for a bar-invariant h = sum_y p_y T_y, such as C_w, in
+    closed form: sum_y (-1)^{l(y)} bar(p_y) T_y.  Both maps are
+    multiplicative and dagger(T_s) = -T_s^{-1} = -bar(T_s), so dagger(T_y) =
+    (-1)^{l(y)} bar(T_y) and, dagger being A-linear, dagger(h) =
+    bar(sum_y (-1)^{l(y)} bar(p_y) T_y).  dagger commutes with bar (on A,
+    and on T_s: both composites give -T_s), so dagger(h) is bar-invariant
+    with h, and the outer bar drops."""
+    kern = kernel(h.n)
+    return HeckeElement(h.n, {
+        y: -c.bar() if kern.length[kern.index[y]] % 2 else c.bar()
+        for y, c in h.terms.items()})
 
 
 def star(h: HeckeElement) -> HeckeElement:
@@ -450,12 +464,22 @@ def _bits(x: int):
 
 
 def _closure(adjacency: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a graph on positions 0..N-1 given by
-    successor bitsets (Warshall's algorithm on bitset rows)."""
+    """Reflexive-transitive closure of successor bitsets on positions
+    0..N-1: each row ORs in the rows of its successors until a pass changes
+    nothing.  Rows go from the last position down: most cell-graph edges
+    run to a longer element (w -> ws), whose row is then already updated."""
     reach = [a | 1 << v for v, a in enumerate(adjacency)]
-    for k in range(len(reach)):
-        bit, row = 1 << k, reach[k]
-        reach = [x | row if x & bit else x for x in reach]
+    successors = [(v, list(_bits(a))) for v, a in enumerate(adjacency)][::-1]
+    changed = True
+    while changed:
+        changed = False
+        for v, succ in successors:
+            x = reach[v]
+            for u in succ:
+                x |= reach[u]
+            if x != reach[v]:
+                reach[v] = x
+                changed = True
     return reach
 
 
@@ -468,12 +492,11 @@ def _scc_partition(reach: list[int]) -> list[list[int]]:
     return list(classes.values())
 
 
-@functools.lru_cache(maxsize=None)
-def _reach(n: int, order: XiOrder, side: str) -> list[int]:
-    """Preorder reachability bitsets by kernel position.  The right edges
-    w -> y, for y in the C-expansion of some C_w T_s, come from the sweep
-    (Lusztig, Thm 6.6); the left edges are their images under star, since
-    star(C_w) = C_{w^{-1}}; the two-sided edges are the union of both."""
+def _adjacency(n: int, order: XiOrder, side: str) -> list[int]:
+    """Preorder edges as successor bitsets by kernel position: the right
+    edges w -> y, y in the C-expansion of some C_w T_s, from the sweep
+    (Lusztig, Thm 6.6); the left ones are their star images, as
+    star(C_w) = C_{w^{-1}}; the two-sided ones are the union of both."""
     inverse = kernel(n).inverse
     right = _kl_sweep(n, order)[1]
     adjacency = [0] * len(right)
@@ -482,7 +505,13 @@ def _reach(n: int, order: XiOrder, side: str) -> list[int]:
             adjacency[w] |= below
         if side in ("L", "LR"):
             adjacency[inverse[w]] |= sum(1 << inverse[y] for y in _bits(below))
-    return _closure(adjacency)
+    return adjacency
+
+
+@functools.lru_cache(maxsize=None)
+def _reach(n: int, order: XiOrder, side: str) -> list[int]:
+    """The closure of _adjacency: y is below w iff bit y of reach[w] is set."""
+    return _closure(_adjacency(n, order, side))
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,26 +574,25 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
         report["clauses"][clause] = {"ok": ok, **({"detail": why} if why else {})}
     # (c+): two-sided preorder against the dominance order on shapes.  Row
     # w2 of the preorder must be the union of the shapes dominated by its
-    # shape; only a mismatch is located by the pair scan.
+    # shape; only a mismatch is located by the pair scan.  The order is
+    # dominance_r, with q_r^{-1} taken once per shape.
     reach = _reach(n, order, "LR")
-    shape_of = {w: lam for w, (_, _, lam) in stl.items()}
+    shape_of = {kern.index[w]: lam for w, (_, _, lam) in stl.items()}
     mask: dict[Bipartition, int] = {}
-    for w, lam in shape_of.items():
-        mask[lam] = mask.get(lam, 0) | 1 << kern.index[w]
-    dominated = {(a, b): dominance_r(a, b, r) for a in mask for b in mask}
+    for v, lam in shape_of.items():
+        mask[lam] = mask.get(lam, 0) | 1 << v
+    image = {lam: q_r_inverse(lam, r) for lam in mask}
+    dominated = {(a, b): dominance_partitions(image[a], image[b])
+                 for a in mask for b in mask}
     below = {b: sum(mask[a] for a in mask if dominated[a, b]) for b in mask}
     bad = None
-    if any(reach[kern.index[w]] != below[lam] for w, lam in shape_of.items()):
-        for w, lw in shape_of.items():
-            for w2, lw2 in shape_of.items():
-                # w below w2 in the preorder
-                klle = bool(reach[kern.index[w2]] >> kern.index[w] & 1)
-                domle = dominated[lw, lw2]
-                if klle != domle:
-                    bad = (str(w), str(w2), klle, domle)
-                    break
-            if bad:
-                break
+    if any(reach[v] != below[lam] for v, lam in shape_of.items()):
+        # the first pair (w, w2) where "w below w2" and dominance disagree
+        bad = next((str(kern.elements[v]), str(kern.elements[v2]), klle,
+                    dominated[lw, lw2])
+                   for v, lw in shape_of.items()
+                   for v2, lw2 in shape_of.items()
+                   if (klle := bool(reach[v2] >> v & 1)) != dominated[lw, lw2])
     report["clauses"]["c_plus_preorder_vs_dominance"] = {
         "ok": bad is None, **({"detail": repr(bad)} if bad else {})}
     report["ok"] = all(c["ok"] for c in report["clauses"].values())
@@ -598,7 +626,7 @@ class CellDatum:
 
 @functools.lru_cache(maxsize=None)
 def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
-    """The quadruple ((Bip(n), order r), SBT, C_{S,T}, *).
+    """The quadruple ((Bip(n), order r), SBT, C_{S,T} = dagger(C_w), *).
 
     Raises ConjectureAViolation when insertion fibers do not match the KL
     cells (the construction would then be ill-defined).
@@ -616,10 +644,9 @@ def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
     for w in group_elements(n):
         s, t, lam = s_t_lambda(w, r)
         w_of[(s, t)] = w
-        basis[(s, t)] = dagger(klb[w])
+        basis[(s, t)] = _dagger_bar_fixed(klb[w])
         leading[w] = (s, t)
-        sbt.setdefault(lam, [])
-        if s not in sbt[lam]:
+        if s not in sbt.setdefault(lam, []):
             sbt[lam].append(s)
     for lam in sbt:
         sbt[lam].sort(key=lambda x: (x.first, x.second))

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from heckeb import INFINITY
-from heckeb.combinat import (Partition, bipartitions_of_shape_count, q_r,
-                             staircase_index)
+from heckeb import INFINITY, domino
+from heckeb.combinat import (Partition, bipartitions_of_shape_count,
+                             delta_core, q_r, staircase_index)
 from heckeb.domino import (DominoTableau, SignedPermutation,
                            StandardBitableau, group_elements, insert, kernel,
                            length, qtilde_r, reduced_word, resolve_r,
@@ -31,6 +35,92 @@ def quotient_chain_qtilde_r(d):
         prev = cur
     return StandardBitableau(tuple(map(tuple, comps[0])),
                              tuple(map(tuple, comps[1])))
+
+
+class SetShape:
+    """Row/column lengths of a growing Young diagram, as cell sets."""
+
+    def __init__(self, cells):
+        self.cells = set(cells)
+        self.rows = {}
+        self.cols = {}
+        for (i, j) in self.cells:
+            self.rows[i] = max(self.rows.get(i, 0), j)
+            self.cols[j] = max(self.cols.get(j, 0), i)
+
+    def row(self, i):
+        return self.rows.get(i, 0)
+
+    def col(self, j):
+        return self.cols.get(j, 0)
+
+    def add(self, dom):
+        for (i, j) in dom:
+            assert (i, j) not in self.cells
+            self.cells.add((i, j))
+            self.rows[i] = max(self.rows.get(i, 0), j)
+            self.cols[j] = max(self.cols.get(j, 0), i)
+
+
+def is_horizontal(dom):
+    (a, _), (c, _) = sorted(dom)
+    return a == c
+
+
+def set_insert_letter(dominoes, core, m, horizontal):
+    """Insert letter m into a tableau of cell sets, bumping larger letters."""
+    smaller = {l: d for l, d in dominoes.items() if l < m}
+    shape = SetShape(set(core.cells()).union(*smaller.values())
+                     if smaller else set(core.cells()))
+    if horizontal:
+        c = shape.row(1)
+        new = frozenset({(1, c + 1), (1, c + 2)})
+    else:
+        rr = shape.col(1)
+        new = frozenset({(rr + 1, 1), (rr + 2, 1)})
+    current = dict(smaller)
+    current[m] = new
+    shape.add(new)
+    for label in sorted(l for l in dominoes if l > m):
+        dom = dominoes[label]
+        inter = dom & shape.cells
+        if not inter:
+            placed = dom
+        elif len(inter) == 2:
+            if is_horizontal(dom):
+                i = next(iter(dom))[0] + 1
+                c = shape.row(i)
+                placed = frozenset({(i, c + 1), (i, c + 2)})
+            else:
+                j = next(iter(dom))[1] + 1
+                rr = shape.col(j)
+                placed = frozenset({(rr + 1, j), (rr + 2, j)})
+        else:
+            (i, j) = min(dom)
+            assert inter == {(i, j)}, (dom, inter)
+            if is_horizontal(dom):
+                placed = frozenset({(i, j + 1), (i + 1, j + 1)})
+            else:
+                placed = frozenset({(i + 1, j), (i + 1, j + 1)})
+        current[label] = placed
+        shape.add(placed)
+    return current
+
+
+def set_insert(w, r):
+    """Reference domino insertion on cell sets: (P, Q)."""
+    core = delta_core(resolve_r(r, w.n))
+    dominoes = {}
+    recording = {}
+    for step in range(1, w.n + 1):
+        v = w(step)
+        before = set(core.cells()).union(*dominoes.values())
+        dominoes = set_insert_letter(dominoes, core, abs(v), v > 0)
+        after = set(core.cells()).union(*dominoes.values())
+        assert len(after - before) == 2
+        recording[step] = frozenset(after - before)
+    return (DominoTableau(core, tuple(sorted(dominoes.items()))),
+            DominoTableau(core, tuple(sorted(recording.items()))))
 
 
 class TestSignedPermutation:
@@ -160,6 +250,16 @@ class TestInsertion:
                 for d in insert(w, r):
                     assert qtilde_r(d) == quotient_chain_qtilde_r(d)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_set_insertion(self, n):
+        # s_t_lambda runs the integer core end to end; qtilde_r on the
+        # reference tableaux is checked against the quotient chain above
+        for r in range(n + 1) if n < 5 else (0, 1):
+            for w in group_elements(n):
+                p, q = set_insert(w, r)
+                assert insert(w, r) == (p, q)
+                assert s_t_lambda(w, r)[:2] == (qtilde_r(p), qtilde_r(q))
+
     def test_qtilde_r_rejects_a_detached_domino(self):
         # a vertical domino in rows 2 and 3 of the empty shape
         d = DominoTableau(Partition(), ((1, frozenset({(2, 1), (3, 1)})),))
@@ -178,3 +278,37 @@ class TestInsertion:
         report = verify_insertion_bijection(3, 0)
         assert report["ok"]
         assert report["count"] == report["expected"] == 48
+
+
+# Each invariant of the integer insertion core, broken by hand: a placed
+# cell that is taken, a domino that leaves no Young diagram, a one-cell
+# collision away from the top-left cell, and a step that grows the shape by
+# something other than one domino.
+BROKEN_INVARIANTS = {
+    "placed-cell-taken": "domino._place([2], (1, 2, True))",
+    "shape-not-young": "domino._place([], (2, 1, True))",
+    "collision-not-top-left": "domino._bump([1, 2], (1, 2, False))",
+    "growth-not-a-domino": "domino._grown([2], [3, 1])",
+}
+
+
+class TestInsertionInvariants:
+    @pytest.mark.parametrize("call", sorted(BROKEN_INVARIANTS))
+    def test_raises(self, call):
+        with pytest.raises(MalformedTableau):
+            eval(BROKEN_INVARIANTS[call], {"domino": domino})
+
+    def test_raises_under_optimize(self):
+        code = ("from heckeb import domino\n"
+                "from heckeb.errors import MalformedTableau\n"
+                f"for call in {sorted(BROKEN_INVARIANTS.values())!r}:\n"
+                "    try:\n"
+                "        eval(call)\n"
+                "    except MalformedTableau:\n"
+                "        print('raised')\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout == "raised\n" * len(BROKEN_INVARIANTS), \
+            done.stderr

@@ -17,7 +17,7 @@ from heckeb.hecke import (HeckeElement, _len_key, _same_partition,
                           conjecture_a_report, dagger, expand_in_kl, kl_basis,
                           star)
 from heckeb.laurent import ACoeff, XiOrder, add_product, pack
-from heckeb.orders import dominance_r
+from heckeb.orders import dominance_partitions, dominance_r
 
 ORDER0 = XiOrder.for_r(0)
 OFFSETS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -97,6 +97,33 @@ def full_sweep(n, order):
             basis[ws] = c_ws
             edges[w] |= 1 << ws | mu_support
     return basis, edges
+
+
+def warshall_closure(adjacency):
+    """Reference reflexive-transitive closure of successor bitsets:
+    Warshall's algorithm on bitset rows."""
+    reach = [a | 1 << v for v, a in enumerate(adjacency)]
+    for k in range(len(reach)):
+        bit, row = 1 << k, reach[k]
+        reach = [x | row if x & bit else x for x in reach]
+    return reach
+
+
+def w0_duality_violations(n, reach):
+    """The positions w where y <= w <=> w w0 <= y w0 fails for some y,
+    the preorder given by reachability bitsets.  Multiplication by w0
+    reverses each of <=_L, <=_R and <=_LR (Lusztig, Hecke algebras with
+    unequal parameters, ch. 11)."""
+    kern = kernel(n)
+    w0 = kern.elements[-1]
+    dual = [kern.index[w * w0] for w in kern.elements]
+    above = [0] * len(reach)
+    for w, row in enumerate(reach):
+        for y in hecke._bits(row):
+            above[y] |= 1 << w
+    # {y w0 : y <= w} must be {z : w w0 <= z}
+    return [w for w, row in enumerate(reach)
+            if sum(1 << dual[y] for y in hecke._bits(row)) != above[dual[w]]]
 
 
 def dfs_closure(adjacency):
@@ -365,6 +392,56 @@ def test_sweep_shares_each_coefficient():
     assert len({id(c) for c in wrapped}) == len(set(wrapped)) < 2000
 
 
+# Successor bitsets of small graphs, and their closures by hand.
+HAND_GRAPHS = {
+    "empty": ([], []),
+    "self-loop": ([0b1], [0b1]),
+    "2-cycle": ([0b10, 0b01], [0b11, 0b11]),
+    "chain": ([0b010, 0b100, 0b000], [0b111, 0b110, 0b100]),
+    "two-sccs": ([0b0010, 0b0101, 0b1000, 0b0100],
+                 [0b1111, 0b1111, 0b1100, 0b1100]),
+}
+CHAMBERS = [XiOrder.for_r(r) for r in range(4)] + [
+    XiOrder(Fraction(3, 4)), XiOrder(Fraction(7, 4))]
+
+
+def xi_id(order):
+    return f"xi{order.xi.numerator}_{order.xi.denominator}"
+
+
+class TestClosure:
+    @pytest.mark.parametrize("name", sorted(HAND_GRAPHS))
+    def test_hand_graphs(self, name):
+        adjacency, closed = HAND_GRAPHS[name]
+        assert hecke._closure(adjacency) == closed
+        assert warshall_closure(adjacency) == closed
+
+    @pytest.mark.parametrize("order", CHAMBERS, ids=xi_id)
+    def test_rank4_matches_warshall(self, order):
+        for side in ("L", "R", "LR"):
+            assert hecke._reach(4, order, side) == warshall_closure(
+                hecke._adjacency(4, order, side))
+
+    @pytest.mark.parametrize("order", CHAMBERS, ids=xi_id)
+    def test_w0_duality(self, order):
+        for n in (1, 2, 3, 4):
+            for side in ("L", "R", "LR"):
+                assert w0_duality_violations(
+                    n, hecke._reach(n, order, side)) == []
+
+    @pytest.mark.parametrize("side", ["L", "R", "LR"])
+    def test_w0_duality_catches_a_reversed_edge(self, side):
+        order = XiOrder.for_r(1)
+        adjacency = hecke._adjacency(3, order, side)
+        reach = hecke._reach(3, order, side)
+        # the first edge u -> v between two different cells
+        u, v = next((u, v) for u, row in enumerate(adjacency)
+                    for v in hecke._bits(row) if not reach[v] >> u & 1)
+        adjacency[u] ^= 1 << v
+        adjacency[v] |= 1 << u
+        assert w0_duality_violations(3, hecke._closure(adjacency))
+
+
 class TestCells:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -387,14 +464,19 @@ class TestCells:
             f"first differing element {ws[0]}: "
             f"KL block {[str(ws[0]), str(ws[1])]}, fiber {[str(ws[0])]}")
 
-    @pytest.mark.parametrize("dominance", [dominance_r, lambda a, b, r: a == b],
-                             ids=["dominance", "equality"])
+    @pytest.mark.parametrize("dominance", [
+        (dominance_partitions, dominance_r),
+        (lambda p, q: p == q, lambda a, b, r: a == b)],
+        ids=["dominance", "equality"])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_c_plus_matches_pair_scan(self, n, r, dominance, monkeypatch):
-        # The equality order makes (c+) fail, so the detail of the
-        # fallback scan is compared as well.
-        monkeypatch.setattr(hecke, "dominance_r", dominance)
+        # (c+) compares the images of the shapes under q_r^{-1}; the
+        # equality order there is equality of shapes, as q_r^{-1} is
+        # injective.  It makes (c+) fail, so the detail of the fallback
+        # scan is compared as well.
+        on_images, dominance = dominance
+        monkeypatch.setattr(hecke, "dominance_partitions", on_images)
         order = XiOrder.for_r(r)
         report = conjecture_a_report(n, order)
         clauses = dict(report["clauses"])
@@ -444,6 +526,24 @@ class TestCellularity:
         for n in (1, 2, 3):
             report = cellularity_check(n, XiOrder.for_r(max(n - 1, 0)))
             assert report["ok"], report["failures"]
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_basis_is_dagger_of_kl_basis(self, r):
+        # C_{S,T} is dagger(C_w) in closed form; dagger pushes C_w through
+        # the dagger(T_y) table
+        order = XiOrder.for_r(r)
+        for n in (1, 2, 3):
+            datum = cell_datum(n, order)
+            klb = kl_basis(n, order)
+            for st, w in datum.w_of.items():
+                assert datum.basis[st] == dagger(klb[w])
+
+    def test_dagger_closed_form_rank4_sample(self):
+        klb = kl_basis(4, XiOrder.for_r(1))
+        elements = kernel(4).elements
+        for k in (0, 7, 100, 250, 383):
+            cw = klb[elements[k]]
+            assert hecke._dagger_bar_fixed(cw) == dagger(cw)
 
     def test_star_exchanges_indices(self):
         datum = cell_datum(2, ORDER0)
