@@ -13,7 +13,38 @@ from .errors import InvalidArgument
 
 INFINITY = float("inf")
 
-__all__ = ["INFINITY", "check_e", "check_n", "resolve_r"]
+__all__ = ["INFINITY", "Frozen", "Value", "check_e", "check_n", "resolve_r"]
+
+
+class Value:
+    """Base of the value classes.  They are written by hand rather than
+    with dataclasses, whose import (with inspect) and class decoration
+    would add to the start of every command.
+    `_fields` names the constructor arguments in order, and __repr__ lists
+    them as a dataclass's does.  Each class writes its own __eq__ and
+    __hash__ on its fields, since a loop over `_fields` is measurably slower
+    for the group elements that the KL sweep hashes."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class Frozen(Value):
+    """A Value whose attributes are set once, in __init__, past this
+    __setattr__ (through object.__setattr__ or the instance __dict__);
+    assigning or deleting one afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def resolve_r(r, n: int) -> int:

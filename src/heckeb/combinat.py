@@ -16,27 +16,40 @@ For odd staircase index r the two quotient components are swapped.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from . import check_n
+from . import Frozen, check_n
 from .errors import CoreMismatch, InvalidArgument
 
 EMPTY_CHARS = {"", "0", "-", "∅", "Ø"}
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """An integer partition, stored as a weakly decreasing tuple of parts."""
+@functools.total_ordering
+class Partition(Frozen):
+    """An integer partition, stored as a weakly decreasing tuple of parts.
+    Partitions compare as their tuples of parts."""
 
-    parts: tuple[int, ...] = ()
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        p = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        p = tuple(parts)
         if not all(isinstance(x, int) and x > 0 for x in p) \
                 or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
             raise InvalidArgument(f"{p} is not a weakly decreasing tuple of "
                                   "positive integers")
         object.__setattr__(self, "parts", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts < other.parts
+        return NotImplemented
 
     @property
     def size(self) -> int:
@@ -85,12 +98,30 @@ class Partition:
         return format_partition(self)
 
 
-@dataclass(frozen=True, order=True)
-class Bipartition:
-    """An ordered pair of partitions."""
+@functools.total_ordering
+class Bipartition(Frozen):
+    """An ordered pair of partitions.  Bipartitions compare as the pairs
+    (first, second)."""
 
-    first: Partition = Partition()
-    second: Partition = Partition()
+    _fields = ("first", "second")
+
+    def __init__(self, first: Partition = Partition(),
+                 second: Partition = Partition()):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.first, self.second) == (other.first, other.second)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.first, self.second))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.first, self.second) < (other.first, other.second)
+        return NotImplemented
 
     @property
     def size(self) -> int:
@@ -113,19 +144,26 @@ EMPTY_PARTITION = Partition()
 EMPTY_BIPARTITION = Bipartition()
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(Frozen):
     """Beta-numbers of a partition: a strictly decreasing tuple of
     non-negative integers of even cardinality."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        e = tuple(self.entries)
+    def __init__(self, entries: tuple[int, ...]):
+        e = tuple(entries)
         assert len(e) % 2 == 0 and len(e) > 0, e
         assert all(e[i] > e[i + 1] for i in range(len(e) - 1)), e
         assert e[-1] >= 0, e
         object.__setattr__(self, "entries", e)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @classmethod
     def from_partition(cls, p: Partition, cardinality: int | None = None) -> "BetaSet":

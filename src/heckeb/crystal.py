@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 
-from . import check_e, check_n
+from . import Value, check_e, check_n
 from .combinat import Bipartition, Partition, format_bipartition
 from .errors import BadResidue, ChargeOutOfRange
 from .fock import (Charge, Node, addable_nodes, removable_nodes, residue,
@@ -68,18 +67,30 @@ def phi(bip: Bipartition, s: Charge, e: int, i: int) -> int:
     return sum(1 for tag, _ in signature_word(bip, s, e, i) if tag == "A")
 
 
-@dataclass
-class CrystalGraph:
+class CrystalGraph(Value):
     """Connected component of the empty bipartition, truncated at rank nmax.
 
     Edges are (source, residue, target) with |target| = |source| + 1.
     """
 
-    s: Charge
-    e: int
-    nmax: int
-    vertices: list[Bipartition]
-    edges: list[tuple[Bipartition, int, Bipartition]] = field(default_factory=list)
+    _fields = ("s", "e", "nmax", "vertices", "edges")
+
+    def __init__(self, s: Charge, e: int, nmax: int,
+                 vertices: list[Bipartition],
+                 edges: list[tuple[Bipartition, int, Bipartition]]
+                 | None = None):
+        self.s = s
+        self.e = e
+        self.nmax = nmax
+        self.vertices = vertices
+        self.edges = [] if edges is None else edges
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.s, self.e, self.nmax, self.vertices, self.edges)
+                    == (other.s, other.e, other.nmax, other.vertices,
+                        other.edges))
+        return NotImplemented
 
     def rank(self, n: int) -> list[Bipartition]:
         return [v for v in self.vertices if v.size == n]

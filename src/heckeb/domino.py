@@ -24,9 +24,8 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass
 
-from . import check_n, resolve_r
+from . import Frozen, check_n, resolve_r
 from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
                        staircase_index)
 from .errors import BoundExceeded, InvalidArgument, MalformedTableau
@@ -34,18 +33,25 @@ from .errors import BoundExceeded, InvalidArgument, MalformedTableau
 Cell = tuple[int, int]  # (row, column), 1-based
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Frozen):
     """Element of the type B Weyl group W_n, in window notation."""
 
-    window: tuple[int, ...]
+    _fields = ("window",)
 
-    def __post_init__(self):
-        w = tuple(self.window)
+    def __init__(self, window: tuple[int, ...]):
+        w = tuple(window)
         if sorted(abs(x) for x in w) != list(range(1, len(w) + 1)):
             raise InvalidArgument(f"window {' '.join(map(str, w))!r} is not "
                                   f"a signed permutation of 1..{len(w)}")
         object.__setattr__(self, "window", w)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.window == other.window
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.window,))
 
     @property
     def n(self) -> int:
@@ -121,23 +127,27 @@ def group_elements(n: int) -> dict[SignedPermutation, tuple[int, tuple[int, ...]
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel:
+class Kernel(Frozen):
     """W_n on the positions 0..|W_n|-1, in order of length, then window.
 
     right[i][k] and left[i][k] are the positions of elements[k] s_i and
     s_i elements[k] (i = 0 for t); a product by a generator is shorter
     exactly when its position is smaller.  last[k] is the last letter of the
-    reduced word of elements[k] (-1 at the identity).
+    reduced word of elements[k] (-1 at the identity).  A kernel equals only
+    itself.
     """
 
-    elements: tuple[SignedPermutation, ...]
-    index: dict[SignedPermutation, int]
-    length: tuple[int, ...]
-    last: tuple[int, ...]
-    right: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    _fields = ("elements", "index", "length", "last", "right", "left",
+               "inverse")
+
+    def __init__(self, elements: tuple[SignedPermutation, ...],
+                 index: dict[SignedPermutation, int],
+                 length: tuple[int, ...], last: tuple[int, ...],
+                 right: tuple[tuple[int, ...], ...],
+                 left: tuple[tuple[int, ...], ...],
+                 inverse: tuple[int, ...]):
+        vars(self).update(elements=elements, index=index, length=length,
+                          last=last, right=right, left=left, inverse=inverse)
 
     def along_words(self, start, step) -> list:
         """[x_0, ..., x_{|W_n|-1}]: x_0 = start at the identity and
@@ -184,15 +194,27 @@ def _len_key(w: SignedPermutation):
 
 # --- domino tableaux ----------------------------------------------------
 
-@dataclass(frozen=True)
-class DominoTableau:
+class DominoTableau(Frozen):
     """Standard domino tableau on top of a staircase core.
 
     dominoes maps each entry to a frozenset of its two (adjacent) cells.
     """
 
-    core: Partition
-    dominoes: tuple[tuple[int, frozenset[Cell]], ...]
+    _fields = ("core", "dominoes")
+
+    def __init__(self, core: Partition,
+                 dominoes: tuple[tuple[int, frozenset[Cell]], ...]):
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "dominoes", dominoes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.core, self.dominoes)
+                    == (other.core, other.dominoes))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.core, self.dominoes))
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -329,13 +351,24 @@ def insert(w: SignedPermutation, r) -> tuple[DominoTableau, DominoTableau]:
 
 # --- standard bitableaux ------------------------------------------------
 
-@dataclass(frozen=True)
-class StandardBitableau:
+class StandardBitableau(Frozen):
     """Pair of fillings whose entries partition {1..n}; rows and columns
     increase within each component."""
 
-    first: tuple[tuple[int, ...], ...]
-    second: tuple[tuple[int, ...], ...]
+    _fields = ("first", "second")
+
+    def __init__(self, first: tuple[tuple[int, ...], ...],
+                 second: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.first, self.second) == (other.first, other.second)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.first, self.second))
 
     @property
     def n(self) -> int:

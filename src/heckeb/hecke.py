@@ -42,8 +42,8 @@ from __future__ import annotations
 import functools
 import heapq
 import json
-from dataclasses import dataclass
 
+from . import Value
 from .combinat import Bipartition, format_bipartition, q_r_inverse
 from .domino import (SignedPermutation, _len_key, group_elements, kernel,
                      length, reduced_word, s_t_lambda, StandardBitableau)
@@ -601,18 +601,37 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 
 # --- cell datum ------------------------------------------------------------
 
-@dataclass
-class CellDatum:
+class CellDatum(Value):
     """Graham-Lehrer style quadruple extracted from the KL basis."""
 
-    n: int
-    order: XiOrder
-    r: int
-    shapes: list[Bipartition]
-    sbt: dict[Bipartition, list[StandardBitableau]]
-    w_of: dict[tuple[StandardBitableau, StandardBitableau], SignedPermutation]
-    basis: dict[tuple[StandardBitableau, StandardBitableau], HeckeElement]
-    leading: dict[SignedPermutation, tuple[StandardBitableau, StandardBitableau]]
+    _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "basis",
+               "leading")
+
+    def __init__(
+            self, n: int, order: XiOrder, r: int, shapes: list[Bipartition],
+            sbt: dict[Bipartition, list[StandardBitableau]],
+            w_of: dict[tuple[StandardBitableau, StandardBitableau],
+                       SignedPermutation],
+            basis: dict[tuple[StandardBitableau, StandardBitableau],
+                        HeckeElement],
+            leading: dict[SignedPermutation,
+                          tuple[StandardBitableau, StandardBitableau]]):
+        self.n = n
+        self.order = order
+        self.r = r
+        self.shapes = shapes
+        self.sbt = sbt
+        self.w_of = w_of
+        self.basis = basis
+        self.leading = leading
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.order, self.r, self.shapes, self.sbt,
+                     self.w_of, self.basis, self.leading)
+                    == (other.n, other.order, other.r, other.shapes,
+                        other.sbt, other.w_of, other.basis, other.leading))
+        return NotImplemented
 
     def expand(self, h: HeckeElement) -> dict[tuple, ACoeff]:
         """Coefficients of h in the C_{S,T} basis.

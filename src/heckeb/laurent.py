@@ -23,9 +23,9 @@ Two rings live here, sharing the ring code of the base class Laurent:
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Frozen
 from .errors import (InvalidArgument, InvalidSlope, IrrationalityViolation,
                      NonIntegralDivision)
 
@@ -158,22 +158,31 @@ def add_product(acc: dict[int, int], x: Iterable[tuple[int, int]],
             acc[k] = acc.get(k, 0) + c1 * c2
 
 
-@dataclass(frozen=True)
-class XiOrder:
+class XiOrder(Frozen):
     """Total order on Z^2 given by (alpha, beta) positive iff
     alpha + xi*beta > 0, for an exact rational xi standing in for an
-    irrational slope."""
+    irrational slope.  Orders are equal when their slopes are, which makes
+    them cache keys."""
 
-    xi: Fraction
+    _fields = ("xi",)
 
-    def __post_init__(self):
-        if self.xi <= 0:
-            raise InvalidSlope(f"xi = {self.xi} must be positive")
-        if self.xi.denominator == 1:
-            raise InvalidSlope(f"xi = {self.xi} must not be an integer")
+    def __init__(self, xi: Fraction):
+        if xi <= 0:
+            raise InvalidSlope(f"xi = {xi} must be positive")
+        if xi.denominator == 1:
+            raise InvalidSlope(f"xi = {xi} must not be an integer")
+        object.__setattr__(self, "xi", xi)
         # sign() compares on these integers, read off xi once
-        object.__setattr__(self, "_num", self.xi.numerator)
-        object.__setattr__(self, "_den", self.xi.denominator)
+        object.__setattr__(self, "_num", xi.numerator)
+        object.__setattr__(self, "_den", xi.denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.xi == other.xi
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.xi,))
 
     @classmethod
     def for_r(cls, r: int, offset: Fraction = Fraction(1, 101)) -> "XiOrder":

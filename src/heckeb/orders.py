@@ -10,9 +10,8 @@ implemented directly so the two can be tested against each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from . import resolve_r
+from . import Value, resolve_r
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition, q_r_inverse)
 from .errors import BoundExceeded, SizeMismatch
@@ -66,13 +65,22 @@ def dominance_inf_explicit(a: Bipartition, b: Bipartition) -> bool:
     return True
 
 
-@dataclass
-class HasseDiagram:
+class HasseDiagram(Value):
     """Covering relations of an order on Bip(n); edges run larger -> smaller
     as in the arrow convention of the source diagrams."""
 
-    vertices: list[Bipartition]
-    edges: list[tuple[Bipartition, Bipartition]] = field(default_factory=list)
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: list[Bipartition],
+                 edges: list[tuple[Bipartition, Bipartition]] | None = None):
+        self.vertices = vertices
+        self.edges = [] if edges is None else edges
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.vertices, self.edges)
+                    == (other.vertices, other.edges))
+        return NotImplemented
 
     def to_json(self) -> str:
         return json.dumps({

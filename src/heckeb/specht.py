@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
+from . import Value
 from .combinat import Bipartition, format_bipartition
 from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
@@ -109,15 +109,27 @@ def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]], m: int) \
     return [[ech[i][cols + k] for i in range(cols)] for k in range(len(bs))]
 
 
-@dataclass
-class CellModule:
+class CellModule(Value):
     """A cell module with its specialized generator action and Gram form."""
 
-    shape: Bipartition
-    basis: list  # StandardBitableau, the S-indices
-    generators: list[Matrix]  # action of T_t, T_{s_1}, ...
-    gram: Matrix
-    spec: Specialization
+    _fields = ("shape", "basis", "generators", "gram", "spec")
+
+    def __init__(self, shape: Bipartition, basis: list,
+                 generators: list[Matrix], gram: Matrix,
+                 spec: Specialization):
+        self.shape = shape
+        self.basis = basis  # StandardBitableau, the S-indices
+        self.generators = generators  # action of T_t, T_{s_1}, ...
+        self.gram = gram
+        self.spec = spec
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.shape, self.basis, self.generators, self.gram,
+                     self.spec)
+                    == (other.shape, other.basis, other.generators,
+                        other.gram, other.spec))
+        return NotImplemented
 
     @property
     def dim(self) -> int:

@@ -38,6 +38,9 @@ MALFORMED = {
     "negative-n-bip": ("bip", "--n", "-1"),
     "negative-n-specht": ("specht", "--n", "-1", "--e", "2", "--d", "0",
                           "--r", "0"),
+    **{f"xi-zero-denominator-{name}": (name, "--n", "2", "--r", "0",
+                                       "--xi", "1/0")
+       for name in ("klbasis", "cells", "check-conj-a", "check-cellular")},
 }
 
 # The README's CLI commands with the SHA-256 of b"exit <code>\n" + stdout,
@@ -47,6 +50,61 @@ README_DIGESTS = {
     for label, digest in json.loads(
         (ROOT / "perfbench" / "references.json").read_text("utf-8")).items()
     if label.startswith("heckeb ")}
+
+
+SUBCOMMANDS = ("{bip,quotient,order,insert,klbasis,cells,check-conj-a,"
+               "check-cellular,crystal,uglov,canbasis,decmat,charge,gamma,"
+               "theorem41,specht}")
+TOP_USAGE = f"usage: heckeb [-h]\n              {SUBCOMMANDS}\n              ...\n"
+BIP_USAGE = "usage: heckeb bip [-h] [--format {json,dot,tsv,text}] --n N\n"
+
+# argv: (exit code, stdout, stderr) of `python -m heckeb.cli argv` at 80
+# columns, captured when every command built the whole parser.
+USAGE_CAPTURES = {
+    (): (1, "", TOP_USAGE + "heckeb: error: the following arguments are "
+                            "required: subcommand\n"),
+    ("-h",): (0, TOP_USAGE + f"""
+positional arguments:
+  {SUBCOMMANDS}
+    bip                 enumerate bipartitions of n
+    quotient            2-quotient maps
+    order               dominance order: compare two bipartitions or print the
+                        Hasse diagram of Bip(n)
+    insert              domino insertion of a signed permutation
+    klbasis             Kazhdan-Lusztig basis of H_n
+    cells               Kazhdan-Lusztig cells of W_n
+    check-conj-a        compare cells with insertion fibers
+    check-cellular      verify the cellular-basis axiom
+    crystal             crystal graph of the Fock space
+    uglov               crystal vertices of rank n
+    canbasis            canonical basis of the Fock space
+    decmat              graded decomposition matrix
+    charge              charge attached to (r, d, e)
+    gamma               crystal isomorphism between two charges
+    theorem41           decomposition numbers vs canonical basis
+    specht              simple labels and decomposition numbers
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("bip", "-h"): (0, BIP_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --format {json,dot,tsv,text}
+  --n N
+""", ""),
+    ("nosuch",): (1, "", TOP_USAGE + (
+        "heckeb: error: argument subcommand: invalid choice: 'nosuch' "
+        "(choose from 'bip', 'quotient', 'order', 'insert', 'klbasis', "
+        "'cells', 'check-conj-a', 'check-cellular', 'crystal', 'uglov', "
+        "'canbasis', 'decmat', 'charge', 'gamma', 'theorem41', "
+        "'specht')\n")),
+    ("bip",): (1, "", BIP_USAGE + "heckeb: error: the following arguments "
+                                  "are required: --n\n"),
+    # an error of the top-level parser after a subcommand's name
+    ("bip", "--n", "3", "extra"): (1, "", TOP_USAGE + "heckeb: error: "
+                                   "unrecognized arguments: extra\n"),
+}
 
 
 def invoke(capsys, *argv):
@@ -223,6 +281,55 @@ class TestMalformedInput:
         done = python(*flags, "-m", "heckeb.cli", *argv)
         assert done.returncode == 1 and done.stdout == ""
         assert_one_error_line(done.stderr)
+
+
+@pytest.mark.parametrize("argv", USAGE_CAPTURES,
+                         ids=[" ".join(a) or "no-arguments"
+                              for a in USAGE_CAPTURES])
+def test_help_and_usage_byte_identical(argv):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8",
+               COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "heckeb.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout.decode("utf-8"),
+            done.stderr.decode("utf-8")) == USAGE_CAPTURES[argv]
+
+
+def loaded_after(code):
+    """The sorted names of the heckeb modules, and whether dataclasses is
+    loaded, after a fresh interpreter runs code; code's own stdout goes to
+    a buffer."""
+    done = python("-c", "import contextlib, io, json, sys\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        + "".join(f"    {line}\n" for line in code) +
+                        "print(json.dumps([sorted(m for m in sys.modules\n"
+                        "    if m.split('.')[0] == 'heckeb'),\n"
+                        "    'dataclasses' in sys.modules]))")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_library_module():
+    modules, _ = loaded_after(["import heckeb.cli"])
+    assert modules == ["heckeb", "heckeb.cli", "heckeb.errors"]
+
+
+def test_bip_loads_only_combinat():
+    modules, _ = loaded_after(["from heckeb import cli",
+                               "assert cli.run(['bip', '--n', '3']) == 0"])
+    assert modules == ["heckeb", "heckeb.cli", "heckeb.combinat",
+                       "heckeb.errors"]
+    assert not {"heckeb.hecke", "heckeb.specht", "heckeb.canonical"} & set(
+        modules)
+
+
+def test_no_module_loads_dataclasses():
+    names = sorted(p.stem for p in (ROOT / "src" / "heckeb").glob("*.py")
+                   if p.stem != "__init__")
+    modules, dataclasses = loaded_after(
+        [f"import heckeb.{name}" for name in names])
+    assert len(modules) == len(names) + 1
+    assert dataclasses is False
 
 
 def test_import_builds_no_tables():

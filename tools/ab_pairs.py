@@ -7,7 +7,9 @@ the summary per workload and seed gives, for every end-to-end metric, the
 medians, the quartiles, how many pairs the change won and the ratio of the
 medians.  An existing output file is extended: its runs are kept, the new
 ones appended, the summary recomputed from all of them, and any other key
-it holds is left as it is.
+it holds is left as it is.  It exits 1, naming the run on stderr, if any
+run, traced or not, exited non-zero or has no last line that parses, or a
+last line that is not ``correct`` or has empty ``metrics``.
 
     python3 tools/ab_pairs.py --parent ../parent --change . \\
         --workload conj-a-rank4 --seeds 0 5 --pairs 10 --out BENCH_16.json
@@ -63,33 +65,56 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
         final = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         final = None
-    return done.returncode, final
+    return done.returncode, final if isinstance(final, dict) else None
+
+
+def run_name(run: dict) -> str:
+    """'cli-readme seed 0 pair 3 change', or '... traced parent'."""
+    kind = "traced" if run["trace"] else f"pair {run['pair']}"
+    return f"{run['workload']} seed {run['seed']} {kind} {run['side']}"
+
+
+def run_problem(run: dict) -> str | None:
+    """Why a run's result cannot be used, or None if it can."""
+    final = run["final_line"]
+    if run["exit"] != 0:
+        return f"exit {run['exit']}"
+    if final is None:
+        return "no last line that parses as a result"
+    if final.get("correct") is not True:
+        return "last line is not correct"
+    if not final.get("metrics"):
+        return "last line has empty metrics"
+    return None
 
 
 def summarize(runs: list[dict]) -> dict:
     """Per workload and seed: medians, quartiles, wins and ratio of every
-    end-to-end metric over the untraced pairs, and whether every run,
-    traced or not, exited 0 with a correct last line."""
+    end-to-end metric over the untraced pairs whose two runs are both
+    usable, and the problem of each run, traced or not, that is not; the
+    group is all_correct when there is none."""
     groups: dict[str, list[dict]] = {}
     for run in runs:
         groups.setdefault(f"{run['workload']} seed {run['seed']}",
                           []).append(run)
     summary = {}
     for name, group in groups.items():
+        problems = [f"{run_name(run)}: {why}" for run in group
+                    if (why := run_problem(run)) is not None]
         pairs: dict[int, dict[str, dict]] = {}
         for run in group:
-            if not run["trace"]:
+            if not run["trace"] and run_problem(run) is None:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run
         complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
         entry: dict = {}
         for metric, lower in METRICS.items():
+            both = [p for p in complete
+                    if all(metric in p[side]["final_line"]["metrics"]
+                           for side in SIDES)]
             values = {side: [p[side]["final_line"]["metrics"][metric]["value"]
-                             for p in complete
-                             if p[side]["final_line"]
-                             and metric in p[side]["final_line"]["metrics"]]
+                             for p in both]
                       for side in SIDES}
-            if not values["parent"] or len(values["parent"]) != len(
-                    values["change"]):
+            if not both:
                 continue
             wins = sum((c < p) if lower else (c > p)
                        for p, c in zip(values["parent"], values["change"]))
@@ -104,9 +129,8 @@ def summarize(runs: list[dict]) -> dict:
                                                       round(quart[2], 4)]
             entry[metric]["change_wins"] = wins
             entry[metric]["ratio"] = round(med["change"] / med["parent"], 3)
-        entry["all_correct"] = all(
-            run["exit"] == 0 and run["final_line"] is not None
-            and run["final_line"].get("correct") is True for run in group)
+        entry["all_correct"] = not problems
+        entry["problems"] = problems
         summary[name] = entry
     return summary
 
@@ -160,7 +184,10 @@ def main(argv=None) -> int:
                                "final_line": final})
         doc["summary"] = summarize(runs + traced)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if all(s["all_correct"] for s in doc["summary"].values()) else 1
+    problems = [why for s in doc["summary"].values() for why in s["problems"]]
+    for why in problems:
+        print(f"ab_pairs: {why}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
