@@ -218,17 +218,9 @@ def gamma(mu: Bipartition, s1: Charge, s2: Charge, e: int) -> Bipartition:
     the vacuum in the s1-crystal and replay the residue word in s2."""
     if not fock_modules_isomorphic(s1, s2, check_e(e)):
         raise IncompatibleCharges(f"{s1} and {s2} differ mod {e}Z^2")
-    word = []
-    cur = mu
-    while cur.size > 0:
-        for i in range(e):
-            if epsilon(cur, s1, e, i) > 0:
-                cur = crystal_e(cur, s1, e, i)
-                word.append(i)
-                break
-        else:
-            raise NotUglov(
-                f"{format_bipartition(mu)} is not a crystal vertex of F({s1})")
+    # any path to the vacuum will do: a crystal isomorphism commutes with
+    # every e_i, so each path gives the same image
+    word = [i for i, a in peeling_path(mu, s1, e) for _ in range(a)]
     out = Bipartition(Partition(()), Partition(()))
     for i in reversed(word):
         nxt = crystal_f(out, s2, e, i)

@@ -31,6 +31,9 @@ from .errors import HeckebError, InvalidSlope
 _BOUNDED = ("order", "klbasis", "cells", "check-conj-a", "check-cellular",
            "theorem41", "specht")
 _JSON_REPORTS = ("check-conj-a", "check-cellular", "theorem41")
+# The formats a subcommand renders besides text and json.
+_MORE_FORMATS = {"order": ("dot",), "crystal": ("dot",), "decmat": ("tsv",),
+                 "specht": ("tsv",)}
 # The status of a process ended by SIGPIPE, as a shell reports it.
 EXIT_BROKEN_PIPE = 141
 
@@ -90,7 +93,8 @@ def build_parser(name: str | None = None) -> _Parser:
         p = sub.add_parser(name, **kwargs)
         if name not in _JSON_REPORTS:
             p.add_argument("--format", default="text",
-                           choices=["json", "dot", "tsv", "text"])
+                           choices=["json", *_MORE_FORMATS.get(name, ()),
+                                    "text"])
         if name in _BOUNDED:
             p.add_argument("--bound", type=int, default=None,
                            help="override the built-in size bound")

@@ -38,14 +38,6 @@ class Partition(Frozen):
                                   "positive integers")
         object.__setattr__(self, "parts", p)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.parts < other.parts
@@ -110,14 +102,6 @@ class Bipartition(Frozen):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.first, self.second) == (other.first, other.second)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.first, self.second))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.first, self.second) < (other.first, other.second)
@@ -157,14 +141,6 @@ class BetaSet(Frozen):
         assert e[-1] >= 0, e
         object.__setattr__(self, "entries", e)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
-
     @classmethod
     def from_partition(cls, p: Partition, cardinality: int | None = None) -> "BetaSet":
         n = cardinality if cardinality is not None else len(p.parts) + len(p.parts) % 2
@@ -173,9 +149,7 @@ class BetaSet(Frozen):
         return cls(tuple(p.part(i) + n - i for i in range(1, n + 1)))
 
     def to_partition(self) -> Partition:
-        n = len(self.entries)
-        parts = tuple(b - (n - i) for i, b in enumerate(self.entries, start=1))
-        return Partition(tuple(x for x in parts if x > 0))
+        return _beta_partition(self.entries)
 
 
 def delta_core(r: int) -> Partition:
@@ -185,9 +159,10 @@ def delta_core(r: int) -> Partition:
     return Partition(tuple(range(r, 0, -1)))
 
 
-def _runner_partition(beads: list[int]) -> Partition:
-    # beads: the positions on one runner, already divided by 2.
-    beads = sorted(beads, reverse=True)
+def _beta_partition(beads) -> Partition:
+    """The partition of strictly decreasing beta-numbers b_1 > ... > b_n:
+    its i-th part is b_i - (n - i).  Unlike a BetaSet, the beads of one
+    abacus runner may be any number, none included."""
     n = len(beads)
     parts = tuple(b - (n - i) for i, b in enumerate(beads, start=1))
     return Partition(tuple(x for x in parts if x > 0))
@@ -198,8 +173,9 @@ def core_and_quotient(p: Partition) -> tuple[Partition, tuple[Partition, Partiti
     beta = BetaSet.from_partition(p)
     odd = [b for b in beta.entries if b % 2 == 1]
     even = [b for b in beta.entries if b % 2 == 0]
-    q0 = _runner_partition([(b - 1) // 2 for b in odd])
-    q1 = _runner_partition([b // 2 for b in even])
+    # odd and even keep the decreasing order of the beta-set
+    q0 = _beta_partition([(b - 1) // 2 for b in odd])
+    q1 = _beta_partition([b // 2 for b in even])
     core_beads = sorted(
         [2 * i + 1 for i in range(len(odd))] + [2 * i for i in range(len(even))],
         reverse=True)

@@ -85,13 +85,6 @@ class CrystalGraph(Value):
         self.vertices = vertices
         self.edges = [] if edges is None else edges
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.s, self.e, self.nmax, self.vertices, self.edges)
-                    == (other.s, other.e, other.nmax, other.vertices,
-                        other.edges))
-        return NotImplemented
-
     def rank(self, n: int) -> list[Bipartition]:
         return [v for v in self.vertices if v.size == n]
 

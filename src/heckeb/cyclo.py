@@ -11,7 +11,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from . import check_e
+from . import Frozen, check_e
 from .errors import InvalidArgument
 from .laurent import ACoeff, unpack
 
@@ -224,17 +224,17 @@ class CycloNumber:
     __repr__ = __str__
 
 
-class Specialization:
+class Specialization(Frozen):
     """Ring map sending q to zeta_{2e} and Q to zeta_{4e}^{e+2d}.
 
     Then q^2 is a primitive e-th root of unity and Q^2 = -q^{2d}, the
     parameter regime of the cyclotomic quotient with weight d.
     """
 
+    _fields = ("e", "d")
+
     def __init__(self, e: int, d: int):
-        self.e = check_e(e)
-        self.d = d
-        self.m = 4 * e
+        vars(self).update(e=check_e(e), d=d, m=4 * e)
 
     def theta(self, c: ACoeff) -> CycloNumber:
         """q^alpha Q^beta -> zeta_m^k with k = 2 alpha + (e + 2d) beta; the

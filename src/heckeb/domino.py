@@ -45,14 +45,6 @@ class SignedPermutation(Frozen):
                                   f"a signed permutation of 1..{len(w)}")
         object.__setattr__(self, "window", w)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.window == other.window
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.window,))
-
     @property
     def n(self) -> int:
         return len(self.window)
@@ -139,6 +131,8 @@ class Kernel(Frozen):
 
     _fields = ("elements", "index", "length", "last", "right", "left",
                "inverse")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, elements: tuple[SignedPermutation, ...],
                  index: dict[SignedPermutation, int],
@@ -206,15 +200,6 @@ class DominoTableau(Frozen):
                  dominoes: tuple[tuple[int, frozenset[Cell]], ...]):
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "dominoes", dominoes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.core, self.dominoes)
-                    == (other.core, other.dominoes))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.core, self.dominoes))
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -361,14 +346,6 @@ class StandardBitableau(Frozen):
                  second: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.first, self.second) == (other.first, other.second)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.first, self.second))
 
     @property
     def n(self) -> int:

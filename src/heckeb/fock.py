@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import check_e
+from . import Value, check_e
 from .combinat import Bipartition, Partition, format_bipartition
 from .errors import BadResidue, IncompatibleCharges
 from .laurent import VPoly, V_ONE, gauss_factorial
@@ -73,10 +73,11 @@ def weight_ni(bip: Bipartition, s: Charge, e: int, i: int) -> int:
     return add - rem
 
 
-class FockVector:
+class FockVector(Value):
     """Sparse vector in the level-2 Fock space F(s) over Z[v, v^{-1}]."""
 
     __slots__ = ("s", "e", "terms")
+    _fields = ("s", "e", "terms")
 
     def __init__(self, s: Charge, e: int,
                  terms: dict[Bipartition, VPoly] | None = None):
@@ -102,10 +103,6 @@ class FockVector:
         if self.s != other.s or self.e != other.e:
             raise IncompatibleCharges(
                 f"({self.s}, e={self.e}) vs ({other.s}, e={other.e})")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FockVector) and self.s == other.s
-                and self.e == other.e and self.terms == other.terms)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         self._check(other)

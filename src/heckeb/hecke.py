@@ -69,10 +69,11 @@ def _quad(i: int) -> ACoeff:
     return ACoeff({gamma: 1, -gamma: -1})
 
 
-class HeckeElement:
+class HeckeElement(Value):
     """Sparse element of H_n in the standard basis."""
 
     __slots__ = ("n", "terms")
+    _fields = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[SignedPermutation, ACoeff] | None = None):
         self.n = n
@@ -91,10 +92,6 @@ class HeckeElement:
 
     def coeff(self, w: SignedPermutation) -> ACoeff:
         return self.terms.get(w, ACoeff())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HeckeElement)
-                and self.n == other.n and self.terms == other.terms)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         out = dict(self.terms)
@@ -624,14 +621,6 @@ class CellDatum(Value):
         self.w_of = w_of
         self.basis = basis
         self.leading = leading
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.n, self.order, self.r, self.shapes, self.sbt,
-                     self.w_of, self.basis, self.leading)
-                    == (other.n, other.order, other.r, other.shapes,
-                        other.sbt, other.w_of, other.basis, other.leading))
-        return NotImplemented
 
     def expand(self, h: HeckeElement) -> dict[tuple, ACoeff]:
         """Coefficients of h in the C_{S,T} basis.

@@ -176,14 +176,6 @@ class XiOrder(Frozen):
         object.__setattr__(self, "_num", xi.numerator)
         object.__setattr__(self, "_den", xi.denominator)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.xi == other.xi
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.xi,))
-
     @classmethod
     def for_r(cls, r: int, offset: Fraction = Fraction(1, 101)) -> "XiOrder":
         """Order with floor(xi) = r.  The default offset has a large

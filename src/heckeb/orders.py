@@ -76,12 +76,6 @@ class HasseDiagram(Value):
         self.vertices = vertices
         self.edges = [] if edges is None else edges
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.vertices, self.edges)
-                    == (other.vertices, other.edges))
-        return NotImplemented
-
     def to_json(self) -> str:
         return json.dumps({
             "schema": "1",

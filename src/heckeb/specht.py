@@ -123,14 +123,6 @@ class CellModule(Value):
         self.gram = gram
         self.spec = spec
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.shape, self.basis, self.generators, self.gram,
-                     self.spec)
-                    == (other.shape, other.basis, other.generators,
-                        other.gram, other.spec))
-        return NotImplemented
-
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -10,7 +10,7 @@ from heckeb.canonical import (canonical_basis, charge_from,
                               peeling_path, principal_monomial)
 from heckeb.combinat import (Bipartition, Partition, enumerate_bipartitions,
                              parse_bipartition)
-from heckeb.crystal import uglov_bipartitions
+from heckeb.crystal import crystal_f, uglov_bipartitions
 from heckeb.errors import IncompatibleCharges, NotUglov, OrderCycle
 from heckeb.fock import FockVector
 from heckeb.laurent import VPoly, V_ONE
@@ -152,6 +152,21 @@ class TestGamma:
     def test_incompatible(self):
         with pytest.raises(IncompatibleCharges):
             gamma(B("(1;∅)"), (0, 0), (1, 0), 2)
+
+    @pytest.mark.parametrize("s1, s2, e", [((0, 0), (2, 0), 2),
+                                           ((0, 0), (3, 0), 3)])
+    def test_commutes_with_every_f_i(self, s1, s2, e):
+        # gamma(f_i mu) = f_i gamma(mu), and f_i is None on both sides
+        # together: gamma is a crystal isomorphism whatever path it peels
+        for n in range(6):
+            for mu in uglov_bipartitions(n, s1, e):
+                image = gamma(mu, s1, s2, e)
+                for i in range(e):
+                    up, image_up = crystal_f(mu, s1, e, i), \
+                        crystal_f(image, s2, e, i)
+                    assert (up is None) == (image_up is None)
+                    if up is not None:
+                        assert gamma(up, s1, s2, e) == image_up
 
     @pytest.mark.parametrize("pair", [((0, 0), (2, 0)), ((0, 0), (4, 0))])
     def test_decomposition_invariance_at_v1(self, pair):

@@ -56,7 +56,7 @@ SUBCOMMANDS = ("{bip,quotient,order,insert,klbasis,cells,check-conj-a,"
                "check-cellular,crystal,uglov,canbasis,decmat,charge,gamma,"
                "theorem41,specht}")
 TOP_USAGE = f"usage: heckeb [-h]\n              {SUBCOMMANDS}\n              ...\n"
-BIP_USAGE = "usage: heckeb bip [-h] [--format {json,dot,tsv,text}] --n N\n"
+BIP_USAGE = "usage: heckeb bip [-h] [--format {json,text}] --n N\n"
 
 # argv: (exit code, stdout, stderr) of `python -m heckeb.cli argv` at 80
 # columns, captured when every command built the whole parser.
@@ -90,7 +90,7 @@ options:
     ("bip", "-h"): (0, BIP_USAGE + """
 options:
   -h, --help            show this help message and exit
-  --format {json,dot,tsv,text}
+  --format {json,text}
   --n N
 """, ""),
     ("nosuch",): (1, "", TOP_USAGE + (
@@ -236,11 +236,26 @@ class TestChecksAndExitCodes:
         ("bip", "--n", "2", "--jobs", "2"),
         ("bip", "--n", "2", "--bound", "0"),
         ("check-conj-a", "--n", "2", "--r", "0", "--format", "json"),
-    ], ids=["jobs", "bound", "format-on-json-report"])
+        ("bip", "--n", "3", "--format", "dot"),
+    ], ids=["jobs", "bound", "format-on-json-report", "format-not-rendered"])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("name", [
+        "bip", "quotient", "order", "insert", "klbasis", "cells", "crystal",
+        "uglov", "canbasis", "decmat", "charge", "gamma", "specht"])
+    def test_each_subcommand_takes_the_formats_it_renders(self, capsys,
+                                                           name):
+        rendered = {"order": "dot", "crystal": "dot", "decmat": "tsv",
+                    "specht": "tsv"}
+        for fmt in ("text", "json", "dot", "tsv"):
+            # a valid --format reaches -h and exits 0; argparse refuses a
+            # choice when it reads it, before -h
+            code, _, _ = invoke(capsys, name, "--format", fmt, "-h")
+            assert code == (0 if fmt in ("text", "json", rendered.get(name))
+                            else 1), fmt
 
     def test_xi_consistency_enforced(self, capsys):
         code, _, err = invoke(capsys, "klbasis", "--n", "2", "--r", "1",
