@@ -16,7 +16,11 @@ The Hecke algebra works on the integer kernel of W_n (kernel(n), built once
 per n on first use): the elements at positions 0..|W_n|-1 in order of
 length, then window, with tables of length, of left and right
 multiplication by each generator and of the inverse, so that its hot loops
-index lists instead of multiplying and hashing signed permutations.
+index lists instead of multiplying and hashing signed permutations.  It is
+built by a BFS on window tuples; group_elements walks its tables.
+insertion_table(n, r) holds (S, T, lambda) by position: each element is
+inserted once, and q~_r, which reads only the tableau and r, runs once per
+distinct domino tableau (76 of the 768 P and Q of one r at rank 4).
 """
 
 from __future__ import annotations
@@ -61,14 +65,7 @@ class SignedPermutation(Frozen):
                                        for i in range(1, self.n + 1)))
 
     def inverse(self) -> "SignedPermutation":
-        inv = [0] * self.n
-        for i in range(1, self.n + 1):
-            v = self(i)
-            if v > 0:
-                inv[v - 1] = i
-            else:
-                inv[-v - 1] = -i
-        return SignedPermutation(tuple(inv))
+        return SignedPermutation(_inverse(self.window))
 
     def __str__(self) -> str:
         return " ".join(str(x) for x in self.window)
@@ -95,28 +92,28 @@ class SignedPermutation(Frozen):
         return cls(tuple(w))
 
 
+def _inverse(window: tuple[int, ...]) -> tuple[int, ...]:
+    """The window of the inverse: w(j) = v gives w^{-1}(v) = j."""
+    inv = [0] * len(window)
+    for j, v in enumerate(window, 1):
+        inv[abs(v) - 1] = j if v > 0 else -j
+    return tuple(inv)
+
+
 @functools.lru_cache(maxsize=None)
 def group_elements(n: int) -> dict[SignedPermutation, tuple[int, tuple[int, ...]]]:
     """BFS of W_n over right multiplication by the generators.
 
     Maps each element to (length, reduced word), the word listing generator
     indices (0 for t) left to right.  The BFS explores generator indices in
-    increasing order, so the stored word is a deterministic normal form.
+    increasing order, so the stored word is a deterministic normal form: the
+    word of the element's BFS parent w s_i, i = last[w], followed by i.  The
+    BFS meets the elements of each length in increasing order of their words.
     """
-    check_n(n)
-    gens = [SignedPermutation.generator(n, i) for i in range(n)]
-    e = SignedPermutation.identity(n)
-    out = {e: (0, ())}
-    queue = deque([e])
-    while queue:
-        w = queue.popleft()
-        length, word = out[w]
-        for i, g in enumerate(gens):
-            wg = w * g
-            if wg not in out:
-                out[wg] = (length + 1, word + (i,))
-                queue.append(wg)
-    return out
+    kern = kernel(n)
+    words = kern.along_words((), lambda word, i: word + (i,))
+    return {w: (length, word) for length, word, w
+            in sorted(zip(kern.length, words, kern.elements))}
 
 
 class Kernel(Frozen):
@@ -156,21 +153,33 @@ class Kernel(Frozen):
 
 @functools.lru_cache(maxsize=None)
 def kernel(n: int) -> Kernel:
-    """The integer kernel of W_n, built from the BFS of group_elements."""
-    bfs = group_elements(n)
-    elements = tuple(sorted(bfs, key=_len_key))
-    pos = {w.window: k for k, w in enumerate(elements)}
-    gens = [SignedPermutation.generator(n, i) for i in range(n)]
-    return Kernel(
-        elements=elements,
-        index={w: k for k, w in enumerate(elements)},
-        length=tuple(bfs[w][0] for w in elements),
-        last=tuple(bfs[w][1][-1] if bfs[w][1] else -1 for w in elements),
-        right=tuple(tuple(pos[tuple(map(w, g.window))] for w in elements)
-                    for g in gens),
-        left=tuple(tuple(pos[tuple(map(g, w.window))] for w in elements)
-                   for g in gens),
-        inverse=tuple(pos[w.inverse().window] for w in elements))
+    """The integer kernel of W_n, from a BFS on windows over right
+    multiplication: w s_i swaps slots i and i + 1, w t negates slot 1.
+    Left products come from the inverse, s_i w = (w^{-1} s_i)^{-1}."""
+    def times(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return (-w[0],) + w[1:] if i == 0 else \
+            w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+
+    check_n(n)
+    found = {tuple(range(1, n + 1)): (0, -1)}    # window -> (length, last)
+    queue = deque(found)
+    while queue:
+        w = queue.popleft()
+        depth = found[w][0] + 1
+        for i in range(n):
+            ws = times(w, i)
+            if ws not in found:
+                found[ws] = (depth, i)
+                queue.append(ws)
+    windows = sorted(found, key=lambda w: (found[w][0], w))
+    pos = {w: k for k, w in enumerate(windows)}
+    right = tuple(tuple(pos[times(w, i)] for w in windows) for i in range(n))
+    inverse = tuple(pos[_inverse(w)] for w in windows)
+    elements = tuple(map(SignedPermutation, windows))
+    length, last = zip(*map(found.get, windows))
+    left = tuple(tuple(inverse[table[x]] for x in inverse) for table in right)
+    return Kernel(elements, {w: k for k, w in enumerate(elements)},
+                  length, last, right, left, inverse)
 
 
 def length(w: SignedPermutation) -> int:
@@ -430,6 +439,27 @@ def s_t_lambda(w: SignedPermutation, r) -> tuple[StandardBitableau,
     return s, t, s.shape
 
 
+def insertion_table(n: int, r) -> tuple[tuple, ...]:
+    """s_t_lambda(w, r) of each element w of kernel(n), by position."""
+    return _insertion_table(check_n(n), resolve_r(r, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _insertion_table(n: int, r: int) -> tuple[tuple, ...]:
+    """The table shares one bitableau object per distinct tableau and one
+    shape object per bitableau."""
+    image: dict[tuple[Domino, ...], tuple] = {}    # tableau -> (q~_r, shape)
+    table = []
+    for w in kernel(n).elements:
+        p, q = map(tuple, _insert(w.window, r))
+        for x in (p, q):
+            if x not in image:
+                s = _qtilde(r, list(enumerate(x, 1)))
+                image[x] = (s, s.shape)
+        table.append((image[p][0], image[q][0], image[p][1]))
+    return tuple(table)
+
+
 def verify_insertion_bijection(n: int, r, bound: int = 5) -> dict:
     """Exhaustive check that w -> (S, T) is a bijection onto same-shape
     bitableau pairs, with |W_n| = 2^n n!."""
@@ -437,14 +467,12 @@ def verify_insertion_bijection(n: int, r, bound: int = 5) -> dict:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     seen = {}
     shapes: dict[Bipartition, int] = {}
-    for w in group_elements(n):
-        s, t, lam = s_t_lambda(w, r)
+    for w, (s, t, lam) in zip(kernel(n).elements, insertion_table(n, r)):
         if s.shape != t.shape:
             return {"ok": False, "reason": f"shape mismatch at {w}"}
-        key = (s, t)
-        if key in seen:
-            return {"ok": False, "reason": f"collision {w} vs {seen[key]}"}
-        seen[key] = w
+        if (s, t) in seen:
+            return {"ok": False, "reason": f"collision {w} vs {seen[s, t]}"}
+        seen[s, t] = w
         shapes[lam] = shapes.get(lam, 0) + 1
     expected = 2 ** n * functools.reduce(lambda a, b: a * b, range(1, n + 1), 1)
     ok = len(seen) == expected

@@ -18,7 +18,8 @@ insertion.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
-the preorders are bitsets closed along successor lists.  Signed permutations
+the preorders are bitsets closed along successor lists, whose cells are
+compared with the insertion fibers as bitsets too.  Signed permutations
 appear only at the public boundary (HeckeElement, kl_basis, cells).
 
 The sweep hash-conses its coefficients: each value is one interned tuple
@@ -45,8 +46,9 @@ import json
 
 from . import Value
 from .combinat import Bipartition, format_bipartition, q_r_inverse
-from .domino import (SignedPermutation, _len_key, group_elements, kernel,
-                     length, reduced_word, s_t_lambda, StandardBitableau)
+from .domino import (SignedPermutation, _len_key, group_elements,
+                     insertion_table, kernel, length, reduced_word,
+                     StandardBitableau)
 from .errors import (BoundExceeded, ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
 from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product, pack
@@ -531,13 +533,6 @@ def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND):
              for v, x in enumerate(reach)})
 
 
-def _fibers(stl: dict, picker) -> list[set]:
-    out: dict = {}
-    for w, (s, t, lam) in stl.items():
-        out.setdefault(picker(s, t, lam), set()).add(w)
-    return list(out.values())
-
-
 def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
     """Whether two partitions of the same set agree; if not, name the first
     element in _len_key order whose blocks differ, and both its blocks."""
@@ -558,38 +553,44 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     if n > bound:
         raise BoundExceeded(f"n = {n} > bound {bound}")
     r = order.r
-    kern = kernel(n)
-    stl = {w: s_t_lambda(w, r) for w in group_elements(n)}
+    kern, table = kernel(n), insertion_table(n, r)
     report = {"n": n, "xi": str(order.xi), "r": r, "clauses": {}}
-    for clause, side, picker in (
-            ("a_left_vs_T", "L", lambda s, t, lam: t),
-            ("b_right_vs_S", "R", lambda s, t, lam: s),
-            ("c_twosided_vs_shape", "LR", lambda s, t, lam: lam)):
-        part = [{kern.elements[v] for v in block}
-                for block in _scc_partition(_reach(n, order, side))]
-        ok, why = _same_partition(part, _fibers(stl, picker))
+    # the fibers of S, T and the shape, each block a bitset of positions
+    fibers: tuple[dict, dict, dict] = ({}, {}, {})
+    for v, entry in enumerate(table):
+        for fiber, key in zip(fibers, entry):
+            fiber[key] = fiber.get(key, 0) | 1 << v
+    for clause, side, fiber in (("a_left_vs_T", "L", fibers[1]),
+                                ("b_right_vs_S", "R", fibers[0]),
+                                ("c_twosided_vs_shape", "LR", fibers[2])):
+        part = _scc_partition(_reach(n, order, side))
+        ok, why = set(fiber.values()) == {sum(1 << v for v in block)
+                                          for block in part}, None
+        if not ok:
+            # the elements are named only to locate a mismatch
+            ok, why = _same_partition(
+                [{kern.elements[v] for v in block} for block in part],
+                [{kern.elements[v] for v in _bits(x)}
+                 for x in fiber.values()])
         report["clauses"][clause] = {"ok": ok, **({"detail": why} if why else {})}
     # (c+): two-sided preorder against the dominance order on shapes.  Row
     # w2 of the preorder must be the union of the shapes dominated by its
-    # shape; only a mismatch is located by the pair scan.  The order is
-    # dominance_r, with q_r^{-1} taken once per shape.
+    # shape; only a mismatch is located by the pair scan, in group_elements
+    # order.  The order is dominance_r, with q_r^{-1} taken once per shape.
     reach = _reach(n, order, "LR")
-    shape_of = {kern.index[w]: lam for w, (_, _, lam) in stl.items()}
-    mask: dict[Bipartition, int] = {}
-    for v, lam in shape_of.items():
-        mask[lam] = mask.get(lam, 0) | 1 << v
+    mask = fibers[2]
     image = {lam: q_r_inverse(lam, r) for lam in mask}
     dominated = {(a, b): dominance_partitions(image[a], image[b])
                  for a in mask for b in mask}
     below = {b: sum(mask[a] for a in mask if dominated[a, b]) for b in mask}
     bad = None
-    if any(reach[v] != below[lam] for v, lam in shape_of.items()):
+    if any(reach[v] != below[lam] for v, (_, _, lam) in enumerate(table)):
         # the first pair (w, w2) where "w below w2" and dominance disagree
-        bad = next((str(kern.elements[v]), str(kern.elements[v2]), klle,
-                    dominated[lw, lw2])
-                   for v, lw in shape_of.items()
-                   for v2, lw2 in shape_of.items()
-                   if (klle := bool(reach[v2] >> v & 1)) != dominated[lw, lw2])
+        scan = [kern.index[w] for w in group_elements(n)]
+        bad = next((str(kern.elements[v]), str(kern.elements[v2]), klle, dom)
+                   for v in scan for v2 in scan
+                   if (klle := bool(reach[v2] >> v & 1))
+                   != (dom := dominated[table[v][2], table[v2][2]]))
     report["clauses"]["c_plus_preorder_vs_dominance"] = {
         "ok": bad is None, **({"detail": repr(bad)} if bad else {})}
     report["ok"] = all(c["ok"] for c in report["clauses"].values())
@@ -645,12 +646,13 @@ def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
         raise ConjectureAViolation(json.dumps(report))
     r = order.r
     klb = kl_basis(n, order, bound)
+    index, table = kernel(n).index, insertion_table(n, r)
     w_of = {}
     basis = {}
     leading = {}
     sbt: dict[Bipartition, list] = {}
     for w in group_elements(n):
-        s, t, lam = s_t_lambda(w, r)
+        s, t, lam = table[index[w]]
         w_of[(s, t)] = w
         basis[(s, t)] = _dagger_bar_fixed(klb[w])
         leading[w] = (s, t)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,29 @@ from heckeb import INFINITY, domino
 from heckeb.combinat import (Partition, bipartitions_of_shape_count,
                              delta_core, q_r, staircase_index)
 from heckeb.domino import (DominoTableau, SignedPermutation,
-                           StandardBitableau, group_elements, insert, kernel,
-                           length, qtilde_r, reduced_word, resolve_r,
-                           s_t_lambda, verify_insertion_bijection)
+                           StandardBitableau, group_elements, insert,
+                           insertion_table, kernel, length, qtilde_r,
+                           reduced_word, resolve_r, s_t_lambda,
+                           verify_insertion_bijection)
 from heckeb.errors import InvalidArgument, MalformedTableau
-from heckeb.hecke import _len_key
+
+
+def bfs_group_elements(n):
+    """Reference BFS of W_n over right multiplication by the generators,
+    as products of signed permutations: element -> (length, reduced word)."""
+    gens = [SignedPermutation.generator(n, i) for i in range(n)]
+    e = SignedPermutation.identity(n)
+    out = {e: (0, ())}
+    queue = deque([e])
+    while queue:
+        w = queue.popleft()
+        length, word = out[w]
+        for i, g in enumerate(gens):
+            wg = w * g
+            if wg not in out:
+                out[wg] = (length + 1, word + (i,))
+                queue.append(wg)
+    return out
 
 
 def quotient_chain_qtilde_r(d):
@@ -175,25 +194,37 @@ class TestSignedPermutation:
             resolve_r(-1, 4)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_group_elements_matches_bfs(n):
+    # the same elements, lengths and words, in the same order
+    assert list(group_elements(n).items()) == \
+        list(bfs_group_elements(n).items())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 class TestKernel:
     def test_order_and_index(self, n):
         kern = kernel(n)
-        assert list(kern.elements) == sorted(group_elements(n), key=_len_key)
+        bfs = bfs_group_elements(n)
+        assert list(kern.elements) == sorted(
+            bfs, key=lambda w: (bfs[w][0], w.window))
         assert all(kern.index[w] == k for k, w in enumerate(kern.elements))
 
     def test_length_and_last_letter(self, n):
         kern = kernel(n)
+        bfs = bfs_group_elements(n)
         for k, w in enumerate(kern.elements):
-            word = reduced_word(w)
-            assert kern.length[k] == len(word)
+            depth, word = bfs[w]
+            assert kern.length[k] == depth == len(word)
             assert kern.last[k] == (word[-1] if word else -1)
 
     def test_tables_match_products(self, n):
         kern = kernel(n)
         gens = [SignedPermutation.generator(n, i) for i in range(n)]
+        e = SignedPermutation.identity(n)
         for k, w in enumerate(kern.elements):
             assert kern.elements[kern.inverse[k]] == w.inverse()
+            assert w * kern.elements[kern.inverse[k]] == e
             for i, g in enumerate(gens):
                 assert kern.elements[kern.right[i][k]] == w * g
                 assert kern.elements[kern.left[i][k]] == g * w
@@ -204,6 +235,14 @@ class TestKernel:
         assert kern.along_words(SignedPermutation.identity(n),
                                 lambda w, i: w * gens[i]) == \
             list(kern.elements)
+
+
+# n -> (distinct tableaux, tableaux) among the P and Q of each element of
+# W_n for r = 0..n, or r = 0, 1 at n = 5
+INSERTED_TABLEAUX = {1: (4, 8), 2: (18, 48), 3: (80, 384), 4: (380, 3840),
+                     5: (624, 15360)}
+# n -> standard bitableaux of size n, the distinct S and T of insertion
+BITABLEAUX = {0: 1, 1: 2, 2: 6, 3: 20, 4: 76, 5: 312}
 
 
 class TestInsertion:
@@ -245,10 +284,13 @@ class TestInsertion:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_qtilde_r_matches_quotient_chain(self, n):
-        for r in range(n + 1) if n < 5 else (0, 1):
-            for w in group_elements(n):
-                for d in insert(w, r):
-                    assert qtilde_r(d) == quotient_chain_qtilde_r(d)
+        # P and Q of every element for each r, each distinct tableau once
+        inserted = [d for r in (range(n + 1) if n < 5 else (0, 1))
+                    for w in group_elements(n) for d in insert(w, r)]
+        tableaux = set(inserted)
+        assert (len(tableaux), len(inserted)) == INSERTED_TABLEAUX[n]
+        for d in tableaux:
+            assert qtilde_r(d) == quotient_chain_qtilde_r(d)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_set_insertion(self, n):
@@ -278,6 +320,31 @@ class TestInsertion:
         report = verify_insertion_bijection(3, 0)
         assert report["ok"]
         assert report["count"] == report["expected"] == 48
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(5)
+                                  for r in (*range(n + 1), INFINITY)]
+                         + [(5, 0), (5, 1)])
+class TestInsertionTable:
+    def test_matches_s_t_lambda(self, n, r):
+        assert list(insertion_table(n, r)) == \
+            [s_t_lambda(w, r) for w in kernel(n).elements]
+
+    def test_one_object_per_tableau(self, n, r):
+        # equal bitableaux are one object, and the shape of S is that of
+        # every entry holding S
+        table = insertion_table(n, r)
+        first, shape = {}, {}
+        for s, t, lam in table:
+            assert first.setdefault(s, s) is s
+            assert first.setdefault(t, t) is t
+            assert shape.setdefault(id(s), lam) is lam
+        assert len(first) == BITABLEAUX[n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_insertion_table_resolves_r_before_the_cache(n):
+    assert insertion_table(n, INFINITY) is insertion_table(n, max(n - 1, 0))
 
 
 # Each invariant of the integer insertion core, broken by hand: a placed

@@ -514,6 +514,94 @@ class TestCells:
             assert any(block <= c for c in lr)
 
 
+def merged_reach(reach, a, b):
+    """reach with blocks a and b of its cell partition made one cell: each
+    of their rows becomes the union of both."""
+    blocks = hecke._scc_partition(reach)
+    row = 0
+    for v in blocks[a] + blocks[b]:
+        row |= reach[v]
+    return [row if v in blocks[a] + blocks[b] else x
+            for v, x in enumerate(reach)]
+
+
+# The detail of each failing clause at r = 1 when the cells of one side
+# have two of their blocks merged: (n, side, a, b) -> {clause: detail}.
+# Captured while the report still compared sets of signed permutations.
+MERGED_DETAILS = {
+    (3, "L", 0, 1): {
+        "a_left_vs_T":
+            "first differing element 1 2 3: KL block ['1 2 3', '-1 2 3', "
+            "'-2 1 3', '-3 1 2'], fiber ['1 2 3']",
+    },
+    (3, "L", 2, 5): {
+        "a_left_vs_T":
+            "first differing element 1 3 2: KL block ['1 3 2', '2 -1 3', "
+            "'2 3 1', '1 -2 3', '1 -3 2'], fiber ['1 3 2', '2 3 1']",
+    },
+    (3, "R", 0, 1): {
+        "b_right_vs_S":
+            "first differing element 1 2 3: KL block ['1 2 3', '-1 2 3', "
+            "'2 -1 3', '2 3 -1'], fiber ['1 2 3']",
+    },
+    (3, "R", 2, 5): {
+        "b_right_vs_S":
+            "first differing element 1 3 2: KL block ['1 3 2', '-1 3 2', "
+            "'3 1 2', '3 -1 2', '-3 -1 2'], fiber ['1 3 2', '3 1 2']",
+    },
+    (3, "LR", 0, 1): {
+        "c_twosided_vs_shape":
+            "first differing element 1 2 3: KL block ['1 2 3', '-1 2 3', "
+            "'-2 1 3', '2 -1 3', '-3 1 2', '1 -2 3', '2 3 -1', '1 -3 2', "
+            "'1 3 -2', '1 2 -3'], fiber ['1 2 3']",
+        "c_plus_preorder_vs_dominance":
+            "('1 2 3', '-1 2 3', True, False)",
+    },
+    (3, "LR", 2, 5): {
+        "c_twosided_vs_shape":
+            "first differing element 1 3 2: KL block ['1 3 2', '2 1 3', "
+            "'2 3 1', '3 1 2', '3 2 1', '-3 2 1', '3 2 -1', '-3 2 -1', "
+            "'2 -3 1', '3 1 -2', '-3 1 -2', '2 -3 -1', '1 -3 -2'], "
+            "fiber ['1 3 2', '2 1 3', '2 3 1', '3 1 2']",
+        "c_plus_preorder_vs_dominance":
+            "('-1 2 3', '3 2 1', True, False)",
+    },
+    (4, "L", 2, 5): {
+        "a_left_vs_T":
+            "first differing element 1 2 4 3: KL block ['1 2 4 3', "
+            "'-1 2 4 3', '1 3 4 2', '-2 1 4 3', '-1 3 4 2', '2 3 4 1', "
+            "'-3 1 4 2', '-2 3 4 1', '-2 3 4 -1'], fiber ['1 2 4 3', "
+            "'1 3 4 2', '2 3 4 1']",
+    },
+    (4, "R", 2, 5): {
+        "b_right_vs_S":
+            "first differing element 1 2 4 3: KL block ['1 2 4 3', "
+            "'-2 1 3 4', '1 4 2 3', '1 -2 3 4', '4 1 2 3', '1 3 -2 4', "
+            "'1 3 4 -2'], fiber ['1 2 4 3', '1 4 2 3', '4 1 2 3']",
+    },
+    (4, "LR", 2, 5): {
+        "c_twosided_vs_shape":
+            "first differing element 1 2 4 3: KL block ['1 2 4 3', "
+            "'1 3 2 4', '2 1 3 4', '1 3 4 2', '1 4 2 3', '2 3 1 4', "
+            "'3 1 2 4', '-2 -1 3 4', '2 3 4 1', '4 1 2 3'], "
+            "fiber ['1 2 4 3', '1 3 2 4', '2 1 3 4', '1 3 4 2', '1 4 2 3', "
+            "'2 3 1 4', '3 1 2 4', '2 3 4 1', '4 1 2 3']",
+        "c_plus_preorder_vs_dominance":
+            "('-1 2 3 4', '-2 -1 3 4', True, False)",
+    },
+}
+
+
+@pytest.mark.parametrize("n, side, a, b", sorted(MERGED_DETAILS))
+def test_mismatch_details(n, side, a, b, monkeypatch):
+    reach = hecke._reach
+    monkeypatch.setattr(hecke, "_reach", lambda n, order, s: merged_reach(
+        reach(n, order, s), a, b) if s == side else reach(n, order, s))
+    report = conjecture_a_report(n, XiOrder.for_r(1))
+    assert {clause: c["detail"] for clause, c in report["clauses"].items()
+            if not c["ok"]} == MERGED_DETAILS[n, side, a, b]
+
+
 class TestCellularity:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1])
