@@ -9,11 +9,12 @@ crystal graphs (`crystal`), canonical bases and decomposition matrices
 numbers (`specht`), and a command-line surface (`cli`).
 """
 
-from .errors import InvalidArgument
+from .errors import BoundExceeded, InvalidArgument
 
 INFINITY = float("inf")
 
-__all__ = ["INFINITY", "Frozen", "Value", "check_e", "check_n", "resolve_r"]
+__all__ = ["INFINITY", "Frozen", "Value", "check_bound", "check_e",
+           "check_n", "resolve_r"]
 
 
 class Value:
@@ -102,3 +103,9 @@ def check_n(n: int) -> int:
     if n < 0:
         raise InvalidArgument(f"n = {n} must be non-negative")
     return n
+
+
+def check_bound(n: int, bound: int) -> None:
+    """Check that the rank n is at most the bound of a computation."""
+    if n > bound:
+        raise BoundExceeded(f"n = {n} > bound {bound}")

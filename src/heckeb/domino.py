@@ -29,10 +29,10 @@ import functools
 import json
 from collections import deque
 
-from . import Frozen, check_n, resolve_r
+from . import Frozen, check_bound, check_n, resolve_r
 from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
                        staircase_index)
-from .errors import BoundExceeded, InvalidArgument, MalformedTableau
+from .errors import InvalidArgument, MalformedTableau
 
 Cell = tuple[int, int]  # (row, column), 1-based
 
@@ -301,10 +301,17 @@ def _bump(rows: list[int], dom: Domino) -> Domino:
 
 
 def _grown(before: list[int], after: list[int]) -> Domino:
-    """The one domino by which the shape grew from before to after."""
-    before = before + [0] * (len(after) - len(before))
-    return _domino(frozenset((i, j) for i, (a, b) in enumerate(
-        zip(before, after), 1) for j in range(a + 1, b + 1)))
+    """The one domino by which the shape grew from before to after: one row
+    grew by 2, or two consecutive rows of equal length grew by 1 each."""
+    padded = before + [0] * (len(after) - len(before))
+    grew = [(i, a, b - a) for i, (a, b) in enumerate(zip(padded, after), 1)
+            if a != b]
+    if grew:
+        i, a, _ = grew[0]
+        if grew in ([(i, a, 2)], [(i, a, 1), (i + 1, a, 1)]):
+            return i, a + 1, len(grew) == 1
+    raise MalformedTableau(f"the shape {before} grew to {after}, "
+                           "not by one domino")
 
 
 def _insert(window: tuple[int, ...], r: int) \
@@ -463,8 +470,7 @@ def _insertion_table(n: int, r: int) -> tuple[tuple, ...]:
 def verify_insertion_bijection(n: int, r, bound: int = 5) -> dict:
     """Exhaustive check that w -> (S, T) is a bijection onto same-shape
     bitableau pairs, with |W_n| = 2^n n!."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     seen = {}
     shapes: dict[Bipartition, int] = {}
     for w, (s, t, lam) in zip(kernel(n).elements, insertion_table(n, r)):

@@ -44,12 +44,12 @@ import functools
 import heapq
 import json
 
-from . import Value
+from . import Value, check_bound
 from .combinat import Bipartition, format_bipartition, q_r_inverse
 from .domino import (SignedPermutation, _len_key, group_elements,
                      insertion_table, kernel, length, reduced_word,
                      StandardBitableau)
-from .errors import (BoundExceeded, ConjectureAViolation, InvalidArgument,
+from .errors import (ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
 from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product, pack
 from .orders import dominance_partitions, dominance_r
@@ -417,8 +417,7 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     coefficient is one ACoeff that every C_w holding it shares, so it must
     never be changed in place.
     """
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     elements = kernel(n).elements
     wrapped: dict[int, ACoeff] = {}
 
@@ -524,8 +523,7 @@ def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND):
     """
     if side not in ("L", "R", "LR"):
         raise InvalidArgument(f"side {side!r} must be 'L', 'R' or 'LR'")
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     elements = kernel(n).elements
     reach = _reach(n, order, side)
     return ([{elements[v] for v in block} for block in _scc_partition(reach)],
@@ -550,8 +548,7 @@ def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
 
 def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     """Compare KL cells with insertion fibers (clauses a, b, c, c+)."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     r = order.r
     kern, table = kernel(n), insertion_table(n, r)
     report = {"n": n, "xi": str(order.xi), "r": r, "clauses": {}}
@@ -671,8 +668,7 @@ def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
     sum_{S'} r(S', S, h) C_{S',T} plus terms of strictly smaller shape,
     with r(S', S, h) independent of T.
     """
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     datum = cell_datum(n, order)
     r = order.r
     failures = []

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 
-from . import Value, resolve_r
+from . import Value, check_bound, resolve_r
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition, q_r_inverse)
-from .errors import BoundExceeded, SizeMismatch
+from .errors import SizeMismatch
 
 HASSE_BOUND = 8
 
@@ -121,8 +121,7 @@ class HasseDiagram(Value):
 
 def hasse(n: int, r, bound: int = HASSE_BOUND) -> HasseDiagram:
     """Hasse diagram of the r-order on Bip(n)."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     verts = list(enumerate_bipartitions(n))
     rr = resolve_r(r, n)
     pre = {v: q_r_inverse(v, rr) for v in verts}

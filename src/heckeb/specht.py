@@ -4,9 +4,14 @@ The Kazhdan-Lusztig cellular structure gives a cell module for every
 bipartition shape; specializing the parameters at roots of unity (q a
 primitive 2e-th root, Q^2 = -q^{2d}) turns them into modules over a
 cyclotomic field.  Simple quotients survive exactly when the Gram form is
-nonzero, and decomposition numbers are recovered from trace functions: the
-traces of all standard basis elements on the simples are linearly
-independent, so each cell-module character decomposes uniquely.
+nonzero: the simple head D = S / rad of a cell module S is its quotient by
+the radical of the form (Graham-Lehrer, Cellular algebras, Invent. Math.
+123, 1996, section 3).  Each head is built as a module in its own right,
+its generator matrices solved once from the rows of the Gram form, and
+traced along reduced words by the same code as the cell modules.
+Decomposition numbers are recovered from these trace functions: the traces
+of all standard basis elements on the simples are linearly independent, so
+each cell-module character decomposes uniquely.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 import functools
 import json
 
-from . import Value
+from . import Value, check_bound
 from .combinat import Bipartition, format_bipartition
 from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
-from .domino import SignedPermutation, group_elements, kernel, length
-from .errors import BoundExceeded, NonIntegralMultiplicity, RankDeficiency
+from .domino import kernel
+from .errors import NonIntegralMultiplicity, RankDeficiency
 from .hecke import CellDatum, cell_datum, structure_coefficients
 from .laurent import ACoeff, XiOrder, add_product
 
@@ -76,23 +81,6 @@ def _row_reduce(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 def _rank(mat: Matrix) -> int:
     return len(_row_reduce(mat)[1]) if mat else 0
-
-
-def _nullspace(mat: Matrix, m: int) -> list[list[CycloNumber]]:
-    """Basis of the right null space."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    ech, pivots = _row_reduce(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [_zero(m) for _ in range(cols)]
-        vec[f] = CycloNumber.rational(m, 1)
-        for r, c in enumerate(pivots):
-            vec[c] = -ech[r][f]
-        basis.append(vec)
-    return basis
 
 
 def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]], m: int) \
@@ -233,8 +221,7 @@ def _acoeff_det(mat) -> ACoeff:
 def adjointness_check(n: int, r: int, bound: int = SPECHT_BOUND) -> bool:
     """Bilinear form compatibility with *: since every generator is fixed
     by *, the condition is M_i^t G = G M_i over the generic ring."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     _, generic = _generic_data(n, r)
     for sbt, gens, gram in generic.values():
         k = len(sbt)
@@ -255,8 +242,7 @@ def generic_semisimplicity_check(n: int, r: int,
                                  bound: int = SPECHT_BOUND) -> bool:
     """All generic Gram determinants nonzero, so every cell module stays
     simple over the fraction field."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     _, generic = _generic_data(n, r)
     return all(not _acoeff_det(gram).is_zero()
                for _, _, gram in generic.values())
@@ -264,29 +250,25 @@ def generic_semisimplicity_check(n: int, r: int,
 
 def cell_module(n: int, e: int, d: int, r: int, lam: Bipartition,
                 bound: int = SPECHT_BOUND) -> CellModule:
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     return _specialized_data(n, e, d, r)[2][lam]
 
 
 def nonzero_simples(n: int, e: int, d: int, r: int,
                     bound: int = SPECHT_BOUND) -> list[Bipartition]:
     """Shapes whose Gram form survives specialization (labels of simples)."""
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
+    check_bound(n, bound)
     _, _, modules = _specialized_data(n, e, d, r)
     return [lam for lam, mod in modules.items() if mod.gram_rank() >= 1]
 
 
-def _action_matrices(mod: CellModule, n: int) \
-        -> dict[SignedPermutation, Matrix]:
-    """Matrix of every T_w on the module, built along reduced words."""
-    m = mod.spec.m
-    kern = kernel(n)
+def _action_matrices(gens: list[Matrix], dim: int, n: int, m: int) \
+        -> list[Matrix]:
+    """Matrix of every T_w on the module of dimension dim on which T_t,
+    T_{s_1}, ... act by gens, in kernel order, built along reduced words."""
     # left action: T_w = T_prefix * T_last acts as M_prefix @ M_last
-    return dict(zip(kern.elements, kern.along_words(
-        _identity(mod.dim, m),
-        lambda prev, i: _mat_mul(prev, mod.generators[i], m))))
+    return kernel(n).along_words(
+        _identity(dim, m), lambda prev, i: _mat_mul(prev, gens[i], m))
 
 
 def _trace(mat: Matrix, m: int) -> CycloNumber:
@@ -296,26 +278,32 @@ def _trace(mat: Matrix, m: int) -> CycloNumber:
     return out
 
 
-def _radical_traces(mod: CellModule, n: int,
-                    actions: dict[SignedPermutation, Matrix]) \
-        -> dict[SignedPermutation, CycloNumber]:
-    """Trace of each T_w on the radical of the Gram form (a submodule)."""
+def _head(mod: CellModule, n: int, e: int, d: int, r: int) \
+        -> tuple[list[Matrix], int] | None:
+    """(generator matrices, dimension) of the simple head D = S / rad of a
+    cell module, or None when its form is nondegenerate and D = S.
+
+    R, the rows of the Gram G at the pivots of G^t, spans its row space, so
+    null(R) = null(G) = rad and x -> R x identifies S / rad with k-space,
+    k = rank G.  rad is a submodule, so R M_i = Y_i R has a solution, and
+    T_{s_i} acts on D by Y_i.  Raises RankDeficiency, naming the shape,
+    when rad is not a submodule.
+    """
     m = mod.spec.m
-    rad = _nullspace(mod.gram, m)
-    if not rad:
-        return {w: _zero(m) for w in actions}
-    basis_mat = [[vec[i] for vec in rad] for i in range(mod.dim)]
-    out = {}
-    for w, a in actions.items():
-        image = _mat_mul(a, basis_mat, m)
-        coords = _solve_full_column_rank(
-            basis_mat, [[image[i][j] for i in range(mod.dim)]
-                        for j in range(len(rad))], m)
-        tr = _zero(m)
-        for j in range(len(rad)):
-            tr = tr + coords[j][j]
-        out[w] = tr
-    return out
+    _, pivots = _row_reduce([list(col) for col in zip(*mod.gram)])
+    if len(pivots) == mod.dim:
+        return None
+    rows = [mod.gram[p] for p in pivots]
+    columns = [list(col) for col in zip(*rows)]
+    try:
+        gens = [_solve_full_column_rank(columns, _mat_mul(rows, g, m), m)
+                for g in mod.generators]
+    except RankDeficiency:
+        raise RankDeficiency(
+            f"the radical of the form on S_{format_bipartition(mod.shape)} "
+            f"is not a submodule at n = {n}, e = {e}, d = {d}, r = {r}") \
+            from None
+    return gens, len(pivots)
 
 
 def _as_int(x: CycloNumber, n: int, e: int, d: int, r: int,
@@ -338,24 +326,24 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     the simples, entries a dict keyed by (lam, mu).  Raises RankDeficiency
     when the simple characters fail to separate.
     """
-    if n > bound:
-        raise BoundExceeded(f"n = {n} > bound {bound}")
-    datum, spec, modules = _specialized_data(n, e, d, r)
+    check_bound(n, bound)
+    _, spec, modules = _specialized_data(n, e, d, r)
     m = spec.m
     simples = nonzero_simples(n, e, d, r, bound)
-    elements = sorted(group_elements(n), key=lambda x: length(x))
-    cell_traces = {}
-    simple_traces = {}
-    for lam, mod in modules.items():
-        actions = _action_matrices(mod, n)
-        cell_traces[lam] = {w: _trace(actions[w], m) for w in elements}
-        if lam in simples:
-            rad = _radical_traces(mod, n, actions)
-            simple_traces[lam] = {
-                w: cell_traces[lam][w] - rad[w] for w in elements}
-    a = [[simple_traces[mu][w] for mu in simples] for w in elements]
-    bs = [[cell_traces[lam][w] for w in elements] for lam in modules]
-    sols = _solve_full_column_rank(a, bs, m)
+
+    def character(gens: list[Matrix], dim: int) -> list[CycloNumber]:
+        return [_trace(a, m) for a in _action_matrices(gens, dim, n, m)]
+
+    cell_traces = {lam: character(mod.generators, mod.dim)
+                   for lam, mod in modules.items()}
+    simple_traces = []
+    for mu in simples:
+        head = _head(modules[mu], n, e, d, r)
+        simple_traces.append(
+            cell_traces[mu] if head is None else character(*head))
+    sols = _solve_full_column_rank(
+        [list(row) for row in zip(*simple_traces)],
+        list(cell_traces.values()), m)
     entries = {}
     for lam, sol in zip(modules, sols):
         for mu, x in zip(simples, sol):

@@ -196,6 +196,31 @@ class TestGoldenOutputs:
                 wrong.append(shlex.join(argv))
         assert wrong == []
 
+    def test_specht_rank_zero(self, capsys):
+        assert invoke(capsys, "specht", "--n", "0", "--e", "2", "--d", "0",
+                      "--r", "0") == (0, "\t(∅;∅)\n(∅;∅)\t1\n", "")
+
+    def test_theorem41_rank_zero(self, capsys):
+        assert invoke(capsys, "theorem41", "--n", "0", "--e", "3", "--d", "1",
+                      "--r", "0") == (0, """{
+  "n": 0,
+  "e": 3,
+  "d": 1,
+  "r": 0,
+  "assumptions": [
+    "cells match domino insertion fibers (checked internally)",
+    "cell modules realize the standard modules, so rows are labeled by shapes (assumed, not checkable here)"
+  ],
+  "status": "ok",
+  "details": [],
+  "charge": [
+    -2,
+    0
+  ],
+  "schema": "1"
+}
+""", "")
+
     def test_determinism(self, capsys):
         a = invoke(capsys, "klbasis", "--n", "2", "--r", "0")
         b = invoke(capsys, "klbasis", "--n", "2", "--r", "0")

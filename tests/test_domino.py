@@ -350,12 +350,13 @@ def test_insertion_table_resolves_r_before_the_cache(n):
 # Each invariant of the integer insertion core, broken by hand: a placed
 # cell that is taken, a domino that leaves no Young diagram, a one-cell
 # collision away from the top-left cell, and a step that grows the shape by
-# something other than one domino.
+# something other than one domino or shrinks a row.
 BROKEN_INVARIANTS = {
     "placed-cell-taken": "domino._place([2], (1, 2, True))",
     "shape-not-young": "domino._place([], (2, 1, True))",
     "collision-not-top-left": "domino._bump([1, 2], (1, 2, False))",
     "growth-not-a-domino": "domino._grown([2], [3, 1])",
+    "growth-shrinks-a-row": "domino._grown([2, 2], [4, 1])",
 }
 
 

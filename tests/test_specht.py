@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import subprocess
@@ -10,11 +11,11 @@ import pytest
 from heckeb import specht
 from heckeb.combinat import (format_bipartition, parse_bipartition,
                              bipartitions_of_shape_count)
-from heckeb.cyclo import CycloNumber
-from heckeb.errors import NonIntegralMultiplicity
+from heckeb.cyclo import CycloNumber, Specialization
+from heckeb.errors import NonIntegralMultiplicity, RankDeficiency
 from heckeb.hecke import cell_datum
 from heckeb.laurent import ACoeff, XiOrder
-from heckeb.specht import (adjointness_check, cell_module,
+from heckeb.specht import (CellModule, adjointness_check, cell_module,
                            decomposition_numbers, generic_semisimplicity_check,
                            nonzero_simples, theorem41_check)
 
@@ -45,6 +46,54 @@ def product_gram(n, r):
         out[lam] = [[datum.expand(datum.basis[(t0, s)] * datum.basis[(t, t0)])
                      .get((t0, t0), ACoeff()) for t in sbt] for s in sbt]
     return out
+
+
+def nullspace(mat, m):
+    """Basis of the right null space of mat."""
+    cols = len(mat[0])
+    ech, pivots = specht._row_reduce(mat)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [CycloNumber.zero(m) for _ in range(cols)]
+        vec[f] = CycloNumber.rational(m, 1)
+        for r, c in enumerate(pivots):
+            vec[c] = -ech[r][f]
+        basis.append(vec)
+    return basis
+
+
+def character(gens, dim, n, m):
+    """Trace of every T_w, in kernel order, on the module gens act on."""
+    return [specht._trace(a, m)
+            for a in specht._action_matrices(gens, dim, n, m)]
+
+
+def radical_character(mod, n):
+    """Trace of every T_w on the radical of the Gram form, in kernel order,
+    by one solve per element for the action of T_w on a basis of the
+    radical.  The reference for the heads of decomposition_numbers."""
+    m = mod.spec.m
+    rad = nullspace(mod.gram, m)
+    actions = specht._action_matrices(mod.generators, mod.dim, n, m)
+    if not rad:
+        return [CycloNumber.zero(m) for _ in actions]
+    basis_mat = [[vec[i] for vec in rad] for i in range(mod.dim)]
+    out = []
+    for a in actions:
+        image = specht._mat_mul(a, basis_mat, m)
+        coords = specht._solve_full_column_rank(
+            basis_mat, [[row[j] for row in image] for j in range(len(rad))], m)
+        out.append(specht._trace(coords, m))
+    return out
+
+
+def broken_module(spec):
+    """A two-dimensional module of W_1 whose form has radical span(e_2),
+    which T_t swaps with e_1: the radical is not a submodule."""
+    m = spec.m
+    one, zero = CycloNumber.rational(m, 1), CycloNumber.zero(m)
+    return CellModule(B("(1;∅)"), [0, 1], [[[zero, one], [one, zero]]],
+                      [[one, zero], [zero, zero]], spec)
 
 
 def run_optimized(code):
@@ -114,6 +163,67 @@ class TestSimplesAndDecomposition:
             for r in (0, 1):
                 _, _, entries = decomposition_numbers(n, 2, 0, r)
                 assert all(v >= 0 for v in entries.values())
+
+
+class TestSimpleHeads:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("e, d", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_head_is_cell_minus_radical(self, n, e, d, r):
+        for mu in nonzero_simples(n, e, d, r):
+            mod = cell_module(n, e, d, r, mu)
+            m = mod.spec.m
+            head = specht._head(mod, n, e, d, r)
+            gens, dim = (mod.generators, mod.dim) if head is None else head
+            want = [c - x for c, x in zip(
+                character(mod.generators, mod.dim, n, m),
+                radical_character(mod, n))]
+            assert character(gens, dim, n, m) == want, format_bipartition(mu)
+
+    def test_radical_not_a_submodule_raises(self):
+        with pytest.raises(RankDeficiency) as info:
+            specht._head(broken_module(Specialization(2, 0)), 1, 2, 0, 0)
+        assert str(info.value) == (
+            "the radical of the form on S_(1;∅) is not a submodule at "
+            "n = 1, e = 2, d = 0, r = 0")
+
+    def test_theorem41_blocked(self, monkeypatch):
+        specialized = specht._specialized_data
+
+        def patched(n, e, d, r):
+            datum, spec, modules = specialized(n, e, d, r)
+            return datum, spec, {**modules, B("(1;∅)"): broken_module(spec)}
+
+        monkeypatch.setattr(specht, "_specialized_data", patched)
+        # a fresh cache, so no earlier result hides the broken module
+        fresh = functools.lru_cache(maxsize=None)(
+            decomposition_numbers.__wrapped__)
+        monkeypatch.setattr(specht, "decomposition_numbers", fresh)
+        report = theorem41_check(1, 2, 0, 0)
+        assert report["status"] == "blocked"
+        assert report["details"] == [
+            "trace system degenerate: the radical of the form on S_(1;∅) is "
+            "not a submodule at n = 1, e = 2, d = 0, r = 0"]
+
+    def test_theorem41_blocked_under_optimize(self):
+        code = ("from heckeb import specht\n"
+                "from heckeb.combinat import parse_bipartition as B\n"
+                "from heckeb.cyclo import CycloNumber\n"
+                "specialized = specht._specialized_data\n"
+                "def patched(n, e, d, r):\n"
+                "    datum, spec, modules = specialized(n, e, d, r)\n"
+                "    one = CycloNumber.rational(spec.m, 1)\n"
+                "    zero = CycloNumber.zero(spec.m)\n"
+                "    broken = specht.CellModule(B('(1;∅)'), [0, 1],"
+                " [[[zero, one], [one, zero]]], [[one, zero], [zero, zero]],"
+                " spec)\n"
+                "    return datum, spec, {**modules, B('(1;∅)'): broken}\n"
+                "specht._specialized_data = patched\n"
+                "report = specht.theorem41_check(1, 2, 0, 0)\n"
+                "print(report['status'], *report['details'], sep='\\n')\n")
+        assert run_optimized(code) == (
+            "blocked\ntrace system degenerate: the radical of the form on "
+            "S_(1;∅) is not a submodule at n = 1, e = 2, d = 0, r = 0\n")
 
 
 class TestNonIntegralMultiplicity:

@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 
 import heckeb
-from heckeb import Value
+from heckeb import Value, domino, hecke, orders, specht
 from heckeb.combinat import (BetaSet, Bipartition, Partition,
                              enumerate_bipartitions, format_bipartition)
 from heckeb.crystal import CrystalGraph, crystal_graph
 from heckeb.cyclo import Specialization
 from heckeb.domino import (DominoTableau, Kernel, SignedPermutation,
                            StandardBitableau, insert, kernel, s_t_lambda)
-from heckeb.errors import InvalidArgument, InvalidSlope
+from heckeb.errors import BoundExceeded, InvalidArgument, InvalidSlope
 from heckeb.fock import FockVector, f_action
 from heckeb.hecke import HeckeElement, cell_datum, kl_basis
 from heckeb.laurent import XiOrder
@@ -295,6 +295,23 @@ class TestTypedErrors:
     def test_invalid_slope(self, xi):
         with pytest.raises(InvalidSlope):
             XiOrder(xi)
+
+    @pytest.mark.parametrize("call", [
+        lambda: hecke.kl_basis(2, XiOrder.for_r(0), 1),
+        lambda: hecke.cells(2, XiOrder.for_r(0), "LR", 1),
+        lambda: hecke.conjecture_a_report(2, XiOrder.for_r(0), 1),
+        lambda: hecke.cellularity_check(2, XiOrder.for_r(0), 1),
+        lambda: orders.hasse(2, 0, 1),
+        lambda: domino.verify_insertion_bijection(2, 0, 1),
+        lambda: specht.adjointness_check(2, 0, 1),
+        lambda: specht.generic_semisimplicity_check(2, 0, 1),
+        lambda: specht.cell_module(2, 2, 0, 0, None, 1),
+        lambda: specht.nonzero_simples(2, 2, 0, 0, 1),
+        lambda: specht.decomposition_numbers(2, 2, 0, 0, 1),
+    ])
+    def test_bound_exceeded(self, call):
+        with pytest.raises(BoundExceeded, match="^n = 2 > bound 1$"):
+            call()
 
     def test_domino_tableau_keeps_its_fields(self):
         t = DominoTableau(Partition(), ())
