@@ -13,7 +13,7 @@ from .errors import BoundExceeded, InvalidArgument
 
 INFINITY = float("inf")
 
-__all__ = ["INFINITY", "Frozen", "Value", "check_bound", "check_e",
+__all__ = ["INFINITY", "Frozen", "Value", "bits", "check_bound", "check_e",
            "check_n", "resolve_r"]
 
 
@@ -78,6 +78,14 @@ class Frozen(Value):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def resolve_r(r, n: int) -> int:

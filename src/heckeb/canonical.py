@@ -16,11 +16,10 @@ from . import check_e
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
                        format_bipartition)
 from .crystal import crystal_e, crystal_f, epsilon, uglov_bipartitions
-from .errors import (ConventionViolation, IncompatibleCharges, NotUglov,
-                     OrderCycle)
+from .errors import ConventionViolation, IncompatibleCharges, NotUglov
 from .fock import Charge, FockVector, divided_power_f, fock_modules_isomorphic
 from .laurent import VPoly, V_ONE
-from .orders import dominance_r
+from .orders import order_key
 
 
 def default_r(s: Charge) -> int:
@@ -60,38 +59,22 @@ def principal_monomial(mu: Bipartition, s: Charge, e: int,
     return vec
 
 
-def _linear_extension(bips: list[Bipartition], r: int) -> list[Bipartition]:
-    """Topological sort ascending in the r-dominance order, ties broken by
-    enumeration order."""
-    remaining = list(bips)
-    out = []
-    while remaining:
-        for b in remaining:
-            if not any(c != b and dominance_r(c, b, r) for c in remaining):
-                out.append(b)
-                remaining.remove(b)
-                break
-        else:
-            raise OrderCycle(
-                f"r = {r}: no minimal element among "
-                + ", ".join(format_bipartition(b) for b in remaining))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
                     policy: str = "min") -> dict[Bipartition, FockVector]:
     """G(mu) for every rank-n crystal vertex mu of F(s).
 
-    Corrections are resolved on demand: an offender with coefficient
-    outside vZ[v] must itself be a crystal vertex (ConventionViolation
-    otherwise), and its canonical vector is computed recursively.  The
-    principal monomials are not triangular in general, but the dependency
-    graph has no cycles for any charge met in practice.
+    Vertices go ascending in order_key, a linear extension of ⊴_r, and
+    corrections are resolved on demand: the offender (coefficient outside
+    vZ[v]) greatest in order_key must itself be a crystal vertex
+    (ConventionViolation otherwise), and its canonical vector is computed
+    recursively.  The principal monomials are not triangular in general,
+    but the dependency graph has no cycles for any charge met in practice.
     """
     s = tuple(s)
     if r is None:
         r = default_r(s)
+    key = functools.partial(order_key, r=r)
     uglov = uglov_bipartitions(n, s, e)
     uglov_set = set(uglov)
     basis: dict[Bipartition, FockVector] = {}
@@ -110,10 +93,7 @@ def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
                          if nu != mu and not c.in_v_zv()]
             if not offenders:
                 break
-            nu = offenders[0]
-            for other in offenders[1:]:
-                if dominance_r(nu, other, r):
-                    nu = other
+            nu = max(offenders, key=key)
             if nu not in uglov_set:
                 raise ConventionViolation(
                     f"correction term {format_bipartition(nu)} of "
@@ -131,7 +111,7 @@ def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
         basis[mu] = g
         return g
 
-    for mu in _linear_extension(uglov, r):
+    for mu in sorted(uglov, key=key):
         compute(mu)
     return basis
 

@@ -59,11 +59,6 @@ class ChargeOutOfRange(HeckebError):
     """A charge lies outside the domain of a closed-form characterization."""
 
 
-class OrderCycle(HeckebError):
-    """The r-dominance relation on a set of bipartitions has a cycle, so it
-    has no linear extension; signals a bug in the order."""
-
-
 class ConventionViolation(HeckebError):
     """The canonical-basis reduction met an index it cannot resolve; signals
     a convention bug in the Fock/crystal layer."""

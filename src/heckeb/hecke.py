@@ -44,15 +44,15 @@ import functools
 import heapq
 import json
 
-from . import Value, check_bound
-from .combinat import Bipartition, format_bipartition, q_r_inverse
+from . import Value, bits, check_bound
+from .combinat import Bipartition, format_bipartition
 from .domino import (SignedPermutation, _len_key, group_elements,
                      insertion_table, kernel, length, reduced_word,
                      StandardBitableau)
 from .errors import (ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
 from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product, pack
-from .orders import dominance_partitions, dominance_r
+from .orders import order_table
 
 KL_BOUND = 4
 
@@ -453,21 +453,13 @@ def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
     return _back_substitute(h, basis, lambda y: (y, 1))
 
 
-def _bits(x: int):
-    """The positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _closure(adjacency: list[int]) -> list[int]:
     """Reflexive-transitive closure of successor bitsets on positions
     0..N-1: each row ORs in the rows of its successors until a pass changes
     nothing.  Rows go from the last position down: most cell-graph edges
     run to a longer element (w -> ws), whose row is then already updated."""
     reach = [a | 1 << v for v, a in enumerate(adjacency)]
-    successors = [(v, list(_bits(a))) for v, a in enumerate(adjacency)][::-1]
+    successors = [(v, list(bits(a))) for v, a in enumerate(adjacency)][::-1]
     changed = True
     while changed:
         changed = False
@@ -502,7 +494,7 @@ def _adjacency(n: int, order: XiOrder, side: str) -> list[int]:
         if side in ("R", "LR"):
             adjacency[w] |= below
         if side in ("L", "LR"):
-            adjacency[inverse[w]] |= sum(1 << inverse[y] for y in _bits(below))
+            adjacency[inverse[w]] |= sum(1 << inverse[y] for y in bits(below))
     return adjacency
 
 
@@ -527,7 +519,7 @@ def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND):
     elements = kernel(n).elements
     reach = _reach(n, order, side)
     return ([{elements[v] for v in block} for block in _scc_partition(reach)],
-            {elements[v]: {elements[y] for y in _bits(x)}
+            {elements[v]: {elements[y] for y in bits(x)}
              for v, x in enumerate(reach)})
 
 
@@ -567,27 +559,26 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
             # the elements are named only to locate a mismatch
             ok, why = _same_partition(
                 [{kern.elements[v] for v in block} for block in part],
-                [{kern.elements[v] for v in _bits(x)}
+                [{kern.elements[v] for v in bits(x)}
                  for x in fiber.values()])
         report["clauses"][clause] = {"ok": ok, **({"detail": why} if why else {})}
-    # (c+): two-sided preorder against the dominance order on shapes.  Row
-    # w2 of the preorder must be the union of the shapes dominated by its
+    # (c+): two-sided preorder against ⊴_r on shapes.  Row w2 of the
+    # preorder must be the union of the fibers of the shapes below its
     # shape; only a mismatch is located by the pair scan, in group_elements
-    # order.  The order is dominance_r, with q_r^{-1} taken once per shape.
+    # order.
     reach = _reach(n, order, "LR")
-    mask = fibers[2]
-    image = {lam: q_r_inverse(lam, r) for lam in mask}
-    dominated = {(a, b): dominance_partitions(image[a], image[b])
-                 for a in mask for b in mask}
-    below = {b: sum(mask[a] for a in mask if dominated[a, b]) for b in mask}
+    index, below = order_table(n, r)
+    shapes, shape_at = list(index), [index[lam] for _, _, lam in table]
+    union = [sum(fibers[2][shapes[j]] for j in bits(row))
+             for row in below]
     bad = None
-    if any(reach[v] != below[lam] for v, (_, _, lam) in enumerate(table)):
+    if any(x != union[i] for x, i in zip(reach, shape_at)):
         # the first pair (w, w2) where "w below w2" and dominance disagree
         scan = [kern.index[w] for w in group_elements(n)]
         bad = next((str(kern.elements[v]), str(kern.elements[v2]), klle, dom)
                    for v in scan for v2 in scan
                    if (klle := bool(reach[v2] >> v & 1))
-                   != (dom := dominated[table[v][2], table[v2][2]]))
+                   != (dom := bool(below[shape_at[v2]] >> shape_at[v] & 1)))
     report["clauses"]["c_plus_preorder_vs_dominance"] = {
         "ok": bad is None, **({"detail": repr(bad)} if bad else {})}
     report["ok"] = all(c["ok"] for c in report["clauses"].values())
@@ -671,6 +662,7 @@ def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
     check_bound(n, bound)
     datum = cell_datum(n, order)
     r = order.r
+    index, below = order_table(n, r)
     failures = []
     star_ok = True
     for (s, t), c_st in datum.basis.items():
@@ -689,7 +681,7 @@ def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
                         mu = u.shape
                         if mu == lam and vv == t:
                             rmap[u] = c
-                        elif dominance_r(mu, lam, r) and mu != lam:
+                        elif mu != lam and below[index[lam]] >> index[mu] & 1:
                             continue  # strictly smaller shape: allowed
                         else:
                             failures.append(

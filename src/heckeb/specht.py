@@ -324,6 +324,7 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
 
     Returns (rows, cols, entries): rows are all shapes, cols the labels of
     the simples, entries a dict keyed by (lam, mu).  Raises RankDeficiency
+    when a radical is not a submodule (_head), or "trace system degenerate"
     when the simple characters fail to separate.
     """
     check_bound(n, bound)
@@ -341,9 +342,12 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
         head = _head(modules[mu], n, e, d, r)
         simple_traces.append(
             cell_traces[mu] if head is None else character(*head))
-    sols = _solve_full_column_rank(
-        [list(row) for row in zip(*simple_traces)],
-        list(cell_traces.values()), m)
+    try:
+        sols = _solve_full_column_rank(
+            [list(row) for row in zip(*simple_traces)],
+            list(cell_traces.values()), m)
+    except RankDeficiency as exc:
+        raise RankDeficiency(f"trace system degenerate: {exc}") from None
     entries = {}
     for lam, sol in zip(modules, sols):
         for mu, x in zip(simples, sol):
@@ -359,7 +363,7 @@ def theorem41_check(n: int, e: int, d: int, r: int,
     of the Fock space of charge (d + pe, 0) evaluated at v = 1.
 
     Status 'ok' when everything matches, 'blocked' when an input assumption
-    fails (label sets differ or the trace system degenerates), 'failed'
+    fails (label sets differ or decomposition_numbers raises), 'failed'
     when labels match but multiplicities differ.
     """
     report = {"n": n, "e": e, "d": d, "r": r,
@@ -376,7 +380,7 @@ def theorem41_check(n: int, e: int, d: int, r: int,
         rows, simples, entries = decomposition_numbers(n, e, d, r, bound)
     except RankDeficiency as exc:
         report["status"] = "blocked"
-        report["details"].append(f"trace system degenerate: {exc}")
+        report["details"].append(str(exc))
         return report
     if set(simples) != fock_cols:
         report["status"] = "blocked"

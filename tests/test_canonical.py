@@ -1,20 +1,15 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-from heckeb import canonical
 from heckeb.canonical import (canonical_basis, charge_from,
                               decomposition_matrix, default_r, gamma,
                               peeling_path, principal_monomial)
 from heckeb.combinat import (Bipartition, Partition, enumerate_bipartitions,
                              parse_bipartition)
 from heckeb.crystal import crystal_f, uglov_bipartitions
-from heckeb.errors import IncompatibleCharges, NotUglov, OrderCycle
+from heckeb.errors import ConventionViolation, IncompatibleCharges, NotUglov
 from heckeb.fock import FockVector
 from heckeb.laurent import VPoly, V_ONE
-from heckeb.orders import dominance_r
+from heckeb.orders import dominance_r, order_key
 
 
 def B(text):
@@ -73,6 +68,21 @@ class TestCanonicalBasis:
             assert canonical_basis(n, (0, 0), 2, 0, "min") == \
                 canonical_basis(n, (0, 0), 2, 0, "max")
 
+    @pytest.mark.parametrize("e", [2, 3])
+    @pytest.mark.parametrize("s", [(0, 0), (1, 0), (2, 0), (-2, 0), (0, 2)])
+    def test_matches_pairwise_oracle(self, s, e):
+        # equal vectors, or the same error class
+        def outcome(build, n, r):
+            try:
+                return build(n, s, e, r)
+            except ConventionViolation as exc:
+                return type(exc)
+
+        for n in range(5):
+            for r in [None, *range(n)]:
+                assert outcome(canonical_basis, n, r) == \
+                    outcome(pairwise_canonical_basis, n, r), (n, r)
+
     def test_n1_example(self):
         basis = canonical_basis(1, (0, 0), 2)
         g = basis[B("(1;∅)")]
@@ -81,34 +91,56 @@ class TestCanonicalBasis:
 
 class TestLinearExtension:
     def test_ascending_in_dominance(self):
+        # canonical_basis takes its vertices in this order
         for r in (0, 1, 2):
-            out = canonical._linear_extension(list(enumerate_bipartitions(3)),
-                                              r)
-            assert sorted(out) == sorted(enumerate_bipartitions(3))
+            out = sorted(enumerate_bipartitions(3),
+                         key=lambda b: order_key(b, r))
             for i, a in enumerate(out):
                 assert not any(dominance_r(b, a, r) for b in out[i + 1:])
 
-    def test_cycle_raises_typed_error(self, monkeypatch):
-        # every bipartition dominated by every other: no minimal element
-        monkeypatch.setattr(canonical, "dominance_r", lambda a, b, r: True)
-        with pytest.raises(OrderCycle):
-            canonical._linear_extension(list(enumerate_bipartitions(2)), 0)
 
-    def test_cycle_raises_typed_error_under_optimize(self):
-        code = ("from heckeb import canonical\n"
-                "from heckeb.combinat import enumerate_bipartitions\n"
-                "from heckeb.errors import OrderCycle\n"
-                "canonical.dominance_r = lambda a, b, r: True\n"
-                "try:\n"
-                "    canonical._linear_extension("
-                "list(enumerate_bipartitions(2)), 0)\n"
-                "except OrderCycle:\n"
-                "    print('raised')\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run([sys.executable, "-O", "-c", code],
-                              env={"PYTHONPATH": src}, capture_output=True,
-                              text=True, timeout=120)
-        assert done.stdout == "raised\n", done.stderr
+def pairwise_linear_extension(bips, r):
+    """Reference linear extension of the r-order: repeatedly take the
+    first element, in the given order, that no other remaining one is
+    below."""
+    remaining, out = list(bips), []
+    while remaining:
+        b = next(b for b in remaining
+                 if not any(c != b and dominance_r(c, b, r)
+                            for c in remaining))
+        out.append(b)
+        remaining.remove(b)
+    return out
+
+
+def pairwise_canonical_basis(n, s, e, r=None):
+    """Reference canonical basis: vertices in pairwise_linear_extension
+    order, and of the offenders the last one reached by a scan that moves
+    up whenever the next offender dominates the current one."""
+    r = default_r(s) if r is None else r
+    uglov = uglov_bipartitions(n, s, e)
+    basis = {}
+
+    def compute(mu):
+        if mu not in basis:
+            g = principal_monomial(mu, s, e)
+            while offenders := [nu for nu, c in g.terms.items()
+                                if nu != mu and not c.in_v_zv()]:
+                nu = offenders[0]
+                for other in offenders[1:]:
+                    if dominance_r(nu, other, r):
+                        nu = other
+                if nu not in uglov:
+                    raise ConventionViolation(f"{nu} is not a vertex")
+                g = g - compute(nu).scale(g.terms[nu].symmetric_completion())
+            if g.coeff(mu) != V_ONE:
+                raise ConventionViolation(f"diagonal at {mu}")
+            basis[mu] = g
+        return basis[mu]
+
+    for mu in pairwise_linear_extension(uglov, r):
+        compute(mu)
+    return basis
 
 
 class TestDecompositionMatrix:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from heckeb import hecke
+from heckeb import bits, hecke
 from heckeb.domino import (SignedPermutation, group_elements, kernel, length,
                            s_t_lambda)
 from heckeb.errors import (InvalidArgument, IrrationalityViolation,
@@ -17,7 +17,7 @@ from heckeb.hecke import (HeckeElement, _len_key, _same_partition,
                           conjecture_a_report, dagger, expand_in_kl, kl_basis,
                           star)
 from heckeb.laurent import ACoeff, XiOrder, add_product, pack
-from heckeb.orders import dominance_partitions, dominance_r
+from heckeb.orders import dominance_r, order_table
 
 ORDER0 = XiOrder.for_r(0)
 OFFSETS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -119,11 +119,11 @@ def w0_duality_violations(n, reach):
     dual = [kern.index[w * w0] for w in kern.elements]
     above = [0] * len(reach)
     for w, row in enumerate(reach):
-        for y in hecke._bits(row):
+        for y in bits(row):
             above[y] |= 1 << w
     # {y w0 : y <= w} must be {z : w w0 <= z}
     return [w for w, row in enumerate(reach)
-            if sum(1 << dual[y] for y in hecke._bits(row)) != above[dual[w]]]
+            if sum(1 << dual[y] for y in bits(row)) != above[dual[w]]]
 
 
 def dfs_closure(adjacency):
@@ -174,6 +174,12 @@ def pair_scan_c_plus(n, order, dominance):
                 return {"ok": False, "detail": repr((str(w), str(w2), klle,
                                                      domle))}
     return {"ok": True}
+
+
+def equality_table(n, r):
+    """order_table with equality for the order: each row its own bit."""
+    index, _ = order_table(n, r)
+    return index, tuple(1 << i for i in range(len(index)))
 
 
 def T(w):
@@ -436,7 +442,7 @@ class TestClosure:
         reach = hecke._reach(3, order, side)
         # the first edge u -> v between two different cells
         u, v = next((u, v) for u, row in enumerate(adjacency)
-                    for v in hecke._bits(row) if not reach[v] >> u & 1)
+                    for v in bits(row) if not reach[v] >> u & 1)
         adjacency[u] ^= 1 << v
         adjacency[v] |= 1 << u
         assert w0_duality_violations(3, hecke._closure(adjacency))
@@ -465,18 +471,17 @@ class TestCells:
             f"KL block {[str(ws[0]), str(ws[1])]}, fiber {[str(ws[0])]}")
 
     @pytest.mark.parametrize("dominance", [
-        (dominance_partitions, dominance_r),
-        (lambda p, q: p == q, lambda a, b, r: a == b)],
+        (order_table, dominance_r),
+        (equality_table, lambda a, b, r: a == b)],
         ids=["dominance", "equality"])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_c_plus_matches_pair_scan(self, n, r, dominance, monkeypatch):
-        # (c+) compares the images of the shapes under q_r^{-1}; the
-        # equality order there is equality of shapes, as q_r^{-1} is
-        # injective.  It makes (c+) fail, so the detail of the fallback
-        # scan is compared as well.
-        on_images, dominance = dominance
-        monkeypatch.setattr(hecke, "dominance_partitions", on_images)
+        # (c+) reads the order on shapes from its table.  The equality
+        # order makes (c+) fail, so the detail of the fallback scan is
+        # compared as well.
+        table, dominance = dominance
+        monkeypatch.setattr(hecke, "order_table", table)
         order = XiOrder.for_r(r)
         report = conjecture_a_report(n, order)
         clauses = dict(report["clauses"])

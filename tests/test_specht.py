@@ -202,8 +202,23 @@ class TestSimpleHeads:
         report = theorem41_check(1, 2, 0, 0)
         assert report["status"] == "blocked"
         assert report["details"] == [
-            "trace system degenerate: the radical of the form on S_(1;∅) is "
-            "not a submodule at n = 1, e = 2, d = 0, r = 0"]
+            "the radical of the form on S_(1;∅) is not a submodule at "
+            "n = 1, e = 2, d = 0, r = 0"]
+
+    def test_theorem41_trace_system_degenerate(self, monkeypatch):
+        # a simple listed twice: its trace column repeats, so the system
+        # that solves for the multiplicities has dependent columns
+        simples = specht.nonzero_simples
+        monkeypatch.setattr(specht, "nonzero_simples",
+                            lambda *args: (s := simples(*args)) + s[:1])
+        fresh = functools.lru_cache(maxsize=None)(
+            decomposition_numbers.__wrapped__)
+        monkeypatch.setattr(specht, "decomposition_numbers", fresh)
+        report = theorem41_check(1, 2, 0, 0)
+        assert report["status"] == "blocked"
+        assert report["details"] == [
+            "trace system degenerate: trace system rank 1 < unknowns 2, "
+            "or inconsistent"]
 
     def test_theorem41_blocked_under_optimize(self):
         code = ("from heckeb import specht\n"
@@ -222,8 +237,8 @@ class TestSimpleHeads:
                 "report = specht.theorem41_check(1, 2, 0, 0)\n"
                 "print(report['status'], *report['details'], sep='\\n')\n")
         assert run_optimized(code) == (
-            "blocked\ntrace system degenerate: the radical of the form on "
-            "S_(1;∅) is not a submodule at n = 1, e = 2, d = 0, r = 0\n")
+            "blocked\nthe radical of the form on S_(1;∅) is not a submodule "
+            "at n = 1, e = 2, d = 0, r = 0\n")
 
 
 class TestNonIntegralMultiplicity:
