@@ -22,12 +22,18 @@ the preorders are bitsets closed along successor lists, whose cells are
 compared with the insertion fibers as bitsets too.  Signed permutations
 appear only at the public boundary (HeckeElement, kl_basis, cells).
 
-The sweep hash-conses its coefficients: each value is one interned tuple
-of (exponent key, coefficient) pairs, shared by every C_w that holds it
-(40,249 terms and 1,281 values at rank 4).  A work entry is copied into a
-dict of its own before anything is added to it, so a shared tuple is never
-changed; kl_basis wraps each value once as an ACoeff that all C_w share,
-and no code changes the terms of an ACoeff it did not build.
+The sweep names each coefficient by a value id, a small int indexing one
+list of interned values, each a tuple of (exponent key, coefficient) pairs
+(40,249 terms and 1,281 values at rank 4); its memos of shifts and signs
+are lists indexed by id.  Each C_w is two packed 4-byte arrays, its
+positions in increasing order and their value ids, and the descent
+positions still to reduce form an ascending frontier popped from its end.
+A work entry becomes an exponent dict of its own before anything is added
+to it, so an interned value is never changed.  The first build of each C_w
+is checked before packing and every later build is compared with it after
+packing, so both checks still cover every C_w.  kl_basis wraps each value
+id once as an ACoeff that all C_w share, and no code changes the terms of
+an ACoeff it did not build.
 
 An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
 it while |beta| < 2^15.  Every exponent met in H_n stays within
@@ -41,8 +47,9 @@ near the bound.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
+from array import array
+from bisect import insort
 
 from . import Value, bits, check_bound
 from .combinat import Bipartition, format_bipartition
@@ -216,60 +223,74 @@ def star(h: HeckeElement) -> HeckeElement:
 # --- Kazhdan-Lusztig basis and cells -----------------------------------------
 
 class _Coefficients:
-    """The coefficients of one sweep, each value held once (hash-consing).
+    """The coefficients of one sweep as value ids: small ints naming one
+    entry of terms, each value held once.
 
-    A coefficient is a tuple of (key, coefficient) pairs sorted by key,
-    with no zero coefficient; intern returns the one tuple of each value.
-    Its shifts by +-gamma_s, whether it has a non-negative exponent and its
-    symmetric completion are memoized by id: every argument must be a tuple
-    that intern returned, and the table keeps each one alive, so no id is
-    reused while the memos live.  The last two go through order, so a tie
-    raises there and is never stored."""
+    A value is a tuple of (key, coefficient) pairs sorted by key, with no
+    zero coefficient; intern returns its id, and terms[id] is the value.
+    Id 0 is zero and id 1 is one, so an id is true exactly when its value
+    is nonzero.  The memos are indexed by id: the shifts by +-gamma_t and
+    +-gamma_s are lists (-1 = not yet computed), grown with terms, and
+    whether a value has a non-negative exponent is a bytearray (2 = not yet
+    computed).  That test and the symmetric completion go through order, so
+    a tie raises there and is never stored."""
 
-    __slots__ = ("order", "values", "shifted", "_nonneg", "_completion")
+    __slots__ = ("order", "terms", "ids", "shifted", "nonneg", "_completion")
 
     def __init__(self, order: XiOrder):
         self.order = order
-        self.values: dict[tuple, tuple] = {}
-        # shift -> id(c) -> c shifted; shifts are +-gamma_t and +-gamma_s
-        self.shifted: dict[int, dict[int, tuple]] = {
-            g: {} for g in (GAMMA_T, -GAMMA_T, GAMMA_S, -GAMMA_S)}
-        self._nonneg: dict[int, bool] = {}
+        self.terms: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        # shift -> id -> id of the shifted value; shifts are +-gamma_t and
+        # +-gamma_s
+        self.shifted: dict[int, list[int]] = {
+            g: [] for g in (GAMMA_T, -GAMMA_T, GAMMA_S, -GAMMA_S)}
+        self.nonneg = bytearray()
         self._completion: dict[int, tuple] = {}
+        self.intern({})
+        self.intern({0: 1})
 
-    def intern(self, terms: dict[int, int]) -> tuple:
-        """The shared tuple of terms, zeros dropped; () if all cancel."""
+    def intern(self, terms: dict[int, int]) -> int:
+        """The id of the value of terms, zeros dropped; 0 if all cancel."""
         if 0 in terms.values():
             terms = {k: x for k, x in terms.items() if x}
         c = tuple(sorted(terms.items()))
-        return self.values.setdefault(c, c)
+        out = self.ids.get(c)
+        if out is None:
+            out = self.ids[c] = len(self.terms)
+            self.terms.append(c)
+            for memo in self.shifted.values():
+                memo.append(-1)
+            self.nonneg.append(2)
+        return out
 
-    def shift(self, c: tuple, g: int) -> tuple:
-        """c times e^g."""
+    def shift(self, c: int, g: int) -> int:
+        """The id of value c times e^g."""
         memo = self.shifted[g]
-        out = memo.get(id(c))
-        if out is None:
-            out = memo[id(c)] = self.intern({k + g: x for k, x in c})
+        out = memo[c]
+        if out < 0:
+            out = memo[c] = self.intern({k + g: x for k, x in self.terms[c]})
         return out
 
-    def has_nonneg(self, c: tuple) -> bool:
-        """Whether some exponent of c is >= 0 under the order."""
-        out = self._nonneg.get(id(c))
-        if out is None:
+    def has_nonneg(self, c: int) -> bool:
+        """Whether some exponent of value c is >= 0 under the order."""
+        out = self.nonneg[c]
+        if out == 2:
             sign = self.order.sign
-            out = self._nonneg[id(c)] = any(sign(k) >= 0 for k, _ in c)
-        return out
+            out = self.nonneg[c] = any(sign(k) >= 0 for k, _ in self.terms[c])
+        return bool(out)
 
-    def completion(self, c: tuple) -> tuple:
-        """order.symmetric_completion of c, as (key, coefficient) pairs."""
-        out = self._completion.get(id(c))
+    def completion(self, c: int) -> tuple:
+        """order.symmetric_completion of value c, as (key, coefficient)
+        pairs."""
+        out = self._completion.get(c)
         if out is None:
-            done = self.order.symmetric_completion(ACoeff(dict(c)))
-            out = self._completion[id(c)] = tuple(done.terms.items())
+            done = self.order.symmetric_completion(ACoeff(dict(self.terms[c])))
+            out = self._completion[c] = tuple(done.terms.items())
         return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _kl_sweep(n: int, order: XiOrder):
     """C_w for all w in W_n and the right-preorder edges, from one pass over
     the ascents (w, s), ws > w, in kernel order.
@@ -289,93 +310,102 @@ def _kl_sweep(n: int, order: XiOrder):
     (Thm 6.6(b)).  For such an X, comparing the coefficients of X T_s and
     v_s X at a descent position z (zs < z) gives x_{zs} = v_s^{-1} x_z.  So
     each term c_y T_y of C_w lands once, on a descent position: at ys with
-    c_y on an ascent ys > y, at y with v_s c_y on a descent.  The heap holds
-    descent positions only, mu C_y is subtracted only at the descent
+    c_y on an ascent ys > y, at y with v_s c_y on a descent.  The frontier
+    holds descent positions only, mu C_y is subtracted only at the descent
     positions of C_y, and at the end each ascent position zs is filled with
     the coefficient at z shifted by -gamma_s.  mu^s_{y,w} vanishes at an
-    ascent y, so nothing is lost there; the checks below run on the full
-    C_{ws}, and every C_{ws} is built again along each of its right
-    descents and compared with the first build, so the half for one
-    generator is checked against the half for every other.
+    ascent y, so nothing is lost there.
 
-    Everything is keyed by kernel position, and the positions are the
-    kernel's own int objects.  Each coefficient is one interned tuple of
-    _Coefficients: the 40,249 terms of the rank-4 basis hold 1,281 values.
-    Copy on write: a work entry holds the shared tuple while a single
-    product term lands on its position, becomes a dict of its own when a
-    second term or a mu C_y subtraction arrives, and is interned again
-    when popped; a shared tuple is never changed.  Returns (basis, edges):
-    basis[w] maps positions to the coefficients of C_w, edges[w] is the
-    bitset of the right edges out of w.
+    Both checks still see every term of every C_{ws}.  The first build is
+    checked, on its position -> id dict before packing, to be T_{ws} plus
+    strictly negative terms; every later build along another right descent
+    of ws is packed and compared with the first, so the half for one
+    generator is checked against the half for every other.  Ids name
+    values one to one, so equal id arrays are equal coefficients.
+
+    Everything is keyed by kernel position, and each coefficient is a value
+    id of _Coefficients: the 40,249 terms of the rank-4 basis hold 1,281
+    values.  A work entry holds the id while a single product term lands on
+    its position, becomes an exponent dict of its own when a second term or
+    a mu C_y subtraction arrives, and is interned when popped.  Each C_w is
+    kept packed as two 4-byte arrays, its positions in increasing order and
+    the value id at each.  Returns (basis, edges, terms): basis[w] is that
+    pair of arrays for C_w, edges[w] the bitset of the right edges out of
+    w, and terms[id] the value of an id.
     """
     kern = kernel(n)
     size = len(kern.elements)
-    # every position once, as the int object of the kernel's tables
-    position = sorted(kern.inverse)
     coeffs = _Coefficients(order)
     intern, shift, shifted = coeffs.intern, coeffs.shift, coeffs.shifted
     has_nonneg, completion = coeffs.has_nonneg, coeffs.completion
-    unit = intern({0: 1})
-    basis: list[dict[int, tuple] | None] = [None] * size
-    basis[0] = {position[0]: unit}
+    terms, nonneg = coeffs.terms, coeffs.nonneg
+    basis: list[tuple[array, array] | None] = [None] * size
+    basis[0] = (array("I", [0]), array("I", [1]))
     edges = [1 << w for w in range(size)]
 
-    def times_c_s(cw: dict[int, tuple], i: int, ws: int):
-        """C_w C_s reduced to C_{ws}, and the bitset of the y with
-        mu^s_{y,w} != 0.
+    def times_c_s(cw: tuple[array, array], i: int, ws: int):
+        """C_w C_s reduced to C_{ws} as a position -> id dict, and the
+        bitset of the y with mu^s_{y,w} != 0.
 
-        The descent positions below ws are visited longest first through a
-        heap, and a term is final when it is popped: subtracting mu C_y only
-        adds terms below y, each pushed once.  Ascent positions come last."""
+        The descent positions below ws are visited longest first from an
+        ascending frontier popped at its end, and a term is final when it
+        is popped: subtracting mu C_y only adds terms below y, each inserted
+        once.  Ascent positions come last."""
         g = generator_gamma(i)
         table = kern.right[i]
-        work: dict[int, tuple | dict[int, int]] = {}
-        for y, c in cw.items():
+        up = shifted[g]
+        work: dict[int, int | dict[int, int]] = {}
+        for y, c in zip(*cw):
             # T_y T_s + v_s^{-1} T_y is T_{ys} + v_s^{-1} T_y on an ascent
             # and T_{ys} + v_s T_y on a descent; keep the descent term
-            if table[y] > y:
-                z, cz = table[y], c
+            z = table[y]
+            if z > y:
+                cz = c
             else:
                 # shift's memo lookup, inlined on the hottest loop
-                z, cz = y, shifted[g].get(id(c)) or shift(c, g)
+                z, cz = y, up[c]
+                if cz < 0:
+                    cz = shift(c, g)
             acc = work.get(z)
             if acc is None:
                 work[z] = cz
                 continue
-            if type(acc) is tuple:
-                acc = work[z] = dict(acc)
-            for k, x in cz:
+            if type(acc) is int:
+                acc = work[z] = dict(terms[acc])
+            for k, x in terms[cz]:
                 acc[k] = acc.get(k, 0) + x
-        heap = [-y for y in work if y != ws]
-        heapq.heapify(heap)
+        frontier = sorted(y for y in work if y != ws)
         c = work[ws]
-        out = {ws: c if type(c) is tuple else intern(c)}
+        out = {ws: c if type(c) is int else intern(c)}
         mu_support = 0
-        while heap:
-            y = position[-heapq.heappop(heap)]
+        while frontier:
+            y = frontier.pop()
             c = work[y]
-            if type(c) is not tuple:
+            if type(c) is not int:
                 c = intern(c)
-            if has_nonneg(c):
+            # has_nonneg's memo lookup, inlined as well
+            known = nonneg[c]
+            if known == 1 or known == 2 and has_nonneg(c):
                 mu = completion(c)
                 if mu:
                     mu_support |= 1 << y
-                    for z, cz in basis[y].items():
+                    for z, cz in zip(*basis[y]):
                         if table[z] > z:
                             continue
                         acc = work.get(z)
                         if acc is None:
                             acc = work[z] = {}
-                            heapq.heappush(heap, -z)
-                        elif type(acc) is tuple:
-                            acc = work[z] = dict(acc)
-                        add_product(acc, mu, cz, -1)
+                            insort(frontier, z)
+                        elif type(acc) is int:
+                            acc = work[z] = dict(terms[acc])
+                        add_product(acc, mu, terms[cz], -1)
                     c = intern(work[y])
             if c:
                 out[y] = c
         down = shifted[-g]
         for z, c in list(out.items()):
-            out[table[z]] = down.get(id(c)) or shift(c, -g)
+            zs = down[c]
+            out[table[z]] = zs if zs >= 0 else shift(c, -g)
         return out, mu_support
 
     for w in range(size):
@@ -385,23 +415,27 @@ def _kl_sweep(n: int, order: XiOrder):
             if ws < w:
                 continue
             c_ws, mu_support = times_c_s(cw, i, ws)
-            if basis[ws] is None:
-                if c_ws[ws] != unit or any(
-                        has_nonneg(c) for y, c in c_ws.items() if y != ws):
-                    element = HeckeElement(
-                        n, {kern.elements[y]: ACoeff(dict(c))
-                            for y, c in c_ws.items()})
-                    raise KLRecursionViolation(
-                        f"C[{kern.elements[ws]}] = {element} is not "
-                        f"T[{kern.elements[ws]}] plus strictly negative "
-                        f"terms at xi = {order.xi}")
-                basis[ws] = c_ws
-            elif basis[ws] != c_ws:
+            first = basis[ws] is None
+            if first and (c_ws[ws] != 1 or any(
+                    has_nonneg(c) for y, c in c_ws.items() if y != ws)):
+                element = HeckeElement(
+                    n, {kern.elements[y]: ACoeff(dict(terms[c]))
+                        for y, c in c_ws.items()})
+                raise KLRecursionViolation(
+                    f"C[{kern.elements[ws]}] = {element} is not "
+                    f"T[{kern.elements[ws]}] plus strictly negative "
+                    f"terms at xi = {order.xi}")
+            positions = sorted(c_ws)
+            packed = (array("I", positions),
+                      array("I", map(c_ws.__getitem__, positions)))
+            if first:
+                basis[ws] = packed
+            elif basis[ws] != packed:
                 raise KLRecursionViolation(
                     f"C[{kern.elements[w]}] C[s{i}] gives a second "
                     f"C[{kern.elements[ws]}] at xi = {order.xi}")
             edges[w] |= 1 << ws | mu_support
-    return basis, edges
+    return basis, edges, terms
 
 
 # Cached as well as the sweep so that cache_info() counts its lookups.
@@ -419,17 +453,18 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     """
     check_bound(n, bound)
     elements = kernel(n).elements
-    wrapped: dict[int, ACoeff] = {}
+    basis, _, terms = _kl_sweep(n, order)
+    wrapped: list[ACoeff | None] = [None] * len(terms)
 
-    def wrap(c: tuple) -> ACoeff:
-        out = wrapped.get(id(c))
+    def wrap(c: int) -> ACoeff:
+        out = wrapped[c]
         if out is None:
-            out = wrapped[id(c)] = ACoeff._of(dict(c))
+            out = wrapped[c] = ACoeff._of(dict(terms[c]))
         return out
 
     return {elements[w]: HeckeElement(n, {elements[y]: wrap(c)
-                                          for y, c in cw.items()})
-            for w, cw in enumerate(_kl_sweep(n, order)[0])}
+                                          for y, c in zip(*cw)})
+            for w, cw in enumerate(basis)}
 
 
 def _back_substitute(h: HeckeElement, basis: dict, leading) -> dict:

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,16 +48,17 @@ def bar_solve_kl_basis(n, order):
 
 def full_sweep(n, order):
     """Reference sweep: Lusztig's recursion reducing every term of C_w C_s,
-    at ascent and descent positions alike.  Returns (basis, edges) in the
-    layout of hecke._kl_sweep."""
+    at ascent and descent positions alike, on plain exponent dicts through
+    a heap.  Returns (basis, edges) with basis as sweep_coefficients gives
+    it."""
     kern = kernel(n)
     size = len(kern.elements)
-    coeffs = hecke._Coefficients(order)
-    intern, shift = coeffs.intern, coeffs.shift
-    unit_c = intern({0: 1})
     basis = [None] * size
-    basis[0] = {0: unit_c}
+    basis[0] = {0: {0: 1}}
     edges = [1 << w for w in range(size)]
+
+    def nonzero(c):
+        return {k: x for k, x in c.items() if x}
 
     def times_c_s(cw, i, ws):
         g = hecke.generator_gamma(i)
@@ -64,25 +66,26 @@ def full_sweep(n, order):
         work = {}
         for y, c in cw.items():
             h = -g if table[y] > y else g
-            for z, cz in ((table[y], c), (y, shift(c, h))):
-                add_product(work.setdefault(z, {}), cz, ((0, 1),))
+            shifted = {k + h: x for k, x in c.items()}
+            for z, cz in ((table[y], c), (y, shifted)):
+                add_product(work.setdefault(z, {}), cz.items(), ((0, 1),))
         heap = [-y for y in work if y != ws]
         heapq.heapify(heap)
-        out = {ws: intern(work[ws])}
+        out = {ws: nonzero(work[ws])}
         mu_support = 0
         while heap:
             y = -heapq.heappop(heap)
-            c = intern(work[y])
-            if table[y] < y and coeffs.has_nonneg(c):
-                mu = coeffs.completion(c)
+            c = nonzero(work[y])
+            if table[y] < y and any(order.sign(k) >= 0 for k in c):
+                mu = order.symmetric_completion(ACoeff(c)).terms
                 if mu:
                     mu_support |= 1 << y
                     for z, cz in basis[y].items():
                         if z not in work:
                             work[z] = {}
                             heapq.heappush(heap, -z)
-                        add_product(work[z], mu, cz, -1)
-                    c = intern(work[y])
+                        add_product(work[z], mu.items(), cz.items(), -1)
+                    c = nonzero(work[y])
             if c:
                 out[y] = c
         return out, mu_support
@@ -96,7 +99,17 @@ def full_sweep(n, order):
             assert basis[ws] in (None, c_ws)
             basis[ws] = c_ws
             edges[w] |= 1 << ws | mu_support
-    return basis, edges
+    return ({w: {y: tuple(sorted(c.items())) for y, c in cw.items()}
+             for w, cw in enumerate(basis)}, edges)
+
+
+def sweep_coefficients(n, order):
+    """hecke._kl_sweep with its layout undone: ({w: {y: terms}}, edges),
+    terms the (key, coefficient) pairs of the coefficient of T_y in C_w,
+    sorted by key."""
+    basis, edges, terms = hecke._kl_sweep(n, order)
+    return ({w: {y: terms[c] for y, c in zip(*cw)}
+             for w, cw in enumerate(basis)}, edges)
 
 
 def warshall_closure(adjacency):
@@ -311,7 +324,7 @@ class TestAgainstOracles:
 
     def test_sweep_matches_full_sweep(self, n, r, offset):
         order = XiOrder(Fraction(r) + offset)
-        assert hecke._kl_sweep(n, order) == full_sweep(n, order)
+        assert sweep_coefficients(n, order) == full_sweep(n, order)
 
     def test_star_symmetry(self, n, r, offset):
         basis = kl_basis(n, XiOrder(Fraction(r) + offset))
@@ -342,7 +355,7 @@ def test_sweep_raises_on_a_tie():
 @pytest.mark.parametrize("xi", [Fraction(3, 4), XiOrder.for_r(1).xi])
 def test_rank4_sweep_matches_full_sweep(xi):
     order = XiOrder(xi)
-    assert hecke._kl_sweep(4, order) == full_sweep(4, order)
+    assert sweep_coefficients(4, order) == full_sweep(4, order)
 
 
 # SHA-256 of the rank-4 basis as perfbench prints it (C[w] = ... lines in
@@ -384,18 +397,63 @@ def test_rank4_chamber_digest(xi):
 
 
 def test_sweep_shares_each_coefficient():
-    # one object per distinct coefficient value, in the sweep and in
-    # kl_basis, and one int object per position
+    # one value id per distinct coefficient value in the sweep, and one
+    # ACoeff per id in kl_basis
     order = XiOrder.for_r(1)
-    basis = hecke._kl_sweep(4, order)[0]
-    held = [c for cw in basis for c in cw.values()]
+    basis, _, terms = hecke._kl_sweep(4, order)
+    held = [c for _, values in basis for c in values]
     assert len(held) == 40249
-    assert len({id(c) for c in held}) == len(set(held)) < 2000
-    assert len({id(y) for cw in basis for y in cw}) == len(basis)
+    assert len(set(terms)) == len(terms)
+    assert len({terms[c] for c in held}) == len(set(held)) < 2000
     wrapped = [c for cw in kl_basis(4, order).values()
                for c in cw.terms.values()]
     assert len(wrapped) == 40249
-    assert len({id(c) for c in wrapped}) == len(set(wrapped)) < 2000
+    assert len({id(c) for c in wrapped}) == len(set(wrapped)) \
+        == len(set(held))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_layout(n):
+    # each C_w is two 4-byte arrays of one length, positions increasing
+    basis = hecke._kl_sweep(n, XiOrder.for_r(1))[0]
+    assert len(basis) == len(kernel(n).elements)
+    for positions, values in basis:
+        assert positions.typecode == values.typecode == "I"
+        assert positions.itemsize == 4
+        assert len(positions) == len(values)
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+
+
+def test_sweep_retained_memory():
+    # the rank-4 basis at r = 1 holds 40,249 terms; packed it retains
+    # about 1.1 MB, and a dict of interned tuples per C_w retains 2.1 MB
+    order = XiOrder.for_r(1)
+    kernel(4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = hecke._kl_sweep.__wrapped__(4, order)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sweep[0]) == 384
+    assert retained < 1.5e6
+
+
+def test_sweep_cache_is_bounded():
+    # the cache keeps the last two sweeps; the cells of an evicted slope
+    # are still read off _reach without a new sweep
+    orders = [XiOrder(r + Fraction(1, 5)) for r in range(3)]
+    misses = hecke._kl_sweep.cache_info().misses
+    for order in orders:
+        cells(3, order)
+    info = hecke._kl_sweep.cache_info()
+    assert info.currsize == 2
+    assert info.misses == misses + 3
+    reached = hecke._reach.cache_info().hits
+    assert cells(3, orders[0], "LR", 3) == cells(3, orders[0])
+    assert hecke._kl_sweep.cache_info().misses == misses + 3
+    assert hecke._reach.cache_info().hits == reached + 1
 
 
 # Successor bitsets of small graphs, and their closures by hand.
