@@ -228,7 +228,7 @@ def q_r_inverse(b: Bipartition, r: int) -> Partition:
 @functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, sorted lexicographically by part tuple."""
-    assert n >= 0
+    check_n(n)
 
     def gen(rest, maxpart):
         if rest == 0:

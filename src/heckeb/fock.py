@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import Value, check_e
 from .combinat import Bipartition, Partition, format_bipartition
-from .errors import BadResidue, IncompatibleCharges
+from .errors import BadResidue, IncompatibleCharges, InvalidArgument
 from .laurent import VPoly, V_ONE, gauss_factorial
 
 Charge = tuple[int, int]
@@ -192,7 +192,8 @@ def e_action(i: int, vec: FockVector) -> FockVector:
 
 def divided_power_f(i: int, a: int, vec: FockVector) -> FockVector:
     """f_i^{(a)} = f_i^a / [a]!; the division is exact on any vector."""
-    assert a >= 0
+    if a < 0:
+        raise InvalidArgument(f"divided power a = {a} must be non-negative")
     out = vec
     for _ in range(a):
         out = f_action(i, out)

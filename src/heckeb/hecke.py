@@ -8,32 +8,26 @@ congruent to T_w modulo strictly negative coefficients.
 
 One sweep over the ascents ws > w builds every C_{ws} from C_w C_s by
 Lusztig's recursion (Hecke algebras with unequal parameters, Thm 6.6) and
-reads the right-cell edges off the same products.  It reduces only the
-descent positions z, zs < z, of each product: C_w C_s and every mu C_y it
-subtracts (ys < y) are multiplied by v_s under T_s (Thm 6.6(b)), so their
-coefficient at zs is v_s^{-1} times the one at z.  Cells are the strongly
-connected components of that multiplication graph, its star image and their
-union; the conjecture checkers compare them with the fibers of domino
-insertion.
+keeps the mu it reads off the same products.  It reduces only the descent
+positions z, zs < z, of each product: C_w C_s and every mu C_y it subtracts
+(ys < y) are multiplied by v_s under T_s (Thm 6.6(b)), so their coefficient
+at zs is v_s^{-1} times the one at z.
+
+The mu and the descent sets are the W-graph of H_n: on the right,
+C_w T_s = v_s C_w when ws < w, and C_w T_s = C_{ws} + sum_y mu^s_{y,w} C_y
+- v_s^{-1} C_w when ws > w.  It is the one source of both the cells and the
+cell-module action.  Cells are the strongly connected components of its
+edges w -> {w, ws, y}, of their star image (star(C_w) = C_{w^{-1}}, so a
+left mu at (y, w) is the right mu at (y^{-1}, w^{-1})) and of their union;
+the conjecture checkers compare them with the fibers of domino insertion.
+The action of T_s on the cellular basis C_{S,T} = dagger(C_w) is read off
+the same entries, with no product in the algebra (_generator_action).
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
 the preorders are bitsets closed along successor lists, whose cells are
 compared with the insertion fibers as bitsets too.  Signed permutations
 appear only at the public boundary (HeckeElement, kl_basis, cells).
-
-The sweep names each coefficient by a value id, a small int indexing one
-list of interned values, each a tuple of (exponent key, coefficient) pairs
-(40,249 terms and 1,281 values at rank 4); its memos of shifts and signs
-are lists indexed by id.  Each C_w is two packed 4-byte arrays, its
-positions in increasing order and their value ids, and the descent
-positions still to reduce form an ascending frontier popped from its end.
-A work entry becomes an exponent dict of its own before anything is added
-to it, so an interned value is never changed.  The first build of each C_w
-is checked before packing and every later build is compared with it after
-packing, so both checks still cover every C_w.  kl_basis wraps each value
-id once as an ACoeff that all C_w share, and no code changes the terms of
-an ACoeff it did not build.
 
 An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
 it while |beta| < 2^15.  Every exponent met in H_n stays within
@@ -54,7 +48,7 @@ from bisect import insort
 from . import Value, bits, check_bound
 from .combinat import Bipartition, format_bipartition
 from .domino import (SignedPermutation, _len_key, group_elements,
-                     insertion_table, kernel, length, reduced_word,
+                     insertion_table, kernel, reduced_word,
                      StandardBitableau)
 from .errors import (ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
@@ -185,20 +179,6 @@ def bar(h: HeckeElement) -> HeckeElement:
     return _image(h, _bar_t(h.n), ACoeff.bar)
 
 
-@functools.lru_cache(maxsize=None)
-def _dagger_t(n: int) -> list[HeckeElement]:
-    """dagger(T_w) by kernel position, dagger(T_s) = -T_s^{-1} =
-    -T_s + (v_s - v_s^{-1})."""
-    return kernel(n).along_words(
-        HeckeElement.unit(n),
-        lambda x, i: x.scale(_quad(i)) - x.mul_gen(i))
-
-
-def dagger(h: HeckeElement) -> HeckeElement:
-    """The A-algebra involution with T_s -> -T_s^{-1}."""
-    return _image(h, _dagger_t(h.n), lambda c: c)
-
-
 def _dagger_bar_fixed(h: HeckeElement) -> HeckeElement:
     """dagger(h) for a bar-invariant h = sum_y p_y T_y, such as C_w, in
     closed form: sum_y (-1)^{l(y)} bar(p_y) T_y.  Both maps are
@@ -246,7 +226,7 @@ class _Coefficients:
         self.shifted: dict[int, list[int]] = {
             g: [] for g in (GAMMA_T, -GAMMA_T, GAMMA_S, -GAMMA_S)}
         self.nonneg = bytearray()
-        self._completion: dict[int, tuple] = {}
+        self._completion: dict[int, int] = {}
         self.intern({})
         self.intern({0: 1})
 
@@ -280,30 +260,26 @@ class _Coefficients:
             out = self.nonneg[c] = any(sign(k) >= 0 for k, _ in self.terms[c])
         return bool(out)
 
-    def completion(self, c: int) -> tuple:
-        """order.symmetric_completion of value c, as (key, coefficient)
-        pairs."""
+    def completion(self, c: int) -> int:
+        """The id of order.symmetric_completion of value c."""
         out = self._completion.get(c)
         if out is None:
             done = self.order.symmetric_completion(ACoeff(dict(self.terms[c])))
-            out = self._completion[c] = tuple(done.terms.items())
+            out = self._completion[c] = self.intern(done.terms)
         return out
 
 
 @functools.lru_cache(maxsize=2)
 def _kl_sweep(n: int, order: XiOrder):
-    """C_w for all w in W_n and the right-preorder edges, from one pass over
-    the ascents (w, s), ws > w, in kernel order.
+    """C_w for all w in W_n and the W-graph, from one pass over the ascents
+    (w, s), ws > w, in kernel order.
 
     By Lusztig, Hecke algebras with unequal parameters (2003), Thm 6.6,
     C_w C_s = C_{ws} + sum_{y < w, ys < y} mu^s_{y,w} C_y with bar-invariant
     mu.  The product C_w C_s = C_w T_s + v_s^{-1} C_w is bar-invariant with
     leading term T_{ws}; walking its terms from the longest down and
     subtracting the bar-invariant completion of each coefficient times C_y
-    leaves C_{ws}, and the y with mu != 0 are read off on the way.  So
-    C_w T_s = C_{ws} + sum mu C_y - v_s^{-1} C_w gives the right edges
-    w -> {w, ws} and w -> y; a descent ws < w has C_w T_s = v_s C_w, a
-    self-edge only.
+    leaves C_{ws}, and each mu is that completion, kept where it is nonzero.
 
     Half of every product is known in advance.  X = C_w C_s has
     X T_s = v_s X, as C_s T_s = v_s C_s, and C_y T_s = v_s C_y when ys < y
@@ -329,9 +305,11 @@ def _kl_sweep(n: int, order: XiOrder):
     its position, becomes an exponent dict of its own when a second term or
     a mu C_y subtraction arrives, and is interned when popped.  Each C_w is
     kept packed as two 4-byte arrays, its positions in increasing order and
-    the value id at each.  Returns (basis, edges, terms): basis[w] is that
-    pair of arrays for C_w, edges[w] the bitset of the right edges out of
-    w, and terms[id] the value of an id.
+    the value id at each.  Returns (basis, wgraph, terms): basis[w] is that
+    pair of arrays for C_w, terms[id] the value of an id, and wgraph[i] is
+    three 4-byte arrays (starts, ys, mus) for generator i: the y with
+    mu^s_{y,w} != 0 and the ids of their mu are ys[k] and mus[k] for
+    starts[w] <= k < starts[w + 1], an empty range at a descent of w.
     """
     kern = kernel(n)
     size = len(kern.elements)
@@ -341,11 +319,11 @@ def _kl_sweep(n: int, order: XiOrder):
     terms, nonneg = coeffs.terms, coeffs.nonneg
     basis: list[tuple[array, array] | None] = [None] * size
     basis[0] = (array("I", [0]), array("I", [1]))
-    edges = [1 << w for w in range(size)]
+    wgraph = [(array("I", [0]), array("I"), array("I")) for _ in range(n)]
 
     def times_c_s(cw: tuple[array, array], i: int, ws: int):
         """C_w C_s reduced to C_{ws} as a position -> id dict, and the
-        bitset of the y with mu^s_{y,w} != 0.
+        y -> id dict of the mu^s_{y,w} != 0.
 
         The descent positions below ws are visited longest first from an
         ascending frontier popped at its end, and a term is final when it
@@ -377,7 +355,7 @@ def _kl_sweep(n: int, order: XiOrder):
         frontier = sorted(y for y in work if y != ws)
         c = work[ws]
         out = {ws: c if type(c) is int else intern(c)}
-        mu_support = 0
+        mus = {}
         while frontier:
             y = frontier.pop()
             c = work[y]
@@ -388,7 +366,8 @@ def _kl_sweep(n: int, order: XiOrder):
             if known == 1 or known == 2 and has_nonneg(c):
                 mu = completion(c)
                 if mu:
-                    mu_support |= 1 << y
+                    mus[y] = mu
+                    mu = terms[mu]
                     for z, cz in zip(*basis[y]):
                         if table[z] > z:
                             continue
@@ -406,15 +385,16 @@ def _kl_sweep(n: int, order: XiOrder):
         for z, c in list(out.items()):
             zs = down[c]
             out[table[z]] = zs if zs >= 0 else shift(c, -g)
-        return out, mu_support
+        return out, mus
 
     for w in range(size):
         cw = basis[w]
-        for i in range(n):
+        for i, (starts, ys, mus) in enumerate(wgraph):
             ws = kern.right[i][w]
             if ws < w:
+                starts.append(len(ys))
                 continue
-            c_ws, mu_support = times_c_s(cw, i, ws)
+            c_ws, mu = times_c_s(cw, i, ws)
             first = basis[ws] is None
             if first and (c_ws[ws] != 1 or any(
                     has_nonneg(c) for y, c in c_ws.items() if y != ws)):
@@ -434,8 +414,10 @@ def _kl_sweep(n: int, order: XiOrder):
                 raise KLRecursionViolation(
                     f"C[{kern.elements[w]}] C[s{i}] gives a second "
                     f"C[{kern.elements[ws]}] at xi = {order.xi}")
-            edges[w] |= 1 << ws | mu_support
-    return basis, edges, terms
+            ys.extend(mu)
+            mus.extend(mu.values())
+            starts.append(len(ys))
+    return basis, wgraph, terms
 
 
 # Cached as well as the sweep so that cache_info() counts its lookups.
@@ -465,27 +447,6 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     return {elements[w]: HeckeElement(n, {elements[y]: wrap(c)
                                           for y, c in zip(*cw)})
             for w, cw in enumerate(basis)}
-
-
-def _back_substitute(h: HeckeElement, basis: dict, leading) -> dict:
-    """Coefficients of h in a basis that is triangular over _len_key.
-
-    leading(y) is (key, sign): basis[key] is T_y times sign (+1 or -1)
-    plus terms shorter in _len_key order."""
-    rem = h
-    out = {}
-    while not rem.is_zero():
-        y = max(rem.terms, key=_len_key)
-        key, sign = leading(y)
-        c = rem.terms[y] if sign > 0 else -rem.terms[y]
-        out[key] = c
-        rem = rem - basis[key].scale(c)
-    return out
-
-
-def expand_in_kl(h: HeckeElement, basis) -> dict[SignedPermutation, ACoeff]:
-    """Coefficients of h in the C-basis (triangular back-substitution)."""
-    return _back_substitute(h, basis, lambda y: (y, 1))
 
 
 def _closure(adjacency: list[int]) -> list[int]:
@@ -519,11 +480,18 @@ def _scc_partition(reach: list[int]) -> list[list[int]]:
 
 def _adjacency(n: int, order: XiOrder, side: str) -> list[int]:
     """Preorder edges as successor bitsets by kernel position: the right
-    edges w -> y, y in the C-expansion of some C_w T_s, from the sweep
-    (Lusztig, Thm 6.6); the left ones are their star images, as
-    star(C_w) = C_{w^{-1}}; the two-sided ones are the union of both."""
-    inverse = kernel(n).inverse
-    right = _kl_sweep(n, order)[1]
+    edges w -> y, y in the C-expansion of some C_w T_s, read off the
+    W-graph: w -> w always, and w -> ws and w -> y for each mu^s_{y,w} at an
+    ascent ws > w (Lusztig, Thm 6.6); the left ones are their star images,
+    as star(C_w) = C_{w^{-1}}; the two-sided ones are the union of both."""
+    kern = kernel(n)
+    inverse = kern.inverse
+    right = [1 << w for w in range(len(inverse))]
+    for table, (starts, ys, _) in zip(kern.right, _kl_sweep(n, order)[1]):
+        for w, ws in enumerate(table):
+            if ws > w:
+                right[w] |= sum((1 << y for y in ys[starts[w]:starts[w + 1]]),
+                                1 << ws)
     adjacency = [0] * len(right)
     for w, below in enumerate(right):
         if side in ("R", "LR"):
@@ -625,8 +593,7 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 class CellDatum(Value):
     """Graham-Lehrer style quadruple extracted from the KL basis."""
 
-    _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "basis",
-               "leading")
+    _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "basis")
 
     def __init__(
             self, n: int, order: XiOrder, r: int, shapes: list[Bipartition],
@@ -634,9 +601,7 @@ class CellDatum(Value):
             w_of: dict[tuple[StandardBitableau, StandardBitableau],
                        SignedPermutation],
             basis: dict[tuple[StandardBitableau, StandardBitableau],
-                        HeckeElement],
-            leading: dict[SignedPermutation,
-                          tuple[StandardBitableau, StandardBitableau]]):
+                        HeckeElement]):
         self.n = n
         self.order = order
         self.r = r
@@ -644,16 +609,6 @@ class CellDatum(Value):
         self.sbt = sbt
         self.w_of = w_of
         self.basis = basis
-        self.leading = leading
-
-    def expand(self, h: HeckeElement) -> dict[tuple, ACoeff]:
-        """Coefficients of h in the C_{S,T} basis.
-
-        The basis is triangular over length with leading coefficient
-        (-1)^{l(w)} on T_w, so back-substitution in length order applies.
-        """
-        return _back_substitute(
-            h, self.basis, lambda y: (self.leading[y], (-1) ** length(y)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -672,27 +627,61 @@ def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
     index, table = kernel(n).index, insertion_table(n, r)
     w_of = {}
     basis = {}
-    leading = {}
     sbt: dict[Bipartition, list] = {}
     for w in group_elements(n):
         s, t, lam = table[index[w]]
         w_of[(s, t)] = w
         basis[(s, t)] = _dagger_bar_fixed(klb[w])
-        leading[w] = (s, t)
         if s not in sbt.setdefault(lam, []):
             sbt[lam].append(s)
     for lam in sbt:
         sbt[lam].sort(key=lambda x: (x.first, x.second))
     shape_list = sorted(sbt)
-    return CellDatum(n, order, r, shape_list, sbt, w_of, basis, leading)
+    return CellDatum(n, order, r, shape_list, sbt, w_of, basis)
 
 
-def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
+def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
+    """T_s C_{S,T} as (S', T') -> coefficient, for generator s of index i
+    and st = (S, T), read off the W-graph as structure_coefficients says."""
+    kern = kernel(datum.n)
+    inverse, table = kern.inverse, insertion_table(datum.n, datum.r)
+    w = kern.index[datum.w_of[st]]
+    sw, g = kern.left[i][w], generator_gamma(i)
+    if sw < w:
+        return {st: ACoeff._of({-g: -1})}
+    _, wgraph, terms = _kl_sweep(datum.n, datum.order)
+    starts, ys, mus = wgraph[i]
+    lo, hi = starts[inverse[w]], starts[inverse[w] + 1]
+    out = {st: ACoeff._of({g: 1}), table[sw][:2]: ACoeff._of({0: -1})}
+    for y, mu in zip(ys[lo:hi], mus[lo:hi]):
+        out[table[inverse[y]][:2]] = ACoeff._of({k: -x for k, x in terms[mu]})
+    return out
+
+
+def _is_action(datum: CellDatum, i: int, st: tuple, expansion: dict) -> bool:
+    """Whether T_s C_{S,T} = sum c C_{S',T'} over expansion, compared on one
+    exponent dict per T_y, for generator s of index i and st = (S, T)."""
+    acc = {y: dict(c.terms) for y, c in
+           datum.basis[st].mul_gen(i, left=True).terms.items()}
+    for key, c in expansion.items():
+        for y, d in datum.basis[key].terms.items():
+            add_product(acc.setdefault(y, {}), c.terms.items(),
+                        d.terms.items(), -1)
+    return not any(any(x.values()) for x in acc.values())
+
+
+def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     """Verify the Graham-Lehrer axiom for the C_{S,T} basis.
 
     For every generator h and pair (S, T): h * C_{S,T} must expand as
     sum_{S'} r(S', S, h) C_{S',T} plus terms of strictly smaller shape,
     with r(S', S, h) independent of T.
+
+    With C' = dagger(C) and dagger(T_s) = -T_s^{-1}, T_s C'_w is read off
+    the W-graph (derived in structure_coefficients): -v_s^{-1} C'_w on a
+    left descent, v_s C'_w - C'_{sw} - sum_y mu^s_{y,w} C'_y on a left
+    ascent.  Each expansion is also multiplied out against T_s C_{S,T}, so
+    a wrong or missing mu, or the untwisted formulas, fail the check.
     """
     check_bound(n, bound)
     datum = cell_datum(n, order)
@@ -705,32 +694,29 @@ def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
             star_ok = False
             failures.append(f"star(C[{s.to_text()},{t.to_text()}]) != C[T,S]")
     for i in range(n):
-        coeffs_by_st: dict[tuple, dict] = {}
         for lam in datum.shapes:
+            lower = below[index[lam]]
             for s in datum.sbt[lam]:
+                maps = []
                 for t in datum.sbt[lam]:
-                    prod = datum.basis[(s, t)].mul_gen(i, left=True)
-                    expansion = datum.expand(prod)
-                    rmap = {}
+                    name = f"C[{s.to_text()},{t.to_text()}]"
+                    expansion = _generator_action(datum, i, (s, t))
+                    if not _is_action(datum, i, (s, t), expansion):
+                        failures.append(f"gen {i}: T_s {name} is not its "
+                                        "W-graph expansion")
+                    maps.append({})
                     for (u, vv), c in expansion.items():
                         mu = u.shape
                         if mu == lam and vv == t:
-                            rmap[u] = c
-                        elif mu != lam and below[index[lam]] >> index[mu] & 1:
-                            continue  # strictly smaller shape: allowed
-                        else:
+                            maps[-1][u] = c
+                        # another shape is allowed only strictly below lam
+                        elif mu == lam or not lower >> index[mu] & 1:
                             failures.append(
-                                f"gen {i}: C[{s.to_text()},{t.to_text()}] "
-                                f"-> non-lower term at shape "
+                                f"gen {i}: {name} -> non-lower term at shape "
                                 f"{format_bipartition(mu)} (V==T: {vv == t})")
-                    coeffs_by_st[(lam, s, t)] = rmap
-        # independence of T
-        for lam in datum.shapes:
-            for s in datum.sbt[lam]:
-                maps = [coeffs_by_st[(lam, s, t)] for t in datum.sbt[lam]]
                 if any(m != maps[0] for m in maps[1:]):
-                    failures.append(
-                        f"gen {i}: coefficients depend on T for S={s.to_text()}")
+                    failures.append(f"gen {i}: coefficients depend on T "
+                                    f"for S={s.to_text()}")
     return {"n": n, "xi": str(order.xi), "r": r,
             "star_symmetry": star_ok,
             "ok": not failures, "failures": failures[:20]}
@@ -739,12 +725,22 @@ def cellularity_check(n: int, order: XiOrder, bound: int = 3) -> dict:
 def structure_coefficients(datum: CellDatum, i: int, lam: Bipartition) \
         -> dict[tuple[StandardBitableau, StandardBitableau], ACoeff]:
     """r(S', S, h) for generator i acting on the cell module of shape lam,
-    read off the expansion with T fixed to the first bitableau."""
+    read off the W-graph with T fixed to the first bitableau T0.
+
+    Let C'_w = dagger(C_w) = C_{S,T}, w = w(S, T).  dagger is an A-linear
+    involution of the algebra with dagger(T_s) = -T_s^{-1} = -T_s + v_s -
+    v_s^{-1}, so T_s C'_w = dagger(-T_s C_w + (v_s - v_s^{-1}) C_w).  On
+    the left, T_s C_w = v_s C_w if sw < w, and C_{sw} + sum_y mu^s_{y,w} C_y
+    - v_s^{-1} C_w if sw > w (Lusztig, Thm 6.6).  So T_s C'_w is
+    -v_s^{-1} C'_w on a left descent and v_s C'_w - C'_{sw} -
+    sum_y mu^s_{y,w} C'_y on a left ascent.  star(C_w) = C_{w^{-1}} turns
+    C_s C_w into C_{w^{-1}} C_s, so the left mu at (y, w) is the right mu
+    of the sweep at (y^{-1}, w^{-1}).
+    """
     t0 = datum.sbt[lam][0]
     out = {}
     for s in datum.sbt[lam]:
-        expansion = datum.expand(datum.basis[(s, t0)].mul_gen(i, left=True))
-        for (u, vv), c in expansion.items():
+        for (u, vv), c in _generator_action(datum, i, (s, t0)).items():
             if u.shape == lam and vv == t0:
                 out[(u, s)] = c
     return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 
-from . import Frozen
+from . import Frozen, check_n
 from .errors import (InvalidArgument, InvalidSlope, IrrationalityViolation,
                      NonIntegralDivision)
 
@@ -286,7 +286,7 @@ V_ONE = VPoly.integer(1)
 
 def gauss_integer(n: int) -> VPoly:
     """[n]_v = (v^n - v^{-n}) / (v - v^{-1})."""
-    assert n >= 0
+    check_n(n)
     return VPoly({n - 1 - 2 * i: 1 for i in range(n)})
 
 

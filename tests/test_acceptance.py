@@ -196,6 +196,17 @@ def test_c10_cellularity():
             assert report["star_symmetry"]
 
 
+@pytest.mark.parametrize(
+    "order", [XiOrder.for_r(r) for r in range(4)]
+    + [XiOrder(Fraction(3, 4)), XiOrder(Fraction(7, 4))],
+    ids=lambda o: f"xi{o.xi.numerator}_{o.xi.denominator}")
+def test_c10_cellularity_rank4(order):
+    # every r, and the two chambers past the walls at 1/2 and 3/2 (c09)
+    report = cellularity_check(4, order)
+    assert report["ok"], report["failures"]
+    assert report["star_symmetry"]
+
+
 def test_c11_theorem_4_1():
     # includes the n=1 anchor: at Q0^2 = -1 the only simple is ((1),empty)
     from heckeb.specht import nonzero_simples

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import heapq
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,13 +17,29 @@ from heckeb.errors import (InvalidArgument, IrrationalityViolation,
                            KLRecursionViolation)
 from heckeb.hecke import (HeckeElement, _len_key, _same_partition,
                           bar, cell_datum, cells, cellularity_check,
-                          conjecture_a_report, dagger, expand_in_kl, kl_basis,
-                          star)
+                          conjecture_a_report, kl_basis, star)
 from heckeb.laurent import ACoeff, XiOrder, add_product, pack
 from heckeb.orders import dominance_r, order_table
 
+from back_substitution import expand_in_cellular, expand_in_kl
+
 ORDER0 = XiOrder.for_r(0)
 OFFSETS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def dagger_table(n):
+    """dagger(T_w) by kernel position, dagger(T_s) = -T_s^{-1} =
+    -T_s + (v_s - v_s^{-1})."""
+    return kernel(n).along_words(
+        HeckeElement.unit(n),
+        lambda x, i: x.scale(hecke._quad(i)) - x.mul_gen(i))
+
+
+def dagger(h):
+    """The A-algebra involution with T_s -> -T_s^{-1}, by its definition:
+    the reference for the closed form of hecke._dagger_bar_fixed."""
+    return hecke._image(h, dagger_table(h.n), lambda c: c)
 
 
 def bar_solve_kl_basis(n, order):
@@ -49,13 +67,12 @@ def bar_solve_kl_basis(n, order):
 def full_sweep(n, order):
     """Reference sweep: Lusztig's recursion reducing every term of C_w C_s,
     at ascent and descent positions alike, on plain exponent dicts through
-    a heap.  Returns (basis, edges) with basis as sweep_coefficients gives
-    it."""
+    a heap.  Returns (basis, wgraph) as sweep_coefficients gives them."""
     kern = kernel(n)
     size = len(kern.elements)
     basis = [None] * size
     basis[0] = {0: {0: 1}}
-    edges = [1 << w for w in range(size)]
+    wgraph = {}
 
     def nonzero(c):
         return {k: x for k, x in c.items() if x}
@@ -72,14 +89,14 @@ def full_sweep(n, order):
         heap = [-y for y in work if y != ws]
         heapq.heapify(heap)
         out = {ws: nonzero(work[ws])}
-        mu_support = 0
+        mus = {}
         while heap:
             y = -heapq.heappop(heap)
             c = nonzero(work[y])
             if table[y] < y and any(order.sign(k) >= 0 for k in c):
                 mu = order.symmetric_completion(ACoeff(c)).terms
                 if mu:
-                    mu_support |= 1 << y
+                    mus[y] = tuple(sorted(mu.items()))
                     for z, cz in basis[y].items():
                         if z not in work:
                             work[z] = {}
@@ -88,28 +105,38 @@ def full_sweep(n, order):
                     c = nonzero(work[y])
             if c:
                 out[y] = c
-        return out, mu_support
+        return out, mus
 
     for w in range(size):
         for i in range(n):
             ws = kern.right[i][w]
             if ws < w:
                 continue
-            c_ws, mu_support = times_c_s(basis[w], i, ws)
+            c_ws, wgraph[w, i] = times_c_s(basis[w], i, ws)
             assert basis[ws] in (None, c_ws)
             basis[ws] = c_ws
-            edges[w] |= 1 << ws | mu_support
     return ({w: {y: tuple(sorted(c.items())) for y, c in cw.items()}
-             for w, cw in enumerate(basis)}, edges)
+             for w, cw in enumerate(basis)}, wgraph)
 
 
 def sweep_coefficients(n, order):
-    """hecke._kl_sweep with its layout undone: ({w: {y: terms}}, edges),
-    terms the (key, coefficient) pairs of the coefficient of T_y in C_w,
-    sorted by key."""
-    basis, edges, terms = hecke._kl_sweep(n, order)
+    """hecke._kl_sweep with its layout undone: ({w: {y: terms}},
+    {(w, i): {y: terms}}), terms the (key, coefficient) pairs of the
+    coefficient of T_y in C_w, or of mu^s_{y,w} at each ascent (w, s), s of
+    index i, sorted by key."""
+    basis, wgraph, terms = hecke._kl_sweep(n, order)
+    kern = kernel(n)
+    out = {}
+    for i, (starts, ys, mus) in enumerate(wgraph):
+        for w, ws in enumerate(kern.right[i]):
+            if ws > w:
+                lo, hi = starts[w], starts[w + 1]
+                out[w, i] = {y: terms[mu]
+                             for y, mu in zip(ys[lo:hi], mus[lo:hi])}
+            else:
+                assert starts[w] == starts[w + 1]
     return ({w: {y: terms[c] for y, c in zip(*cw)}
-             for w, cw in enumerate(basis)}, edges)
+             for w, cw in enumerate(basis)}, out)
 
 
 def warshall_closure(adjacency):
@@ -414,14 +441,20 @@ def test_sweep_shares_each_coefficient():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sweep_layout(n):
-    # each C_w is two 4-byte arrays of one length, positions increasing
-    basis = hecke._kl_sweep(n, XiOrder.for_r(1))[0]
+    # each C_w is two 4-byte arrays of one length, positions increasing;
+    # the W-graph is three per generator, its starts running over |W_n| + 1
+    basis, wgraph, _ = hecke._kl_sweep(n, XiOrder.for_r(1))
     assert len(basis) == len(kernel(n).elements)
     for positions, values in basis:
         assert positions.typecode == values.typecode == "I"
         assert positions.itemsize == 4
         assert len(positions) == len(values)
         assert all(a < b for a, b in zip(positions, positions[1:]))
+    assert len(wgraph) == n
+    for starts, ys, mus in wgraph:
+        assert starts.typecode == ys.typecode == mus.typecode == "I"
+        assert len(starts) == len(basis) + 1 and starts[0] == 0
+        assert starts[-1] == len(ys) == len(mus)
 
 
 def test_sweep_retained_memory():
@@ -700,3 +733,66 @@ class TestCellularity:
         datum = cell_datum(2, ORDER0)
         for (s, t), c_st in datum.basis.items():
             assert star(c_st) == datum.basis[(t, s)]
+
+
+def action_mismatches(datum):
+    """The (S, T, i) where the W-graph read-off of T_s C_{S,T} differs from
+    its expansion by back-substitution."""
+    return [(st, i) for st, c_st in datum.basis.items()
+            for i in range(datum.n)
+            if hecke._generator_action(datum, i, st)
+            != expand_in_cellular(datum, c_st.mul_gen(i, left=True))]
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3)
+                                  for r in range(4)] + [(4, 1)])
+def test_action_matches_back_substitution(n, r):
+    assert action_mismatches(cell_datum(n, XiOrder.for_r(r))) == []
+
+
+def mutated_sweep(sweep, mutation):
+    """The sweep with the first mu of its W-graph dropped, or raised by 1."""
+    basis, wgraph, terms = sweep
+    i = next(i for i, (_, ys, _) in enumerate(wgraph) if ys)
+    starts, ys, mus = (array("I", a) for a in wgraph[i])
+    if mutation == "drop":
+        del ys[0], mus[0]
+        starts = array("I", (max(x - 1, 0) for x in starts))
+    else:
+        raised = dict(terms[mus[0]])
+        raised[0] = raised.get(0, 0) + 1
+        terms = terms + [tuple(sorted((k, x) for k, x in raised.items()
+                                      if x))]
+        mus[0] = len(terms) - 1
+    wgraph = wgraph[:i] + [(starts, ys, mus)] + wgraph[i + 1:]
+    return basis, wgraph, terms
+
+
+def untwisted(action):
+    """The read-off with the dagger twist left out: the coefficients of
+    T_s C_w in the C-basis (v_s on a left descent, C_{sw} + sum mu C_y -
+    v_s^{-1} C_w on a left ascent) put on the C_{S,T} of the same w."""
+    def read_off(datum, i, st):
+        g = hecke.generator_gamma(i)
+        v, minus_v_inv = ACoeff({g: 1}), ACoeff({-g: -1})
+        return {key: (minus_v_inv if c == v else v) if key == st else -c
+                for key, c in action(datum, i, st).items()}
+    return read_off
+
+
+@pytest.mark.parametrize("mutation", ["drop", "raise", "untwisted"])
+def test_mutated_wgraph_fails(mutation, monkeypatch):
+    # the datum and the cells are cached before the patch, so only the
+    # read-off sees the mutation
+    n, order = 3, XiOrder.for_r(1)
+    datum = cell_datum(n, order)
+    if mutation == "untwisted":
+        monkeypatch.setattr(hecke, "_generator_action",
+                            untwisted(hecke._generator_action))
+    else:
+        sweep = mutated_sweep(hecke._kl_sweep(n, order), mutation)
+        monkeypatch.setattr(hecke, "_kl_sweep", lambda *args: sweep)
+    assert action_mismatches(datum)
+    report = cellularity_check(n, order)
+    assert report["ok"] is False
+    assert any("W-graph expansion" in f for f in report["failures"])

@@ -19,6 +19,8 @@ from heckeb.specht import (CellModule, adjointness_check, cell_module,
                            decomposition_numbers, generic_semisimplicity_check,
                            nonzero_simples, theorem41_check)
 
+from back_substitution import expand_in_cellular
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # The 15 Theorem 4.1 cases at rank 3 with the SHA-256 of their canonical
@@ -43,7 +45,8 @@ def product_gram(n, r):
     for lam in datum.shapes:
         sbt = datum.sbt[lam]
         t0 = sbt[0]
-        out[lam] = [[datum.expand(datum.basis[(t0, s)] * datum.basis[(t, t0)])
+        out[lam] = [[expand_in_cellular(
+                         datum, datum.basis[(t0, s)] * datum.basis[(t, t0)])
                      .get((t0, t0), ACoeff()) for t in sbt] for s in sbt]
     return out
 

@@ -8,7 +8,10 @@ the package is in one of the tables below."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from heckeb.laurent import XiOrder
 from heckeb.orders import HasseDiagram, hasse
 from heckeb.specht import cell_module
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = "Partition(parts=())"
 ONE = "Partition(parts=(1,))"
 B_ONE_EMPTY = f"Bipartition(first={ONE}, second={EMPTY})"
@@ -84,8 +88,7 @@ FROZEN = {
 MUTABLE = {
     "HasseDiagram": ("vertices", "edges"),
     "CrystalGraph": ("s", "e", "nmax", "vertices", "edges"),
-    "CellDatum": ("n", "order", "r", "shapes", "sbt", "w_of", "basis",
-                  "leading"),
+    "CellDatum": ("n", "order", "r", "shapes", "sbt", "w_of", "basis"),
     "CellModule": ("shape", "basis", "generators", "gram", "spec"),
     "HeckeElement": ("n", "terms"),
     "FockVector": ("s", "e", "terms"),
@@ -236,8 +239,7 @@ class TestMutable:
             f"sbt={{{B_ONE_EMPTY}: [{SBT_FIRST}], "
             f"{B_EMPTY_ONE}: [{SBT_SECOND}]}}, "
             f"w_of={{{first}: {W_PLUS}, {second}: {W_MINUS}}}, "
-            f"basis={{{first}: (1)*T[1], {second}: (Q)*T[1] + (-1)*T[-1]}}, "
-            f"leading={{{W_PLUS}: {first}, {W_MINUS}: {second}}})")
+            f"basis={{{first}: (1)*T[1], {second}: (Q)*T[1] + (-1)*T[-1]}})")
         assert repr(values["CellModule"]) == (
             f"CellModule(shape={B_ONE_EMPTY}, basis=[{SBT_FIRST}], "
             "generators=[[[z^2]]], gram=[[1]], "
@@ -312,6 +314,24 @@ class TestTypedErrors:
     def test_bound_exceeded(self, call):
         with pytest.raises(BoundExceeded, match="^n = 2 > bound 1$"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        "combinat.partitions(-1)",
+        "fock.divided_power_f(0, -1, fock.FockVector.vacuum((0, 0), 2))",
+        "laurent.gauss_integer(-2)",
+    ], ids=["partitions", "divided_power_f", "gauss_integer"])
+    def test_negative_size_raises_under_optimize(self, call):
+        # -O strips assert statements, so each check must raise by itself
+        code = ("from heckeb import combinat, fock, laurent\n"
+                "from heckeb.errors import InvalidArgument\n"
+                "try:\n"
+                f"    print({call})\n"
+                "except InvalidArgument:\n"
+                "    print('raised')\n")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout == "raised\n", done.stderr
 
     def test_domino_tableau_keeps_its_fields(self):
         t = DominoTableau(Partition(), ())
