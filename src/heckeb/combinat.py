@@ -297,30 +297,3 @@ def parse_bipartition(text: str) -> Bipartition:
         raise ValueError(f"no ';' separator in bipartition {text!r}")
     return Bipartition(parse_partition(left), parse_partition(right))
 
-
-def bipartitions_of_shape_count(n: int) -> dict[Bipartition, int]:
-    """Number of standard bitableaux per shape (hook-length based), used as
-    an independent oracle in tests."""
-    out = {}
-    for b in enumerate_bipartitions(n):
-        out[b] = (_binomial(n, b.first.size)
-                  * _hook_count(b.first) * _hook_count(b.second))
-    return out
-
-
-def _binomial(n: int, k: int) -> int:
-    return functools.reduce(lambda a, i: a * (n - i) // (i + 1), range(k), 1)
-
-
-def _hook_count(p: Partition) -> int:
-    """Number of standard Young tableaux of shape p (hook length formula)."""
-    n = p.size
-    if n == 0:
-        return 1
-    t = p.transpose()
-    num = functools.reduce(lambda a, b: a * b, range(1, n + 1), 1)
-    den = 1
-    for (i, j) in p.cells():
-        den *= (p.part(i) - j) + (t.part(j) - i) + 1
-    assert num % den == 0
-    return num // den

@@ -20,14 +20,15 @@ cell-module action.  Cells are the strongly connected components of its
 edges w -> {w, ws, y}, of their star image (star(C_w) = C_{w^{-1}}, so a
 left mu at (y, w) is the right mu at (y^{-1}, w^{-1})) and of their union;
 the conjecture checkers compare them with the fibers of domino insertion.
-The action of T_s on the cellular basis C_{S,T} = dagger(C_w) is read off
-the same entries, with no product in the algebra (_generator_action).
+The cellular datum holds its sweep and reads C_{S,T} = dagger(C_w) off the
+packed C_w, and the action of T_s on it off the same W-graph entries, with
+no product in the algebra (_generator_action).
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
 the preorders are bitsets closed along successor lists, whose cells are
 compared with the insertion fibers as bitsets too.  Signed permutations
-appear only at the public boundary (HeckeElement, kl_basis, cells).
+appear only at the public boundary (HeckeElement, kl_basis, cells, w_of).
 
 An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
 it while |beta| < 2^15.  Every exponent met in H_n stays within
@@ -177,27 +178,6 @@ def _image(h: HeckeElement, table: list[HeckeElement], coeff) \
 def bar(h: HeckeElement) -> HeckeElement:
     """The A-antilinear bar involution of H_n."""
     return _image(h, _bar_t(h.n), ACoeff.bar)
-
-
-def _dagger_bar_fixed(h: HeckeElement) -> HeckeElement:
-    """dagger(h) for a bar-invariant h = sum_y p_y T_y, such as C_w, in
-    closed form: sum_y (-1)^{l(y)} bar(p_y) T_y.  Both maps are
-    multiplicative and dagger(T_s) = -T_s^{-1} = -bar(T_s), so dagger(T_y) =
-    (-1)^{l(y)} bar(T_y) and, dagger being A-linear, dagger(h) =
-    bar(sum_y (-1)^{l(y)} bar(p_y) T_y).  dagger commutes with bar (on A,
-    and on T_s: both composites give -T_s), so dagger(h) is bar-invariant
-    with h, and the outer bar drops."""
-    kern = kernel(h.n)
-    return HeckeElement(h.n, {
-        y: -c.bar() if kern.length[kern.index[y]] % 2 else c.bar()
-        for y, c in h.terms.items()})
-
-
-def star(h: HeckeElement) -> HeckeElement:
-    """The A-linear anti-automorphism T_w -> T_{w^{-1}}."""
-    kern = kernel(h.n)
-    return HeckeElement(h.n, {kern.elements[kern.inverse[kern.index[w]]]: c
-                              for w, c in h.terms.items()})
 
 
 # --- Kazhdan-Lusztig basis and cells -----------------------------------------
@@ -591,53 +571,77 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 # --- cell datum ------------------------------------------------------------
 
 class CellDatum(Value):
-    """Graham-Lehrer style quadruple extracted from the KL basis."""
+    """Graham-Lehrer style quadruple, an index over the KL sweep it was
+    built from: C_{S,T} = dagger(C_w) for w = w_of[(S, T)], read off sweep,
+    the (basis, wgraph, terms) of _kl_sweep at (n, order)."""
 
-    _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "basis")
+    _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "sweep")
 
     def __init__(
             self, n: int, order: XiOrder, r: int, shapes: list[Bipartition],
             sbt: dict[Bipartition, list[StandardBitableau]],
             w_of: dict[tuple[StandardBitableau, StandardBitableau],
                        SignedPermutation],
-            basis: dict[tuple[StandardBitableau, StandardBitableau],
-                        HeckeElement]):
+            sweep: tuple):
         self.n = n
         self.order = order
         self.r = r
         self.shapes = shapes
         self.sbt = sbt
         self.w_of = w_of
-        self.basis = basis
+        self.sweep = sweep
+        # (value id, parity of l(y)) -> (-1)^{l(y)} bar(value), as items
+        self._signed_bars: dict[tuple[int, int], tuple] = {}
+
+    def element(self, st: tuple):
+        """C_{S,T} for st = (S, T) as (kernel position y, exponent items)
+        pairs, y increasing: with C_w = sum_y p_{y,w} T_y, w = w(S, T),
+        dagger(C_w) = sum_y (-1)^{l(y)} bar(p_{y,w}) T_y.  bar and dagger
+        are both multiplicative and dagger(T_s) = -T_s^{-1} = -bar(T_s), so
+        dagger(T_y) = (-1)^{l(y)} bar(T_y) and, dagger being A-linear,
+        dagger(C_w) = bar(sum_y (-1)^{l(y)} bar(p_{y,w}) T_y).  dagger
+        commutes with bar (on A, and on T_s: both composites give -T_s), so
+        dagger(C_w) is bar-invariant with C_w, and the outer bar drops."""
+        kern = kernel(self.n)
+        basis, _, terms = self.sweep
+        length, memo = kern.length, self._signed_bars
+        for y, c in zip(*basis[kern.index[self.w_of[st]]]):
+            key = (c, length[y] & 1)
+            items = memo.get(key)
+            if items is None:
+                items = memo[key] = tuple((-k, -x if key[1] else x)
+                                          for k, x in terms[c])
+            yield y, items
 
 
 @functools.lru_cache(maxsize=None)
 def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
     """The quadruple ((Bip(n), order r), SBT, C_{S,T} = dagger(C_w), *).
 
+    Every bound that admits n returns the one datum, cached with bound n.
     Raises ConjectureAViolation when insertion fibers do not match the KL
     cells (the construction would then be ill-defined).
     """
+    check_bound(n, bound)
+    if bound != n:
+        return cell_datum(n, order, n)
     report = conjecture_a_report(n, order, bound)
     core_clauses = ("a_left_vs_T", "b_right_vs_S", "c_twosided_vs_shape")
     if not all(report["clauses"][c]["ok"] for c in core_clauses):
         raise ConjectureAViolation(json.dumps(report))
     r = order.r
-    klb = kl_basis(n, order, bound)
     index, table = kernel(n).index, insertion_table(n, r)
     w_of = {}
-    basis = {}
     sbt: dict[Bipartition, list] = {}
     for w in group_elements(n):
         s, t, lam = table[index[w]]
         w_of[(s, t)] = w
-        basis[(s, t)] = _dagger_bar_fixed(klb[w])
         if s not in sbt.setdefault(lam, []):
             sbt[lam].append(s)
     for lam in sbt:
         sbt[lam].sort(key=lambda x: (x.first, x.second))
     shape_list = sorted(sbt)
-    return CellDatum(n, order, r, shape_list, sbt, w_of, basis)
+    return CellDatum(n, order, r, shape_list, sbt, w_of, _kl_sweep(n, order))
 
 
 def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
@@ -649,7 +653,7 @@ def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
     sw, g = kern.left[i][w], generator_gamma(i)
     if sw < w:
         return {st: ACoeff._of({-g: -1})}
-    _, wgraph, terms = _kl_sweep(datum.n, datum.order)
+    _, wgraph, terms = datum.sweep
     starts, ys, mus = wgraph[i]
     lo, hi = starts[inverse[w]], starts[inverse[w] + 1]
     out = {st: ACoeff._of({g: 1}), table[sw][:2]: ACoeff._of({0: -1})}
@@ -660,13 +664,19 @@ def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
 
 def _is_action(datum: CellDatum, i: int, st: tuple, expansion: dict) -> bool:
     """Whether T_s C_{S,T} = sum c C_{S',T'} over expansion, compared on one
-    exponent dict per T_y, for generator s of index i and st = (S, T)."""
-    acc = {y: dict(c.terms) for y, c in
-           datum.basis[st].mul_gen(i, left=True).terms.items()}
+    exponent dict per kernel position, for generator s of index i and
+    st = (S, T); T_s T_y is T_{sy}, plus (v_s - v_s^{-1}) T_y if sy < y."""
+    table = kernel(datum.n).left[i]
+    quad = _quad(i).terms.items()
+    acc: dict[int, dict[int, int]] = {}
+    for y, x in datum.element(st):
+        sy = table[y]
+        add_product(acc.setdefault(sy, {}), x, A_ONE.terms.items())
+        if sy < y:
+            add_product(acc.setdefault(y, {}), x, quad)
     for key, c in expansion.items():
-        for y, d in datum.basis[key].terms.items():
-            add_product(acc.setdefault(y, {}), c.terms.items(),
-                        d.terms.items(), -1)
+        for y, x in datum.element(key):
+            add_product(acc.setdefault(y, {}), c.terms.items(), x, -1)
     return not any(any(x.values()) for x in acc.values())
 
 
@@ -677,20 +687,26 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     sum_{S'} r(S', S, h) C_{S',T} plus terms of strictly smaller shape,
     with r(S', S, h) independent of T.
 
-    With C' = dagger(C) and dagger(T_s) = -T_s^{-1}, T_s C'_w is read off
-    the W-graph (derived in structure_coefficients): -v_s^{-1} C'_w on a
-    left descent, v_s C'_w - C'_{sw} - sum_y mu^s_{y,w} C'_y on a left
-    ascent.  Each expansion is also multiplied out against T_s C_{S,T}, so
-    a wrong or missing mu, or the untwisted formulas, fail the check.
+    Each T_s C_{S,T} is read off the W-graph (derived in
+    structure_coefficients) and multiplied out against the product in the
+    algebra, so a wrong or missing mu, or the untwisted formulas, fail.
+    star(C_{S,T}) = C_{T,S}, star(T_y) = T_{y^{-1}} A-linearly, is checked
+    on the arrays: as l(y^{-1}) = l(y), it says that w(T, S) = w(S, T)^{-1}
+    and that C_{w^{-1}} holds each value id of C_w at y^{-1}.
     """
     check_bound(n, bound)
-    datum = cell_datum(n, order)
+    datum = cell_datum(n, order, bound)
     r = order.r
+    kern = kernel(n)
+    basis, inverse = datum.sweep[0], kern.inverse
     index, below = order_table(n, r)
     failures = []
     star_ok = True
-    for (s, t), c_st in datum.basis.items():
-        if star(c_st) != datum.basis[(t, s)]:
+    for (s, t), w in datum.w_of.items():
+        v = kern.index[w]
+        mirrored = {inverse[y]: c for y, c in zip(*basis[v])}
+        if kern.index[datum.w_of[(t, s)]] != inverse[v] \
+                or dict(zip(*basis[inverse[v]])) != mirrored:
             star_ok = False
             failures.append(f"star(C[{s.to_text()},{t.to_text()}]) != C[T,S]")
     for i in range(n):

@@ -141,7 +141,8 @@ def _generic_data(n: int, r: int):
     row(ws) M_s, one row vector times a generator matrix per element.
     """
     order = XiOrder.for_r(r)
-    datum = cell_datum(n, order)
+    # the public entries have checked n against their bound
+    datum = cell_datum(n, order, n)
     kern = kernel(n)
     zero = ACoeff()
     modules = {}
@@ -173,10 +174,10 @@ def _generic_data(n: int, r: int):
         gram = []
         for s in sbt:
             acc: list[dict] = [{} for _ in sbt]
-            for w, c in datum.basis[(t0, s)].terms.items():
-                for t, x in enumerate(rows[kern.index[w]]):
+            for y, c in datum.element((t0, s)):
+                for t, x in enumerate(rows[y]):
                     if x:
-                        add_product(acc[t], c.terms.items(), x.items())
+                        add_product(acc[t], c, x.items())
             gram.append([ACoeff(a) for a in acc])
         modules[lam] = (sbt, gens, gram)
     return datum, modules

@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 
 from heckeb import INFINITY, domino
-from heckeb.combinat import (Partition, bipartitions_of_shape_count,
-                             delta_core, q_r, staircase_index)
+from heckeb.combinat import Partition, delta_core, q_r, staircase_index
 from heckeb.domino import (DominoTableau, SignedPermutation,
                            StandardBitableau, group_elements, insert,
                            insertion_table, kernel, length, qtilde_r,
                            reduced_word, resolve_r, s_t_lambda,
                            verify_insertion_bijection)
 from heckeb.errors import InvalidArgument, MalformedTableau
+
+from hook_lengths import bipartitions_of_shape_count
 
 
 def bfs_group_elements(n):

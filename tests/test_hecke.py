@@ -10,18 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from heckeb import bits, hecke
+from heckeb import bits, hecke, specht
 from heckeb.domino import (SignedPermutation, group_elements, kernel, length,
                            s_t_lambda)
 from heckeb.errors import (InvalidArgument, IrrationalityViolation,
                            KLRecursionViolation)
-from heckeb.hecke import (HeckeElement, _len_key, _same_partition,
+from heckeb.hecke import (CellDatum, HeckeElement, _len_key, _same_partition,
                           bar, cell_datum, cells, cellularity_check,
-                          conjecture_a_report, kl_basis, star)
+                          conjecture_a_report, kl_basis)
 from heckeb.laurent import ACoeff, XiOrder, add_product, pack
 from heckeb.orders import dominance_r, order_table
 
-from back_substitution import expand_in_cellular, expand_in_kl
+from back_substitution import (cellular_basis, dagger_bar_fixed,
+                               expand_in_cellular, expand_in_kl)
 
 ORDER0 = XiOrder.for_r(0)
 OFFSETS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -38,8 +39,15 @@ def dagger_table(n):
 
 def dagger(h):
     """The A-algebra involution with T_s -> -T_s^{-1}, by its definition:
-    the reference for the closed form of hecke._dagger_bar_fixed."""
+    the reference for the closed form dagger_bar_fixed."""
     return hecke._image(h, dagger_table(h.n), lambda c: c)
+
+
+def star(h):
+    """The A-linear anti-automorphism T_w -> T_{w^{-1}}."""
+    kern = kernel(h.n)
+    return HeckeElement(h.n, {kern.elements[kern.inverse[kern.index[w]]]: c
+                              for w, c in h.terms.items()})
 
 
 def bar_solve_kl_basis(n, order):
@@ -713,32 +721,54 @@ class TestCellularity:
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_basis_is_dagger_of_kl_basis(self, r):
-        # C_{S,T} is dagger(C_w) in closed form; dagger pushes C_w through
-        # the dagger(T_y) table
+        # the reference C_{S,T} is dagger(C_w) in closed form; dagger pushes
+        # C_w through the dagger(T_y) table
         order = XiOrder.for_r(r)
         for n in (1, 2, 3):
             datum = cell_datum(n, order)
             klb = kl_basis(n, order)
+            basis = cellular_basis(n, order)
             for st, w in datum.w_of.items():
-                assert datum.basis[st] == dagger(klb[w])
+                assert basis[st] == dagger(klb[w])
 
     def test_dagger_closed_form_rank4_sample(self):
         klb = kl_basis(4, XiOrder.for_r(1))
         elements = kernel(4).elements
         for k in (0, 7, 100, 250, 383):
             cw = klb[elements[k]]
-            assert hecke._dagger_bar_fixed(cw) == dagger(cw)
+            assert dagger_bar_fixed(cw) == dagger(cw)
 
     def test_star_exchanges_indices(self):
-        datum = cell_datum(2, ORDER0)
-        for (s, t), c_st in datum.basis.items():
-            assert star(c_st) == datum.basis[(t, s)]
+        basis = cellular_basis(2, ORDER0)
+        for (s, t), c_st in basis.items():
+            assert star(c_st) == basis[(t, s)]
+
+
+def read_off(datum, st):
+    """C_{S,T} as CellDatum.element reads it off the sweep, as a
+    HeckeElement."""
+    elements = kernel(datum.n).elements
+    return HeckeElement(datum.n, {elements[y]: ACoeff(dict(items))
+                                  for y, items in datum.element(st)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_read_off_matches_reference_basis(n, r):
+    order = XiOrder.for_r(r)
+    datum, basis = cell_datum(n, order), cellular_basis(n, order)
+    assert len(basis) == len(kernel(n).elements)
+    for st, c_st in basis.items():
+        assert [y for y, _ in datum.element(st)] == sorted(
+            kernel(n).index[y] for y in c_st.terms)
+        assert read_off(datum, st) == c_st
 
 
 def action_mismatches(datum):
     """The (S, T, i) where the W-graph read-off of T_s C_{S,T} differs from
-    its expansion by back-substitution."""
-    return [(st, i) for st, c_st in datum.basis.items()
+    its expansion by back-substitution in the reference basis."""
+    basis = cellular_basis(datum.n, datum.order)
+    return [(st, i) for st, c_st in basis.items()
             for i in range(datum.n)
             if hecke._generator_action(datum, i, st)
             != expand_in_cellular(datum, c_st.mul_gen(i, left=True))]
@@ -748,6 +778,12 @@ def action_mismatches(datum):
                                   for r in range(4)] + [(4, 1)])
 def test_action_matches_back_substitution(n, r):
     assert action_mismatches(cell_datum(n, XiOrder.for_r(r))) == []
+
+
+def over_sweep(datum, sweep):
+    """A datum with the index of datum over another sweep."""
+    return CellDatum(datum.n, datum.order, datum.r, datum.shapes, datum.sbt,
+                     datum.w_of, sweep)
 
 
 def mutated_sweep(sweep, mutation):
@@ -782,17 +818,88 @@ def untwisted(action):
 
 @pytest.mark.parametrize("mutation", ["drop", "raise", "untwisted"])
 def test_mutated_wgraph_fails(mutation, monkeypatch):
-    # the datum and the cells are cached before the patch, so only the
-    # read-off sees the mutation
+    # a mutated W-graph goes into a datum over a copy of the sweep, which
+    # cellularity_check gets from cell_datum; the cached datum, its sweep
+    # and the cells are left as they are
     n, order = 3, XiOrder.for_r(1)
     datum = cell_datum(n, order)
     if mutation == "untwisted":
         monkeypatch.setattr(hecke, "_generator_action",
                             untwisted(hecke._generator_action))
     else:
-        sweep = mutated_sweep(hecke._kl_sweep(n, order), mutation)
-        monkeypatch.setattr(hecke, "_kl_sweep", lambda *args: sweep)
+        datum = over_sweep(datum, mutated_sweep(datum.sweep, mutation))
+        monkeypatch.setattr(hecke, "cell_datum", lambda *args: datum)
     assert action_mismatches(datum)
     report = cellularity_check(n, order)
-    assert report["ok"] is False
+    assert report["ok"] is False and report["star_symmetry"] is True
     assert any("W-graph expansion" in f for f in report["failures"])
+
+
+def test_swapped_value_ids_break_star_symmetry(monkeypatch):
+    # two value ids of one C_w, w not an involution, swapped: C_{w^{-1}}
+    # no longer holds the ids of C_w at the inverse positions
+    n, order = 3, XiOrder.for_r(1)
+    datum = cell_datum(n, order)
+    basis, wgraph, terms = datum.sweep
+    inverse = kernel(n).inverse
+    w = next(w for w, (_, ids) in enumerate(basis)
+             if inverse[w] != w and len(set(ids)) > 1)
+    positions, ids = basis[w][0], array("I", basis[w][1])
+    k = next(k for k, c in enumerate(ids) if c != ids[0])
+    ids[0], ids[k] = ids[k], ids[0]
+    swapped = basis[:w] + [(positions, ids)] + basis[w + 1:]
+    mutated = over_sweep(datum, (swapped, wgraph, terms))
+    monkeypatch.setattr(hecke, "cell_datum", lambda *args: mutated)
+    report = cellularity_check(n, order)
+    assert report["star_symmetry"] is False and report["ok"] is False
+    assert sum(f.startswith("star(") for f in report["failures"]) == 2
+
+
+def test_caller_bound_reaches_the_datum(monkeypatch):
+    # the checks hand cell_datum the bound they checked, and every bound
+    # that admits n gets the one datum
+    seen = []
+    real = hecke.cell_datum
+
+    def spy(n, order, bound=hecke.KL_BOUND):
+        seen.append(bound)
+        return real(n, order, bound)
+
+    monkeypatch.setattr(hecke, "cell_datum", spy)
+    monkeypatch.setattr(specht, "cell_datum", spy)
+    order = XiOrder.for_r(1)
+    assert cellularity_check(3, order, 5)["ok"]
+    assert seen[0] == 5
+    seen.clear()
+    specht._generic_data.__wrapped__(3, 1)
+    assert seen == [3]
+    assert real(3, order, 5) is real(3, order) is real(3, order, 3)
+
+
+def test_datum_keeps_its_sweep():
+    # two other sweeps evict the one the datum was built from; the check
+    # runs again on the datum's own sweep, with no new one
+    order = XiOrder.for_r(0)
+    assert cellularity_check(3, order)["ok"]
+    misses = hecke._kl_sweep.cache_info().misses
+    for r in (1, 2):
+        cells(3, XiOrder(r + Fraction(2, 9)))
+    assert hecke._kl_sweep.cache_info().misses == misses + 2
+    assert cellularity_check(3, order)["ok"]
+    assert hecke._kl_sweep.cache_info().misses == misses + 2
+
+
+def test_checks_build_no_hecke_element(monkeypatch):
+    # from cold caches, the cellularity and Theorem 4.1 checks run on the
+    # sweep's arrays and on exponent dicts alone
+    for cached in (hecke._kl_sweep, hecke._reach, hecke.cells,
+                   hecke.kl_basis, hecke.cell_datum, specht._generic_data,
+                   specht._specialized_data, specht.decomposition_numbers):
+        cached.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HeckeElement was built")
+
+    monkeypatch.setattr(HeckeElement, "__init__", refuse)
+    assert cellularity_check(3, XiOrder.for_r(1))["ok"]
+    assert specht.theorem41_check(3, 2, 0, 1)["status"] == "ok"

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from heckeb import specht
-from heckeb.combinat import (format_bipartition, parse_bipartition,
-                             bipartitions_of_shape_count)
+from heckeb.combinat import format_bipartition, parse_bipartition
 from heckeb.cyclo import CycloNumber, Specialization
 from heckeb.errors import NonIntegralMultiplicity, RankDeficiency
 from heckeb.hecke import cell_datum
@@ -19,7 +18,8 @@ from heckeb.specht import (CellModule, adjointness_check, cell_module,
                            decomposition_numbers, generic_semisimplicity_check,
                            nonzero_simples, theorem41_check)
 
-from back_substitution import expand_in_cellular
+from back_substitution import cellular_basis, expand_in_cellular
+from hook_lengths import bipartitions_of_shape_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,12 +41,13 @@ def product_gram(n, r):
     C_{T0,T0} in the product C_{T0,S} C_{T,T0}, expanded in the cellular
     basis.  The reference for the action-based Gram of _generic_data."""
     datum = cell_datum(n, XiOrder.for_r(r))
+    basis = cellular_basis(n, datum.order)
     out = {}
     for lam in datum.shapes:
         sbt = datum.sbt[lam]
         t0 = sbt[0]
         out[lam] = [[expand_in_cellular(
-                         datum, datum.basis[(t0, s)] * datum.basis[(t, t0)])
+                         datum, basis[(t0, s)] * basis[(t, t0)])
                      .get((t0, t0), ACoeff()) for t in sbt] for s in sbt]
     return out
 

@@ -88,7 +88,7 @@ FROZEN = {
 MUTABLE = {
     "HasseDiagram": ("vertices", "edges"),
     "CrystalGraph": ("s", "e", "nmax", "vertices", "edges"),
-    "CellDatum": ("n", "order", "r", "shapes", "sbt", "w_of", "basis"),
+    "CellDatum": ("n", "order", "r", "shapes", "sbt", "w_of", "sweep"),
     "CellModule": ("shape", "basis", "generators", "gram", "spec"),
     "HeckeElement": ("n", "terms"),
     "FockVector": ("s", "e", "terms"),
@@ -239,7 +239,10 @@ class TestMutable:
             f"sbt={{{B_ONE_EMPTY}: [{SBT_FIRST}], "
             f"{B_EMPTY_ONE}: [{SBT_SECOND}]}}, "
             f"w_of={{{first}: {W_PLUS}, {second}: {W_MINUS}}}, "
-            f"basis={{{first}: (1)*T[1], {second}: (Q)*T[1] + (-1)*T[-1]}})")
+            "sweep=([(array('I', [0]), array('I', [1])), "
+            "(array('I', [0, 1]), array('I', [2, 1]))], "
+            "[(array('I', [0, 0, 0]), array('I'), array('I'))], "
+            "[(), ((0, 1),), ((-1, 1),)]))")
         assert repr(values["CellModule"]) == (
             f"CellModule(shape={B_ONE_EMPTY}, basis=[{SBT_FIRST}], "
             "generators=[[[z^2]]], gram=[[1]], "
