@@ -323,7 +323,7 @@ def _run_cells(args) -> int:
     from .hecke import cells
 
     order = _order_from(args, args.n)
-    parts, _ = cells(args.n, order, args.side, **_bound(args))
+    parts = cells(args.n, order, args.side, **_bound(args))
     blocks = sorted((sorted(c, key=_len_key) for c in parts),
                     key=lambda c: _len_key(c[0]))
     if args.format == "json":

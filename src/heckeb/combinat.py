@@ -124,10 +124,6 @@ class Bipartition(Frozen):
         return format_bipartition(self)
 
 
-EMPTY_PARTITION = Partition()
-EMPTY_BIPARTITION = Bipartition()
-
-
 class BetaSet(Frozen):
     """Beta-numbers of a partition: a strictly decreasing tuple of
     non-negative integers of even cardinality."""
@@ -136,16 +132,20 @@ class BetaSet(Frozen):
 
     def __init__(self, entries: tuple[int, ...]):
         e = tuple(entries)
-        assert len(e) % 2 == 0 and len(e) > 0, e
-        assert all(e[i] > e[i + 1] for i in range(len(e) - 1)), e
-        assert e[-1] >= 0, e
+        if not e or len(e) % 2 or e[-1] < 0 \
+                or any(a <= b for a, b in zip(e, e[1:])):
+            raise InvalidArgument(
+                f"beta-set {e} must be strictly decreasing, non-negative "
+                "and of even, positive cardinality")
         object.__setattr__(self, "entries", e)
 
     @classmethod
     def from_partition(cls, p: Partition, cardinality: int | None = None) -> "BetaSet":
         n = cardinality if cardinality is not None else len(p.parts) + len(p.parts) % 2
         n = max(n, 2)
-        assert n % 2 == 0 and n >= len(p.parts)
+        if n % 2 or n < len(p.parts):
+            raise InvalidArgument(f"cardinality {n} must be even and at "
+                                  f"least the {len(p.parts)} parts of {p}")
         return cls(tuple(p.part(i) + n - i for i in range(1, n + 1)))
 
     def to_partition(self) -> Partition:

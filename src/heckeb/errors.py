@@ -29,8 +29,7 @@ class MalformedTableau(HeckebError):
 
 
 class InvalidSlope(HeckebError):
-    """A weight-order slope xi is not a positive non-integer rational, or an
-    offset from floor(xi) lies outside (0, 1)."""
+    """A weight-order slope xi is not a positive non-integer rational."""
 
 
 class IrrationalityViolation(HeckebError):

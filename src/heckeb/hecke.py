@@ -24,6 +24,10 @@ The cellular datum holds its sweep and reads C_{S,T} = dagger(C_w) off the
 packed C_w, and the action of T_s on it off the same W-graph entries, with
 no product in the algebra (_generator_action).
 
+Whatever is built from a sweep is cached for two slopes, as the sweep is:
+kl_basis and cell_datum keep two entries, and _reach and cells six (two
+slopes, three sides); tables keyed by rank and r alone are kept for good.
+
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
 the preorders are bitsets closed along successor lists, whose cells are
@@ -401,7 +405,7 @@ def _kl_sweep(n: int, order: XiOrder):
 
 
 # Cached as well as the sweep so that cache_info() counts its lookups.
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
         -> dict[SignedPermutation, HeckeElement]:
     """The Kazhdan-Lusztig basis C_w for all w in W_n, in _len_key order.
@@ -481,29 +485,27 @@ def _adjacency(n: int, order: XiOrder, side: str) -> list[int]:
     return adjacency
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=6)
 def _reach(n: int, order: XiOrder, side: str) -> list[int]:
     """The closure of _adjacency: y is below w iff bit y of reach[w] is set."""
     return _closure(_adjacency(n, order, side))
 
 
-@functools.lru_cache(maxsize=None)
-def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND):
-    """Cell partition of W_n and the underlying preorder reachability.
+@functools.lru_cache(maxsize=6)
+def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND) \
+        -> list[set[SignedPermutation]]:
+    """The left, right or two-sided cells of W_n, for side 'L', 'R' or 'LR'.
 
-    side is 'L', 'R' or 'LR'.  Returns (list of cells, reachability map);
-    w' is below w iff w' in reach[w].  Cells are the strongly connected
-    components of the left, right or two-sided multiplication graph of the
-    C-basis (Lusztig, Thm 6.6, via the sweep that builds the basis).
+    Cells are the strongly connected components of the left, right or
+    two-sided multiplication graph of the C-basis (Lusztig, Thm 6.6, via
+    the sweep that builds the basis); the preorder itself is _reach.
     """
     if side not in ("L", "R", "LR"):
         raise InvalidArgument(f"side {side!r} must be 'L', 'R' or 'LR'")
     check_bound(n, bound)
     elements = kernel(n).elements
-    reach = _reach(n, order, side)
-    return ([{elements[v] for v in block} for block in _scc_partition(reach)],
-            {elements[v]: {elements[y] for y in bits(x)}
-             for v, x in enumerate(reach)})
+    return [{elements[v] for v in block}
+            for block in _scc_partition(_reach(n, order, side))]
 
 
 def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
@@ -614,7 +616,7 @@ class CellDatum(Value):
             yield y, items
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
     """The quadruple ((Bip(n), order r), SBT, C_{S,T} = dagger(C_w), *).
 

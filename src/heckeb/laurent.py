@@ -177,14 +177,11 @@ class XiOrder(Frozen):
         object.__setattr__(self, "_den", xi.denominator)
 
     @classmethod
-    def for_r(cls, r: int, offset: Fraction = Fraction(1, 101)) -> "XiOrder":
-        """Order with floor(xi) = r.  The default offset has a large
-        denominator so that no exponent pair of modest size can tie; a tie
-        raises IrrationalityViolation and asks for a perturbed xi."""
-        if not 0 < offset < 1:
-            raise InvalidSlope(f"offset {offset} must lie strictly between "
-                               "0 and 1")
-        return cls(Fraction(r) + offset)
+    def for_r(cls, r: int) -> "XiOrder":
+        """Order with floor(xi) = r, at xi = r + 1/101.  The offset has a
+        large denominator so that no exponent pair of modest size can tie;
+        a tie raises IrrationalityViolation and asks for a perturbed xi."""
+        return cls(Fraction(r) + Fraction(1, 101))
 
     @property
     def r(self) -> int:

@@ -25,7 +25,7 @@ from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
 from .domino import kernel
 from .errors import NonIntegralMultiplicity, RankDeficiency
-from .hecke import CellDatum, cell_datum, structure_coefficients
+from .hecke import cell_datum, structure_coefficients
 from .laurent import ACoeff, XiOrder, add_product
 
 Matrix = list[list[CycloNumber]]
@@ -79,10 +79,6 @@ def _row_reduce(mat: Matrix) -> tuple[Matrix, list[int]]:
     return mat, pivots
 
 
-def _rank(mat: Matrix) -> int:
-    return len(_row_reduce(mat)[1]) if mat else 0
-
-
 def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]], m: int) \
         -> list[list[CycloNumber]]:
     """Solve a x = b for several right-hand sides; a must have full column
@@ -115,16 +111,14 @@ class CellModule(Value):
     def dim(self) -> int:
         return len(self.basis)
 
-    def gram_rank(self) -> int:
-        return _rank(self.gram)
-
 
 @functools.lru_cache(maxsize=None)
 def _generic_data(n: int, r: int):
     """Generator-action and Gram matrices over the generic ring, per shape.
 
-    Returns (datum, {shape: (sbt, gens, gram)}) with matrix entries ACoeff;
-    gens[i][U][S] is the coefficient of C_{U,T0} in T_{s_i} C_{S,T0}.
+    Returns {shape: (sbt, gens, gram)} with matrix entries ACoeff;
+    gens[i][U][S] is the coefficient of C_{U,T0} in T_{s_i} C_{S,T0}.  The
+    datum they are read from is not kept: cell_datum's cache bounds it.
 
     The Gram form is read off the cell-module action, with no product in
     the algebra.  phi(S, T) is defined by C_{T0,S} C_{T,T0} = phi(S, T)
@@ -180,20 +174,21 @@ def _generic_data(n: int, r: int):
                         add_product(acc[t], c, x.items())
             gram.append([ACoeff(a) for a in acc])
         modules[lam] = (sbt, gens, gram)
-    return datum, modules
+    return modules
 
 
 @functools.lru_cache(maxsize=None)
 def _specialized_data(n: int, e: int, d: int, r: int) \
-        -> tuple[CellDatum, Specialization, dict[Bipartition, CellModule]]:
-    datum, generic = _generic_data(n, r)
+        -> tuple[Specialization, dict[Bipartition, CellModule]]:
+    """The specialization at (e, d) and the cell module of every shape, its
+    generic data specialized."""
     spec = Specialization(e, d)
     modules = {}
-    for lam, (sbt, gens, gram) in generic.items():
+    for lam, (sbt, gens, gram) in _generic_data(n, r).items():
         sgens = [[[spec.theta(c) for c in row] for row in g] for g in gens]
         sgram = [[spec.theta(c) for c in row] for row in gram]
         modules[lam] = CellModule(lam, sbt, sgens, sgram, spec)
-    return datum, spec, modules
+    return spec, modules
 
 
 def _acoeff_det(mat) -> ACoeff:
@@ -223,8 +218,7 @@ def adjointness_check(n: int, r: int, bound: int = SPECHT_BOUND) -> bool:
     """Bilinear form compatibility with *: since every generator is fixed
     by *, the condition is M_i^t G = G M_i over the generic ring."""
     check_bound(n, bound)
-    _, generic = _generic_data(n, r)
-    for sbt, gens, gram in generic.values():
+    for sbt, gens, gram in _generic_data(n, r).values():
         k = len(sbt)
         for mat in gens:
             for a in range(k):
@@ -244,23 +238,25 @@ def generic_semisimplicity_check(n: int, r: int,
     """All generic Gram determinants nonzero, so every cell module stays
     simple over the fraction field."""
     check_bound(n, bound)
-    _, generic = _generic_data(n, r)
     return all(not _acoeff_det(gram).is_zero()
-               for _, _, gram in generic.values())
+               for _, _, gram in _generic_data(n, r).values())
 
 
 def cell_module(n: int, e: int, d: int, r: int, lam: Bipartition,
                 bound: int = SPECHT_BOUND) -> CellModule:
     check_bound(n, bound)
-    return _specialized_data(n, e, d, r)[2][lam]
+    return _specialized_data(n, e, d, r)[1][lam]
 
 
 def nonzero_simples(n: int, e: int, d: int, r: int,
                     bound: int = SPECHT_BOUND) -> list[Bipartition]:
-    """Shapes whose Gram form survives specialization (labels of simples)."""
+    """Shapes whose Gram form survives specialization (labels of simples):
+    the head D = S / rad is nonzero exactly when the form is
+    (Graham-Lehrer, section 3)."""
     check_bound(n, bound)
-    _, _, modules = _specialized_data(n, e, d, r)
-    return [lam for lam, mod in modules.items() if mod.gram_rank() >= 1]
+    _, modules = _specialized_data(n, e, d, r)
+    return [lam for lam, mod in modules.items()
+            if any(not x.is_zero() for row in mod.gram for x in row)]
 
 
 def _action_matrices(gens: list[Matrix], dim: int, n: int, m: int) \
@@ -329,7 +325,7 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     when the simple characters fail to separate.
     """
     check_bound(n, bound)
-    _, spec, modules = _specialized_data(n, e, d, r)
+    spec, modules = _specialized_data(n, e, d, r)
     m = spec.m
     simples = nonzero_simples(n, e, d, r, bound)
 

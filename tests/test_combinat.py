@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +63,30 @@ class TestPartition:
         cardinality = len(p.parts) + len(p.parts) % 2 + 2
         b = BetaSet.from_partition(p, cardinality)
         assert b.to_partition() == p
+
+
+class TestBetaSet:
+    BAD = {"decreasing": "BetaSet((0, 5))", "odd": "BetaSet((1,))",
+           "short": "BetaSet.from_partition(Partition((2, 1, 1)), 2)"}
+
+    @pytest.mark.parametrize("make", BAD.values(), ids=BAD.keys())
+    def test_rejects(self, make):
+        with pytest.raises(InvalidArgument):
+            eval(make).to_partition()
+
+    def test_rejects_under_optimize(self):
+        code = ("from heckeb.combinat import BetaSet, Partition\n"
+                "from heckeb.errors import InvalidArgument\n"
+                f"for make in {list(self.BAD.values())!r}:\n"
+                "    try:\n"
+                "        print(eval(make).to_partition())\n"
+                "    except InvalidArgument:\n"
+                "        print('raised')\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout == "raised\n" * 3, done.stderr
 
 
 class TestQuotient:

@@ -1,9 +1,11 @@
 import functools
+import gc
 import hashlib
 import heapq
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -336,9 +338,9 @@ class TestKLBasis:
                 ref = kl_basis(n, orders[0])
                 for o in orders[1:]:
                     assert kl_basis(n, o) == ref
-                ref_cells = cells(n, orders[0], "LR")[0]
+                ref_cells = cells(n, orders[0], "LR")
                 for o in orders[1:]:
-                    assert {frozenset(c) for c in cells(n, o, "LR")[0]} == \
+                    assert {frozenset(c) for c in cells(n, o, "LR")} == \
                         {frozenset(c) for c in ref_cells}
 
 
@@ -354,8 +356,11 @@ class TestAgainstOracles:
 
     def test_reach_matches_products(self, n, r, offset):
         order = XiOrder(Fraction(r) + offset)
+        elements = kernel(n).elements
         for side in ("L", "R", "LR"):
-            assert cells(n, order, side)[1] == product_reach(n, order, side)
+            reach = {elements[v]: {elements[y] for y in bits(x)}
+                     for v, x in enumerate(hecke._reach(n, order, side))}
+            assert reach == product_reach(n, order, side)
 
     def test_sweep_matches_full_sweep(self, n, r, offset):
         order = XiOrder(Fraction(r) + offset)
@@ -612,8 +617,8 @@ class TestCells:
 
     def test_cell_count_consistency(self):
         # two-sided cells refine into left cells
-        left, _ = cells(2, ORDER0, "L")
-        lr, _ = cells(2, ORDER0, "LR")
+        left = cells(2, ORDER0, "L")
+        lr = cells(2, ORDER0, "LR")
         for block in left:
             assert any(block <= c for c in lr)
 
@@ -887,6 +892,19 @@ def test_datum_keeps_its_sweep():
     assert hecke._kl_sweep.cache_info().misses == misses + 2
     assert cellularity_check(3, order)["ok"]
     assert hecke._kl_sweep.cache_info().misses == misses + 2
+
+
+def test_datum_is_not_kept_past_two_slopes():
+    # cell_datum keeps two slopes, as the sweep does, and the Specht data
+    # keep no datum, so data at two more slopes release the first one
+    for cached in (specht._generic_data, specht._specialized_data):
+        cached.cache_clear()
+    datum = weakref.ref(cell_datum(3, XiOrder.for_r(0)))
+    specht._specialized_data(3, 2, 0, 0)
+    for r in (0, 1, 2):
+        specht._generic_data(3, r)
+    gc.collect()
+    assert datum() is None
 
 
 def test_checks_build_no_hecke_element(monkeypatch):

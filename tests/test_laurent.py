@@ -106,12 +106,6 @@ class TestXiOrder:
         with pytest.raises(InvalidSlope):
             XiOrder(xi)
 
-    @pytest.mark.parametrize("offset", [Fraction(0), Fraction(1),
-                                        Fraction(3, 2), Fraction(-1, 3)])
-    def test_for_r_rejects_offset_outside_unit_interval(self, offset):
-        with pytest.raises(InvalidSlope):
-            XiOrder.for_r(1, offset)
-
     def test_floor(self):
         assert XiOrder.for_r(3).r == 3
         assert XiOrder(Fraction(7, 3)).r == 2

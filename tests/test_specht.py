@@ -120,7 +120,7 @@ class TestCellModules:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_gram_matches_products(self, n, r):
-        _, generic = specht._generic_data(n, r)
+        generic = specht._generic_data(n, r)
         want = product_gram(n, r)
         assert set(generic) == set(want)
         for lam, (_, _, gram) in generic.items():
@@ -195,8 +195,8 @@ class TestSimpleHeads:
         specialized = specht._specialized_data
 
         def patched(n, e, d, r):
-            datum, spec, modules = specialized(n, e, d, r)
-            return datum, spec, {**modules, B("(1;∅)"): broken_module(spec)}
+            spec, modules = specialized(n, e, d, r)
+            return spec, {**modules, B("(1;∅)"): broken_module(spec)}
 
         monkeypatch.setattr(specht, "_specialized_data", patched)
         # a fresh cache, so no earlier result hides the broken module
@@ -230,13 +230,13 @@ class TestSimpleHeads:
                 "from heckeb.cyclo import CycloNumber\n"
                 "specialized = specht._specialized_data\n"
                 "def patched(n, e, d, r):\n"
-                "    datum, spec, modules = specialized(n, e, d, r)\n"
+                "    spec, modules = specialized(n, e, d, r)\n"
                 "    one = CycloNumber.rational(spec.m, 1)\n"
                 "    zero = CycloNumber.zero(spec.m)\n"
                 "    broken = specht.CellModule(B('(1;∅)'), [0, 1],"
                 " [[[zero, one], [one, zero]]], [[one, zero], [zero, zero]],"
                 " spec)\n"
-                "    return datum, spec, {**modules, B('(1;∅)'): broken}\n"
+                "    return spec, {**modules, B('(1;∅)'): broken}\n"
                 "specht._specialized_data = patched\n"
                 "report = specht.theorem41_check(1, 2, 0, 0)\n"
                 "print(report['status'], *report['details'], sep='\\n')\n")
