@@ -8,10 +8,14 @@ congruent to T_w modulo strictly negative coefficients.
 
 One sweep over the ascents ws > w builds every C_{ws} from C_w C_s by
 Lusztig's recursion (Hecke algebras with unequal parameters, Thm 6.6) and
-keeps the mu it reads off the same products.  It reduces only the descent
-positions z, zs < z, of each product: C_w C_s and every mu C_y it subtracts
-(ys < y) are multiplied by v_s under T_s (Thm 6.6(b)), so their coefficient
-at zs is v_s^{-1} times the one at z.
+keeps the mu it reads off the same products.  It reduces only the positions
+z of each product that are extremal for (LD(w), {s}): zs < z, and tz < z for
+every left descent t of w.  C_w C_s and every mu C_y it subtracts are
+multiplied by v_s under T_s on the right and by v_t under T_t on the left
+(Thm 6.6(b)), so their coefficient one step below z on either side, at
+zs < z or at tz < z, is v_s^{-1} or v_t^{-1} times the one at z; the other
+positions are filled from the extremal ones (du Cloux's extremal pairs,
+Experiment. Math. 11, 2002).
 
 The mu and the descent sets are the W-graph of H_n: on the right,
 C_w T_s = v_s C_w when ws < w, and C_w T_s = C_{ws} + sum_y mu^s_{y,w} C_y
@@ -265,35 +269,59 @@ def _kl_sweep(n: int, order: XiOrder):
     subtracting the bar-invariant completion of each coefficient times C_y
     leaves C_{ws}, and each mu is that completion, kept where it is nonzero.
 
-    Half of every product is known in advance.  X = C_w C_s has
-    X T_s = v_s X, as C_s T_s = v_s C_s, and C_y T_s = v_s C_y when ys < y
-    (Thm 6.6(b)).  For such an X, comparing the coefficients of X T_s and
-    v_s X at a descent position z (zs < z) gives x_{zs} = v_s^{-1} x_z.  So
-    each term c_y T_y of C_w lands once, on a descent position: at ys with
-    c_y on an ascent ys > y, at y with v_s c_y on a descent.  The frontier
-    holds descent positions only, mu C_y is subtracted only at the descent
-    positions of C_y, and at the end each ascent position zs is filled with
-    the coefficient at z shifted by -gamma_s.  mu^s_{y,w} vanishes at an
-    ascent y, so nothing is lost there.
+    Most of every product is known in advance, on both sides.  On the
+    right, X = C_w C_s has X T_s = v_s X, as C_s T_s = v_s C_s, and
+    C_y T_s = v_s C_y when ys < y (Thm 6.6(b)).  For such an X, comparing
+    the coefficients of X T_s and v_s X at a descent position z (zs < z)
+    gives x_{zs} = v_s^{-1} x_z.  mu^s_{y,w} vanishes at an ascent y.
+    On the left, let I = LD(w) be the left descents of w.
+    - I is in LD(ws): for t in I, tws > ws would give l(tws) = l(w) + 2,
+      while tws = (tw)s has length at most l(w).  So T_t X = v_t X, as
+      T_t C_w = v_t C_w, and T_t C_{ws} = v_t C_{ws}, for every t in I.
+    - So R = X - C_{ws} = sum_y mu^s_{y,w} C_y has T_t R = v_t R.  The
+      eigenspace has C-basis {C_y : ty < y}: in T_t R - v_t R the
+      coefficient of a C_y with ty > y is -(v_t + v_t^{-1}) mu_y, as T_t C_y
+      = C_{ty} + sum_{tz < z} mu C_z - v_t^{-1} C_y there.  So
+      mu^s_{y,w} != 0 forces I in LD(y).
+    - An h with T_t h = v_t h has h_z = v_t^{-1} h_{tz} whenever tz > z:
+      the coefficient of T_t h at z is h_{tz}, as T_t T_{tz} = T_z +
+      (v_t - v_t^{-1}) T_{tz} and T_t T_z = T_{tz}.
+    So no mu lives off the positions extremal for (I, {s}), where zs < z and
+    I is in LD(z), and every other coefficient of X, of each mu C_y and of
+    C_{ws} is a shift of an extremal one.  Each term c_y T_y of C_w lands
+    once, on a descent position: at ys with c_y on an ascent ys > y, at y
+    with v_s c_y on a descent; it is kept only if that position is
+    extremal.  The frontier holds extremal positions only, and mu C_y is
+    subtracted only at the extremal positions of C_y.  Then every other
+    descent position is filled downward by left steps: x_{tx} = v_t^{-1}
+    x_x for t in I, tx < x and (tx)s < tx.  That reaches every descent
+    position z: if z is not extremal, some t in I has tz > z, and (tz)s <
+    tz, since (tz)s > tz would give l(tzs) = l(z) + 2, while tzs = t(zs)
+    has length at most l(z); so the upward left steps from z stay on
+    descent positions up to an extremal one.  At the end each ascent
+    position zs is filled with the coefficient at z shifted by -gamma_s.
 
     Both checks still see every term of every C_{ws}.  The first build is
     checked, on its position -> id dict before packing, to be T_{ws} plus
     strictly negative terms; every later build along another right descent
-    of ws is packed and compared with the first, so the half for one
-    generator is checked against the half for every other.  Ids name
-    values one to one, so equal id arrays are equal coefficients.
+    of ws is packed and compared with the first.  So the half for one
+    generator is checked against the half for every other, and the left
+    fill from one LD(w) against the fill from another, as the builds of
+    C_{ws} start from different w.  Ids name values one to one, so equal id
+    arrays are equal coefficients.
 
     Everything is keyed by kernel position, and each coefficient is a value
-    id of _Coefficients: the 40,249 terms of the rank-4 basis hold 1,281
-    values.  A work entry holds the id while a single product term lands on
-    its position, becomes an exponent dict of its own when a second term or
-    a mu C_y subtraction arrives, and is interned when popped.  Each C_w is
-    kept packed as two 4-byte arrays, its positions in increasing order and
-    the value id at each.  Returns (basis, wgraph, terms): basis[w] is that
-    pair of arrays for C_w, terms[id] the value of an id, and wgraph[i] is
-    three 4-byte arrays (starts, ys, mus) for generator i: the y with
-    mu^s_{y,w} != 0 and the ids of their mu are ys[k] and mus[k] for
-    starts[w] <= k < starts[w + 1], an empty range at a descent of w.
+    id of _Coefficients: the 40,249 terms of the rank-4 basis at r = 1 hold
+    1,281 values, of the 1,658 the sweep interns; at rank 5, r = 1, it
+    interns 44,763.  A work entry holds the id while a single product term
+    lands on its position, becomes an exponent dict of its own when a second
+    term or a mu C_y subtraction arrives, and is interned when popped.  Each
+    C_w is kept packed as two 4-byte arrays, its positions in increasing
+    order and the value id at each.  Returns (basis, wgraph, terms):
+    basis[w] is that pair of arrays for C_w, terms[id] the value of an id,
+    and wgraph[i] is three 4-byte arrays (starts, ys, mus) for generator i:
+    the y with mu^s_{y,w} != 0 and the ids of their mu are ys[k] and mus[k]
+    for starts[w] <= k < starts[w + 1], an empty range at a descent of w.
     """
     kern = kernel(n)
     size = len(kern.elements)
@@ -305,24 +333,41 @@ def _kl_sweep(n: int, order: XiOrder):
     basis[0] = (array("I", [0]), array("I", [1]))
     wgraph = [(array("I", [0]), array("I"), array("I")) for _ in range(n)]
 
-    def times_c_s(cw: tuple[array, array], i: int, ws: int):
-        """C_w C_s reduced to C_{ws} as a position -> id dict, and the
-        y -> id dict of the mu^s_{y,w} != 0.
+    # ld[z]: bit t set for each left descent tz < z
+    ld = [0] * size
+    for t, left in enumerate(kern.left):
+        for z, tz in enumerate(left):
+            if tz < z:
+                ld[z] |= 1 << t
+    # per t: its left table and the memo of shifts by -gamma_t
+    lowering = [(left, shifted[-generator_gamma(t)], -generator_gamma(t))
+                for t, left in enumerate(kern.left)]
 
-        The descent positions below ws are visited longest first from an
-        ascending frontier popped at its end, and a term is final when it
-        is popped: subtracting mu C_y only adds terms below y, each inserted
-        once.  Ascent positions come last."""
+    def times_c_s(cw: tuple[array, array], i: int, ws: int, lds: int):
+        """C_w C_s reduced to C_{ws} as a position -> id dict, and the
+        y -> id dict of the mu^s_{y,w} != 0, for lds the left descents of w
+        as a bitmask.
+
+        The extremal positions below ws (zs < z, ld[z] containing lds) are
+        visited longest first from an ascending frontier popped at its end,
+        and a term is final when it is popped: subtracting mu C_y only adds
+        terms below y, each inserted once.  The other descent positions are
+        filled from them by left steps, and the ascent positions last."""
         g = generator_gamma(i)
         table = kern.right[i]
         up = shifted[g]
         work: dict[int, int | dict[int, int]] = {}
         for y, c in zip(*cw):
             # T_y T_s + v_s^{-1} T_y is T_{ys} + v_s^{-1} T_y on an ascent
-            # and T_{ys} + v_s T_y on a descent; keep the descent term
+            # and T_{ys} + v_s T_y on a descent; keep the descent term, and
+            # only where it is extremal
             z = table[y]
             if z > y:
+                if ld[z] & lds != lds:
+                    continue
                 cz = c
+            elif ld[y] & lds != lds:
+                continue
             else:
                 # shift's memo lookup, inlined on the hottest loop
                 z, cz = y, up[c]
@@ -353,7 +398,7 @@ def _kl_sweep(n: int, order: XiOrder):
                     mus[y] = mu
                     mu = terms[mu]
                     for z, cz in zip(*basis[y]):
-                        if table[z] > z:
+                        if table[z] > z or ld[z] & lds != lds:
                             continue
                         acc = work.get(z)
                         if acc is None:
@@ -365,6 +410,20 @@ def _kl_sweep(n: int, order: XiOrder):
                     c = intern(work[y])
             if c:
                 out[y] = c
+        # x_{tx} = v_t^{-1} x_x down every left step t in lds that stays on
+        # a descent position; each value is final when set, so any visiting
+        # order will do
+        steps = [lowering[t] for t in bits(lds)]
+        pending = list(out)
+        while pending:
+            x = pending.pop()
+            c = out[x]
+            for left, down, h in steps:
+                tx = left[x]
+                if tx < x and table[tx] < tx and tx not in out:
+                    ct = down[c]
+                    out[tx] = ct if ct >= 0 else shift(c, h)
+                    pending.append(tx)
         down = shifted[-g]
         for z, c in list(out.items()):
             zs = down[c]
@@ -378,10 +437,11 @@ def _kl_sweep(n: int, order: XiOrder):
             if ws < w:
                 starts.append(len(ys))
                 continue
-            c_ws, mu = times_c_s(cw, i, ws)
+            c_ws, mu = times_c_s(cw, i, ws, ld[w])
             first = basis[ws] is None
-            if first and (c_ws[ws] != 1 or any(
-                    has_nonneg(c) for y, c in c_ws.items() if y != ws)):
+            # the top term, id 1, is the one term with an exponent >= 0
+            if first and (c_ws[ws] != 1
+                          or sum(map(has_nonneg, c_ws.values())) > 1):
                 element = HeckeElement(
                     n, {kern.elements[y]: ACoeff(dict(terms[c]))
                         for y, c in c_ws.items()})
@@ -697,7 +757,7 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     and that C_{w^{-1}} holds each value id of C_w at y^{-1}.
     """
     check_bound(n, bound)
-    datum = cell_datum(n, order, bound)
+    datum = cell_datum(n, order, n)
     r = order.r
     kern = kernel(n)
     basis, inverse = datum.sweep[0], kern.inverse

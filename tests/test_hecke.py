@@ -392,10 +392,38 @@ def test_sweep_raises_on_a_tie():
     assert "_kl_sweep" in [entry.name for entry in info.traceback]
 
 
-@pytest.mark.parametrize("xi", [Fraction(3, 4), XiOrder.for_r(1).xi])
+# One slope in each of the six rank-4 chambers: 3/4 in (1/2, 1), 102/101 in
+# (1, 3/2), then (0, 1/2), (3/2, 2), (2, 3) and (3, inf).
+@pytest.mark.parametrize("xi", [Fraction(3, 4), XiOrder.for_r(1).xi,
+                                Fraction(1, 4), Fraction(7, 4),
+                                Fraction(5, 2), Fraction(7, 2)])
 def test_rank4_sweep_matches_full_sweep(xi):
     order = XiOrder(xi)
     assert sweep_coefficients(4, order) == full_sweep(4, order)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_descents_of_the_oracle(n, r):
+    # T_t C_w = v_t C_w for each left descent t of w (Lusztig, Hecke
+    # algebras with unequal parameters, Thm 6.6(b)), checked on the
+    # reference sweep: every mu^s_{y,w} has LD(w) in LD(y), and every C_w
+    # has p_z = v_t^{-1} p_{tz} for t in LD(w) and tz > z
+    kern = kernel(n)
+    basis, wgraph = full_sweep(n, XiOrder.for_r(r))
+
+    def ld(z):
+        return {t for t, left in enumerate(kern.left) if left[z] < z}
+
+    for (w, _), mus in wgraph.items():
+        assert all(ld(w) <= ld(y) for y in mus)
+    for w, cw in basis.items():
+        for t in ld(w):
+            g, left = hecke.generator_gamma(t), kern.left[t]
+            for z, tz in enumerate(left):
+                if tz > z:
+                    assert cw.get(z, ()) == tuple(
+                        (k - g, x) for k, x in cw.get(tz, ()))
 
 
 # SHA-256 of the rank-4 basis as perfbench prints it (C[w] = ... lines in
@@ -861,8 +889,9 @@ def test_swapped_value_ids_break_star_symmetry(monkeypatch):
 
 
 def test_caller_bound_reaches_the_datum(monkeypatch):
-    # the checks hand cell_datum the bound they checked, and every bound
-    # that admits n gets the one datum
+    # the checks hand cell_datum bound n, the key its one entry is cached
+    # under, after checking their own bound; every bound that admits n gets
+    # the one datum
     seen = []
     real = hecke.cell_datum
 
@@ -874,7 +903,7 @@ def test_caller_bound_reaches_the_datum(monkeypatch):
     monkeypatch.setattr(specht, "cell_datum", spy)
     order = XiOrder.for_r(1)
     assert cellularity_check(3, order, 5)["ok"]
-    assert seen[0] == 5
+    assert seen[0] == 3
     seen.clear()
     specht._generic_data.__wrapped__(3, 1)
     assert seen == [3]
@@ -905,6 +934,16 @@ def test_datum_is_not_kept_past_two_slopes():
         specht._generic_data(3, r)
     gc.collect()
     assert datum() is None
+
+
+def test_cellularity_check_keeps_two_slopes():
+    # at the default bound the check reads the datum cached with bound n,
+    # so two slopes fill the two entries and a third check hits the first
+    hecke.cell_datum.cache_clear()
+    for r in (0, 1, 0):
+        assert cellularity_check(3, XiOrder.for_r(r))["ok"]
+    info = hecke.cell_datum.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
 def test_checks_build_no_hecke_element(monkeypatch):
