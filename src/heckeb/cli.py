@@ -450,16 +450,15 @@ def _run_theorem41(args) -> int:
 
 def _run_specht(args) -> int:
     from .combinat import format_bipartition
-    from .specht import decomposition_numbers, nonzero_simples
+    from .specht import decomposition_numbers
 
     r = resolve_r(args.r, args.n)
-    simples = nonzero_simples(args.n, args.e, args.d, r, **_bound(args))
     rows, cols, entries = decomposition_numbers(args.n, args.e, args.d, r,
                                                 **_bound(args))
     if args.format == "json":
         _emit_json({
             "schema": "1", "n": args.n, "e": args.e, "d": args.d, "r": r,
-            "simples": [format_bipartition(x) for x in simples],
+            "simples": [format_bipartition(x) for x in cols],
             "rows": [format_bipartition(x) for x in rows],
             "cols": [format_bipartition(x) for x in cols],
             "entries": [[format_bipartition(a), format_bipartition(b), v]

@@ -29,8 +29,9 @@ packed C_w, and the action of T_s on it off the same W-graph entries, with
 no product in the algebra (_generator_action).
 
 Whatever is built from a sweep is cached for two slopes, as the sweep is:
-kl_basis and cell_datum keep two entries, and _reach and cells six (two
-slopes, three sides); tables keyed by rank and r alone are kept for good.
+kl_basis and cell_datum keep two entries, cell_datum keyed by (n, order)
+alone as the sweep is, and _reach and cells six (two slopes, three sides);
+tables keyed by rank and r alone are kept for good.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
@@ -677,17 +678,15 @@ class CellDatum(Value):
 
 
 @functools.lru_cache(maxsize=2)
-def cell_datum(n: int, order: XiOrder, bound: int = KL_BOUND) -> CellDatum:
+def cell_datum(n: int, order: XiOrder) -> CellDatum:
     """The quadruple ((Bip(n), order r), SBT, C_{S,T} = dagger(C_w), *).
 
-    Every bound that admits n returns the one datum, cached with bound n.
-    Raises ConjectureAViolation when insertion fibers do not match the KL
-    cells (the construction would then be ill-defined).
+    Cached by (n, order), as the sweep is; it takes no bound, and its
+    callers check n against theirs.  Raises ConjectureAViolation when
+    insertion fibers do not match the KL cells (the construction would
+    then be ill-defined).
     """
-    check_bound(n, bound)
-    if bound != n:
-        return cell_datum(n, order, n)
-    report = conjecture_a_report(n, order, bound)
+    report = conjecture_a_report(n, order, n)
     core_clauses = ("a_left_vs_T", "b_right_vs_S", "c_twosided_vs_shape")
     if not all(report["clauses"][c]["ok"] for c in core_clauses):
         raise ConjectureAViolation(json.dumps(report))
@@ -757,7 +756,7 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     and that C_{w^{-1}} holds each value id of C_w at y^{-1}.
     """
     check_bound(n, bound)
-    datum = cell_datum(n, order, n)
+    datum = cell_datum(n, order)
     r = order.r
     kern = kernel(n)
     basis, inverse = datum.sweep[0], kern.inverse

@@ -6,12 +6,12 @@ primitive 2e-th root, Q^2 = -q^{2d}) turns them into modules over a
 cyclotomic field.  Simple quotients survive exactly when the Gram form is
 nonzero: the simple head D = S / rad of a cell module S is its quotient by
 the radical of the form (Graham-Lehrer, Cellular algebras, Invent. Math.
-123, 1996, section 3).  Each head is built as a module in its own right,
-its generator matrices solved once from the rows of the Gram form, and
-traced along reduced words by the same code as the cell modules.
-Decomposition numbers are recovered from these trace functions: the traces
-of all standard basis elements on the simples are linearly independent, so
-each cell-module character decomposes uniquely.
+123, 1996, section 3).  No head is built as a module: its character is a
+linear functional on the matrices of the cell module itself, read off the
+reduced echelon form of the Gram form (_head).  Decomposition numbers are
+recovered from these trace functions: the traces of all standard basis
+elements on the simples are linearly independent, so each cell-module
+character decomposes uniquely.
 """
 
 from __future__ import annotations
@@ -134,9 +134,8 @@ def _generic_data(n: int, r: int):
     along reduced words: T_w = T_{ws} T_s for a descent s, so row(w) =
     row(ws) M_s, one row vector times a generator matrix per element.
     """
-    order = XiOrder.for_r(r)
     # the public entries have checked n against their bound
-    datum = cell_datum(n, order, n)
+    datum = cell_datum(n, XiOrder.for_r(r))
     kern = kernel(n)
     zero = ACoeff()
     modules = {}
@@ -268,39 +267,37 @@ def _action_matrices(gens: list[Matrix], dim: int, n: int, m: int) \
         _identity(dim, m), lambda prev, i: _mat_mul(prev, gens[i], m))
 
 
-def _trace(mat: Matrix, m: int) -> CycloNumber:
-    out = _zero(m)
-    for i in range(len(mat)):
-        out = out + mat[i][i]
-    return out
+def _trace_through(rows: Matrix, pivots, m: int):
+    """M -> sum_j (E M)[j][p_j] for the rows E of a reduced echelon form
+    and their pivot columns p_j; with E = 1 it is the trace of M."""
+    terms = [(k, p, x) for row, p in zip(rows, pivots)
+             for k, x in enumerate(row) if not x.is_zero()]
+    return lambda mat: sum((x * mat[k][p] for k, p, x in terms), _zero(m))
 
 
-def _head(mod: CellModule, n: int, e: int, d: int, r: int) \
-        -> tuple[list[Matrix], int] | None:
-    """(generator matrices, dimension) of the simple head D = S / rad of a
-    cell module, or None when its form is nondegenerate and D = S.
+def _head(mod: CellModule, n: int, e: int, d: int, r: int):
+    """The character of the simple head D = S / rad of a cell module, as a
+    functional on the matrices M_w of T_w on S.
 
-    R, the rows of the Gram G at the pivots of G^t, spans its row space, so
-    null(R) = null(G) = rad and x -> R x identifies S / rad with k-space,
-    k = rank G.  rad is a submodule, so R M_i = Y_i R has a solution, and
-    T_{s_i} acts on D by Y_i.  Raises RankDeficiency, naming the shape,
-    when rad is not a submodule.
+    Let E be the nonzero rows of the reduced echelon form of the Gram G,
+    with pivot columns p_j, and J put row j at column p_j.  null(E) =
+    null(G) = rad and E J = 1, so P = J E is idempotent with kernel rad and
+    is the identity on S / rad.  rad is M_w-stable, so tr(T_w | S / rad) =
+    tr(M_w P) = sum_j (E M_w)[j][p_j].  rad is M_i-stable exactly when
+    E M_i = (E M_i J) E; raises RankDeficiency, naming the shape, when it
+    is not.
     """
     m = mod.spec.m
-    _, pivots = _row_reduce([list(col) for col in zip(*mod.gram)])
-    if len(pivots) == mod.dim:
-        return None
-    rows = [mod.gram[p] for p in pivots]
-    columns = [list(col) for col in zip(*rows)]
-    try:
-        gens = [_solve_full_column_rank(columns, _mat_mul(rows, g, m), m)
-                for g in mod.generators]
-    except RankDeficiency:
-        raise RankDeficiency(
-            f"the radical of the form on S_{format_bipartition(mod.shape)} "
-            f"is not a submodule at n = {n}, e = {e}, d = {d}, r = {r}") \
-            from None
-    return gens, len(pivots)
+    ech, pivots = _row_reduce(mod.gram)
+    rows = ech[:len(pivots)]
+    for g in mod.generators:
+        moved = _mat_mul(rows, g, m)
+        if _mat_mul([[x[p] for p in pivots] for x in moved], rows, m) \
+                != moved:
+            raise RankDeficiency(
+                f"the radical of the form on S_{format_bipartition(mod.shape)}"
+                f" is not a submodule at n = {n}, e = {e}, d = {d}, r = {r}")
+    return _trace_through(rows, pivots, m)
 
 
 def _as_int(x: CycloNumber, n: int, e: int, d: int, r: int,
@@ -320,29 +317,30 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     """Multiplicities [S_lam : D_mu] via trace functions.
 
     Returns (rows, cols, entries): rows are all shapes, cols the labels of
-    the simples, entries a dict keyed by (lam, mu).  Raises RankDeficiency
-    when a radical is not a submodule (_head), or "trace system degenerate"
-    when the simple characters fail to separate.
+    the simples, entries a dict keyed by (lam, mu).  The matrices of every
+    T_w on a cell module are built once, and both its character and, for a
+    simple, the character of its head are read off them.  Raises
+    RankDeficiency when a radical is not a submodule of its cell module, or
+    "trace system degenerate" when the simple characters fail to separate.
     """
     check_bound(n, bound)
     spec, modules = _specialized_data(n, e, d, r)
     m = spec.m
     simples = nonzero_simples(n, e, d, r, bound)
-
-    def character(gens: list[Matrix], dim: int) -> list[CycloNumber]:
-        return [_trace(a, m) for a in _action_matrices(gens, dim, n, m)]
-
-    cell_traces = {lam: character(mod.generators, mod.dim)
-                   for lam, mod in modules.items()}
-    simple_traces = []
-    for mu in simples:
-        head = _head(modules[mu], n, e, d, r)
-        simple_traces.append(
-            cell_traces[mu] if head is None else character(*head))
+    # per shape, its character and, for a simple, its head's; one module's
+    # matrices are dropped before the next module's are built
+    traces = {}
+    for lam, mod in modules.items():
+        reads = [_trace_through(_identity(mod.dim, m), range(mod.dim), m)]
+        if lam in simples:
+            reads.append(_head(mod, n, e, d, r))
+        traces[lam] = list(zip(*(
+            [read(a) for read in reads]
+            for a in _action_matrices(mod.generators, mod.dim, n, m))))
     try:
         sols = _solve_full_column_rank(
-            [list(row) for row in zip(*simple_traces)],
-            list(cell_traces.values()), m)
+            [list(row) for row in zip(*(traces[mu][1] for mu in simples))],
+            [t[0] for t in traces.values()], m)
     except RankDeficiency as exc:
         raise RankDeficiency(f"trace system degenerate: {exc}") from None
     entries = {}

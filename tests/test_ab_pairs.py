@@ -90,3 +90,59 @@ def test_last_line_must_be_an_object(tmp_path):
     script.parent.mkdir()
     script.write_text('print(\'{"correct": true}\')\nprint(1.5)\n')
     assert ab_pairs.run_once(tmp_path, "cli-readme", 0, 1, 0) == (0, None)
+
+
+def test_cpu_metrics_are_summarized():
+    # cpu_s and cpu_per_op_s get medians and wins beside the end-to-end
+    # metrics, labelled as not a benchmark metric; a pair whose run has no
+    # figure (no attempted operations) is left out of it
+    runs = good_pairs(4)
+    for k, r in enumerate(runs):
+        r["cpu_s"] = (3.0 if r["side"] == "parent" else 2.0) + k / 100
+        r["cpu_per_op_s"] = r["cpu_s"] / 2
+    runs[-1]["cpu_per_op_s"] = None
+    entry = ab_pairs.summarize(runs)["cli-readme seed 0"]
+    for metric, pairs in (("cpu_s", 4), ("cpu_per_op_s", 3)):
+        assert entry[metric]["label"] == ab_pairs.NOT_BENCHMARK
+        assert entry[metric]["pairs"] == pairs
+        assert entry[metric]["change_wins"] == pairs
+    assert entry["cpu_s"]["parent_median"] == 3.03
+    assert "label" not in entry["wall_s"]
+
+
+def test_older_runs_without_cpu_are_skipped():
+    entry = ab_pairs.summarize(good_pairs(2))["cli-readme seed 0"]
+    assert "cpu_s" not in entry and "cpu_per_op_s" not in entry
+
+
+def test_cpu_counts_the_children_of_run_py(tmp_path):
+    # run.py burns no CPU itself; the child it waits for burns about 0.3 s
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text(
+        "import json, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', 'import time\\n"
+        "t = time.process_time()\\n"
+        "while time.process_time() - t < 0.3: pass'])\n"
+        "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0,"
+        " 'metrics': {}}))\n")
+    done = ab_pairs.timed_run(tmp_path, "cli-readme", 0, 1, 0)
+    assert done["exit"] == 0 and done["final_line"]["attempted"] == 3
+    assert 0.3 <= done["cpu_s"] < 5
+    assert done["cpu_per_op_s"] == pytest.approx(done["cpu_s"] / 3,
+                                                 abs=1e-4)
+
+
+def test_main_records_cpu_per_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(ab_pairs, "run_once",
+                        lambda root, *args: (0, result(1.0)))
+    out = tmp_path / "BENCH.json"
+    assert ab_pairs.main(["--parent", str(tmp_path / "parent"),
+                          "--change", str(tmp_path / "change"),
+                          "--workload", "cli-readme", "--pairs", "2",
+                          "--traced", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for run in doc["runs"] + doc["traced_runs"]:
+        assert run["cpu_s"] >= 0
+        assert run["cpu_per_op_s"] == pytest.approx(run["cpu_s"], abs=1e-4)
+    assert doc["summary"]["cli-readme seed 0"]["cpu_s"]["pairs"] == 2

@@ -888,26 +888,18 @@ def test_swapped_value_ids_break_star_symmetry(monkeypatch):
     assert sum(f.startswith("star(") for f in report["failures"]) == 2
 
 
-def test_caller_bound_reaches_the_datum(monkeypatch):
-    # the checks hand cell_datum bound n, the key its one entry is cached
-    # under, after checking their own bound; every bound that admits n gets
-    # the one datum
-    seen = []
-    real = hecke.cell_datum
-
-    def spy(n, order, bound=hecke.KL_BOUND):
-        seen.append(bound)
-        return real(n, order, bound)
-
-    monkeypatch.setattr(hecke, "cell_datum", spy)
-    monkeypatch.setattr(specht, "cell_datum", spy)
+def test_one_datum_per_slope():
+    # the datum is cached by (n, order) alone: the checks, whatever bound
+    # they were given, and the Specht data share its one entry
+    hecke.cell_datum.cache_clear()
     order = XiOrder.for_r(1)
+    datum = cell_datum(3, order)
     assert cellularity_check(3, order, 5)["ok"]
-    assert seen[0] == 3
-    seen.clear()
     specht._generic_data.__wrapped__(3, 1)
-    assert seen == [3]
-    assert real(3, order, 5) is real(3, order) is real(3, order, 3)
+    info = hecke.cell_datum.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert cell_datum(3, order) is datum
+    assert cell_datum(4, XiOrder.for_r(0)) is cell_datum(4, XiOrder.for_r(0))
 
 
 def test_datum_keeps_its_sweep():

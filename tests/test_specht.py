@@ -66,10 +66,16 @@ def nullspace(mat, m):
     return basis
 
 
+def trace(mat, m):
+    out = CycloNumber.zero(m)
+    for i in range(len(mat)):
+        out = out + mat[i][i]
+    return out
+
+
 def character(gens, dim, n, m):
     """Trace of every T_w, in kernel order, on the module gens act on."""
-    return [specht._trace(a, m)
-            for a in specht._action_matrices(gens, dim, n, m)]
+    return [trace(a, m) for a in specht._action_matrices(gens, dim, n, m)]
 
 
 def radical_character(mod, n):
@@ -87,8 +93,16 @@ def radical_character(mod, n):
         image = specht._mat_mul(a, basis_mat, m)
         coords = specht._solve_full_column_rank(
             basis_mat, [[row[j] for row in image] for j in range(len(rad))], m)
-        out.append(specht._trace(coords, m))
+        out.append(trace(coords, m))
     return out
+
+
+def head_oracle(mod, n):
+    """Trace of every T_w on S / rad: the cell character minus the
+    radical's."""
+    return [c - x for c, x in zip(
+        character(mod.generators, mod.dim, n, mod.spec.m),
+        radical_character(mod, n))]
 
 
 def broken_module(spec):
@@ -176,13 +190,28 @@ class TestSimpleHeads:
     def test_head_is_cell_minus_radical(self, n, e, d, r):
         for mu in nonzero_simples(n, e, d, r):
             mod = cell_module(n, e, d, r, mu)
-            m = mod.spec.m
             head = specht._head(mod, n, e, d, r)
-            gens, dim = (mod.generators, mod.dim) if head is None else head
-            want = [c - x for c, x in zip(
-                character(mod.generators, mod.dim, n, m),
-                radical_character(mod, n))]
-            assert character(gens, dim, n, m) == want, format_bipartition(mu)
+            actions = specht._action_matrices(mod.generators, mod.dim, n,
+                                              mod.spec.m)
+            assert [head(a) for a in actions] == head_oracle(mod, n), \
+                format_bipartition(mu)
+
+    def test_mutated_head_disagrees(self):
+        # a shape at n = 3 whose form has a radical and rank at least 2:
+        # the functional with its pivot columns rotated, and with E replaced
+        # by the identity (the cell character), both miss the oracle
+        n, e, d, r = 3, 2, 0, 0
+        mod = next(mod for mu in nonzero_simples(n, e, d, r)
+                   for mod in [cell_module(n, e, d, r, mu)]
+                   if 2 <= len(specht._row_reduce(mod.gram)[1]) < mod.dim)
+        m = mod.spec.m
+        ech, pivots = specht._row_reduce(mod.gram)
+        want = head_oracle(mod, n)
+        actions = specht._action_matrices(mod.generators, mod.dim, n, m)
+        for rows, cols in ((ech[:len(pivots)], pivots[1:] + pivots[:1]),
+                           (specht._identity(mod.dim, m), range(mod.dim))):
+            mutated = specht._trace_through(rows, cols, m)
+            assert [mutated(a) for a in actions] != want
 
     def test_radical_not_a_submodule_raises(self):
         with pytest.raises(RankDeficiency) as info:

@@ -5,11 +5,15 @@ at a time, alternating which side goes first in each pair.  Every run's
 last stdout line is kept as parsed JSON (``null`` if it does not parse), and
 the summary per workload and seed gives, for every end-to-end metric, the
 medians, the quartiles, how many pairs the change won and the ratio of the
-medians.  An existing output file is extended: its runs are kept, the new
-ones appended, the summary recomputed from all of them, and any other key
-it holds is left as it is.  It exits 1, naming the run on stderr, if any
-run, traced or not, exited non-zero or has no last line that parses, or a
-last line that is not ``correct`` or has empty ``metrics``.
+medians.  Each run also records ``cpu_s``, the user plus system CPU of
+``run.py`` and every child it waited for, and ``cpu_per_op_s``, that over
+the operations the run attempted; the summary gives the same figures for
+both, labelled as not a benchmark metric.  An existing output file is
+extended: its runs are kept, the new ones appended, the summary recomputed
+from all of them, and any other key it holds is left as it is.  It exits
+1, naming the run on stderr, if any run, traced or not, exited non-zero or
+has no last line that parses, or a last line that is not ``correct`` or has
+empty ``metrics``.
 
     python3 tools/ab_pairs.py --parent ../parent --change . \\
         --workload conj-a-rank4 --seeds 0 5 --pairs 10 --out BENCH_16.json
@@ -23,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -31,6 +36,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # metric -> whether lower is better; the end-to-end metrics of BENCHMARK.json
 METRICS = {"wall_s": True, "setup_s": True, "peak_rss_mb": True}
+# the CPU each run records beside its result, lower better
+CPU_METRICS = ("cpu_s", "cpu_per_op_s")
+NOT_BENCHMARK = "not a benchmark metric: CPU of run.py and its children"
 
 
 def machine() -> dict:
@@ -66,6 +74,41 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
     except (IndexError, json.JSONDecodeError):
         final = None
     return done.returncode, final if isinstance(final, dict) else None
+
+
+def children_cpu() -> float:
+    """User plus system CPU seconds of the children waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def timed_run(root: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """run_once, with the CPU it took and that per attempted operation."""
+    before = children_cpu()
+    code, final = run_once(root, workload, seed, seconds, trace)
+    cpu = children_cpu() - before
+    attempted = (final or {}).get("attempted")
+    return {"exit": code, "final_line": final, "cpu_s": round(cpu, 4),
+            "cpu_per_op_s": round(cpu / attempted, 6) if attempted else None}
+
+
+def compare(values: dict[str, list[float]], lower: bool) -> dict:
+    """Medians, quartiles, change wins and ratio of the medians of one
+    metric over pairs, given its values per side in pair order."""
+    wins = sum((c < p) if lower else (c > p)
+               for p, c in zip(values["parent"], values["change"]))
+    med = {side: statistics.median(v) for side, v in values.items()}
+    out = {"pairs": len(values["parent"])}
+    for side in SIDES:
+        quart = (statistics.quantiles(values[side], n=4, method="inclusive")
+                 if len(values[side]) > 1 else values[side] * 3)
+        out[f"{side}_median"] = round(med[side], 4)
+        out[f"{side}_quartiles"] = [round(quart[0], 4), round(quart[2], 4)]
+    out["change_wins"] = wins
+    out["ratio"] = (round(med["change"] / med["parent"], 3)
+                    if med["parent"] else None)
+    return out
 
 
 def run_name(run: dict) -> str:
@@ -111,24 +154,17 @@ def summarize(runs: list[dict]) -> dict:
             both = [p for p in complete
                     if all(metric in p[side]["final_line"]["metrics"]
                            for side in SIDES)]
-            values = {side: [p[side]["final_line"]["metrics"][metric]["value"]
-                             for p in both]
-                      for side in SIDES}
-            if not both:
-                continue
-            wins = sum((c < p) if lower else (c > p)
-                       for p, c in zip(values["parent"], values["change"]))
-            med = {side: statistics.median(v) for side, v in values.items()}
-            entry[metric] = {"pairs": len(values["parent"])}
-            for side in SIDES:
-                quart = (statistics.quantiles(values[side], n=4,
-                                              method="inclusive")
-                         if len(values[side]) > 1 else values[side] * 3)
-                entry[metric][f"{side}_median"] = round(med[side], 4)
-                entry[metric][f"{side}_quartiles"] = [round(quart[0], 4),
-                                                      round(quart[2], 4)]
-            entry[metric]["change_wins"] = wins
-            entry[metric]["ratio"] = round(med["change"] / med["parent"], 3)
+            if both:
+                entry[metric] = compare(
+                    {side: [p[side]["final_line"]["metrics"][metric]["value"]
+                            for p in both] for side in SIDES}, lower)
+        for metric in CPU_METRICS:
+            both = [p for p in complete
+                    if all(p[side].get(metric) is not None for side in SIDES)]
+            if both:
+                entry[metric] = {"label": NOT_BENCHMARK, **compare(
+                    {side: [p[side][metric] for p in both] for side in SIDES},
+                    True)}
         entry["all_correct"] = not problems
         entry["problems"] = problems
         summary[name] = entry
@@ -167,21 +203,22 @@ def main(argv=None) -> int:
         for pair in range(start, start + args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                code, final = run_once(roots[side], args.workload, seed,
-                                       args.seconds, 0)
+                done = timed_run(roots[side], args.workload, seed,
+                                 args.seconds, 0)
                 runs.append({"workload": args.workload, "seed": seed,
                              "pair": pair, "first": order[0], "side": side,
-                             "trace": 0, "exit": code, "final_line": final})
-                wall = (final or {}).get("metrics", {}).get("wall_s", {})
+                             "trace": 0, **done})
+                wall = (done["final_line"] or {}).get("metrics", {}).get(
+                    "wall_s", {})
                 print(f"{args.workload} seed {seed} pair {pair} {side}: "
-                      f"exit {code} wall_s {wall.get('value')}", flush=True)
+                      f"exit {done['exit']} wall_s {wall.get('value')} "
+                      f"cpu_s {done['cpu_s']}", flush=True)
         if args.traced:
             for side in SIDES:
-                code, final = run_once(roots[side], args.workload, seed,
-                                       args.seconds, 1)
                 traced.append({"workload": args.workload, "seed": seed,
-                               "side": side, "trace": 1, "exit": code,
-                               "final_line": final})
+                               "side": side, "trace": 1,
+                               **timed_run(roots[side], args.workload, seed,
+                                           args.seconds, 1)})
         doc["summary"] = summarize(runs + traced)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     problems = [why for s in doc["summary"].values() for why in s["problems"]]
