@@ -74,7 +74,8 @@ class ConjectureAViolation(HeckebError):
 
 
 class RankDeficiency(HeckebError):
-    """Trace functions of the computed simple modules are linearly dependent;
+    """Trace functions of the computed simple modules are linearly
+    dependent, or the radical of a cell module's form is not a submodule;
     signals a simples-detection bug."""
 
 

@@ -26,26 +26,28 @@ from .cyclo import CycloNumber, Specialization
 from .domino import kernel
 from .errors import NonIntegralMultiplicity, RankDeficiency
 from .hecke import cell_datum, structure_coefficients
-from .laurent import ACoeff, XiOrder, add_product
+from .laurent import ACoeff, XiOrder
 
 Matrix = list[list[CycloNumber]]
 
 SPECHT_BOUND = 3
 
 
-def _zero(m: int) -> CycloNumber:
-    return CycloNumber.zero(m)
-
-
-def _mat_mul(a: Matrix, b: Matrix, m: int) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[_zero(m) for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k].is_zero():
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+def _mat_mul(a: list[list], b: list[list], zero) -> list[list]:
+    """The product a b over any ring whose entries have is_zero, + and *;
+    zero is the ring's zero.  Only the nonzero entries of b are
+    multiplied: their index is built once per call."""
+    nonzero = [[(j, y) for j, y in enumerate(row) if not y.is_zero()]
+               for row in b]
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [zero] * cols
+        for x, entries in zip(row, nonzero):
+            if not x.is_zero():
+                for j, y in entries:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
     return out
 
 
@@ -79,7 +81,7 @@ def _row_reduce(mat: Matrix) -> tuple[Matrix, list[int]]:
     return mat, pivots
 
 
-def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]], m: int) \
+def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]]) \
         -> list[list[CycloNumber]]:
     """Solve a x = b for several right-hand sides; a must have full column
     rank and every system must be consistent."""
@@ -130,13 +132,14 @@ def _generic_data(n: int, r: int):
 
         phi(S, T) = r_h(T0, T) = sum_w c_w r_{T_w}(T0, T).
 
-    r_{T_w} is the matrix of T_w on the cell module.  Its row T0 extends
-    along reduced words: T_w = T_{ws} T_s for a descent s, so row(w) =
-    row(ws) M_s, one row vector times a generator matrix per element.
+    r_{T_w} is the matrix M_w of T_w on the cell module, and its row T0 is
+    e_{T0} M_w: _action_matrices started from the unit row e_{T0} gives it
+    for every w.  So the Gram is the product of the matrix (c_w) of the
+    C_{T0,S}, one row per S, with the matrix of these rows.
     """
     # the public entries have checked n against their bound
     datum = cell_datum(n, XiOrder.for_r(r))
-    kern = kernel(n)
+    size = len(kernel(n).elements)
     zero = ACoeff()
     modules = {}
     for lam in datum.shapes:
@@ -149,30 +152,16 @@ def _generic_data(n: int, r: int):
             for (u, s), c in coeffs.items():
                 mat[idx[u]][idx[s]] = c
             gens.append(mat)
-        # the nonzero entries of each generator matrix, row by row
-        sparse = [[[(b, c.terms.items()) for b, c in enumerate(row) if c.terms]
-                   for row in mat] for mat in gens]
-
-        def times_gen(row: list[dict], i: int) -> list[dict]:
-            out: list[dict] = [{} for _ in sbt]
-            for a, x in enumerate(row):
-                if x:
-                    for b, y in sparse[i][a]:
-                        add_product(out[b], x.items(), y)
-            return [{g: c for g, c in acc.items() if c} for acc in out]
-
-        unit = [{0: 1}] + [{} for _ in sbt[1:]]
-        rows = kern.along_words(unit, times_gen)
+        unit = [[ACoeff.integer(1)] + [zero for _ in sbt[1:]]]
+        rows = [m[0] for m in _action_matrices(gens, unit, n, zero)]
         t0 = sbt[0]
-        gram = []
+        expansions = []
         for s in sbt:
-            acc: list[dict] = [{} for _ in sbt]
+            row = [zero] * size
             for y, c in datum.element((t0, s)):
-                for t, x in enumerate(rows[y]):
-                    if x:
-                        add_product(acc[t], c, x.items())
-            gram.append([ACoeff(a) for a in acc])
-        modules[lam] = (sbt, gens, gram)
+                row[y] = ACoeff(dict(c))
+            expansions.append(row)
+        modules[lam] = (sbt, gens, _mat_mul(expansions, rows, zero))
     return modules
 
 
@@ -217,19 +206,11 @@ def adjointness_check(n: int, r: int, bound: int = SPECHT_BOUND) -> bool:
     """Bilinear form compatibility with *: since every generator is fixed
     by *, the condition is M_i^t G = G M_i over the generic ring."""
     check_bound(n, bound)
-    for sbt, gens, gram in _generic_data(n, r).values():
-        k = len(sbt)
-        for mat in gens:
-            for a in range(k):
-                for b in range(k):
-                    lhs = ACoeff()
-                    rhs = ACoeff()
-                    for c in range(k):
-                        lhs = lhs + mat[c][a] * gram[c][b]
-                        rhs = rhs + gram[a][c] * mat[c][b]
-                    if lhs != rhs:
-                        return False
-    return True
+    zero = ACoeff()
+    return all(_mat_mul(list(zip(*mat)), gram, zero)
+               == _mat_mul(gram, mat, zero)
+               for _, gens, gram in _generic_data(n, r).values()
+               for mat in gens)
 
 
 def generic_semisimplicity_check(n: int, r: int,
@@ -258,13 +239,13 @@ def nonzero_simples(n: int, e: int, d: int, r: int,
             if any(not x.is_zero() for row in mod.gram for x in row)]
 
 
-def _action_matrices(gens: list[Matrix], dim: int, n: int, m: int) \
-        -> list[Matrix]:
-    """Matrix of every T_w on the module of dimension dim on which T_t,
-    T_{s_1}, ... act by gens, in kernel order, built along reduced words."""
+def _action_matrices(gens: list, start: list, n: int, zero) -> list:
+    """start M_w for every T_w, in kernel order, where M_w is the matrix of
+    T_w on the module on which T_t, T_{s_1}, ... act by gens; built along
+    reduced words.  With start the identity these are the M_w."""
     # left action: T_w = T_prefix * T_last acts as M_prefix @ M_last
     return kernel(n).along_words(
-        _identity(dim, m), lambda prev, i: _mat_mul(prev, gens[i], m))
+        start, lambda prev, i: _mat_mul(prev, gens[i], zero))
 
 
 def _trace_through(rows: Matrix, pivots, m: int):
@@ -272,7 +253,8 @@ def _trace_through(rows: Matrix, pivots, m: int):
     and their pivot columns p_j; with E = 1 it is the trace of M."""
     terms = [(k, p, x) for row, p in zip(rows, pivots)
              for k, x in enumerate(row) if not x.is_zero()]
-    return lambda mat: sum((x * mat[k][p] for k, p, x in terms), _zero(m))
+    return lambda mat: sum((x * mat[k][p] for k, p, x in terms),
+                           CycloNumber.zero(m))
 
 
 def _head(mod: CellModule, n: int, e: int, d: int, r: int):
@@ -288,11 +270,12 @@ def _head(mod: CellModule, n: int, e: int, d: int, r: int):
     is not.
     """
     m = mod.spec.m
+    zero = CycloNumber.zero(m)
     ech, pivots = _row_reduce(mod.gram)
     rows = ech[:len(pivots)]
     for g in mod.generators:
-        moved = _mat_mul(rows, g, m)
-        if _mat_mul([[x[p] for p in pivots] for x in moved], rows, m) \
+        moved = _mat_mul(rows, g, zero)
+        if _mat_mul([[x[p] for p in pivots] for x in moved], rows, zero) \
                 != moved:
             raise RankDeficiency(
                 f"the radical of the form on S_{format_bipartition(mod.shape)}"
@@ -331,16 +314,18 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     # matrices are dropped before the next module's are built
     traces = {}
     for lam, mod in modules.items():
-        reads = [_trace_through(_identity(mod.dim, m), range(mod.dim), m)]
+        one = _identity(mod.dim, m)
+        reads = [_trace_through(one, range(mod.dim), m)]
         if lam in simples:
             reads.append(_head(mod, n, e, d, r))
         traces[lam] = list(zip(*(
             [read(a) for read in reads]
-            for a in _action_matrices(mod.generators, mod.dim, n, m))))
+            for a in _action_matrices(mod.generators, one, n,
+                                      CycloNumber.zero(m)))))
     try:
         sols = _solve_full_column_rank(
             [list(row) for row in zip(*(traces[mu][1] for mu in simples))],
-            [t[0] for t in traces.values()], m)
+            [t[0] for t in traces.values()])
     except RankDeficiency as exc:
         raise RankDeficiency(f"trace system degenerate: {exc}") from None
     entries = {}

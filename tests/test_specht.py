@@ -13,7 +13,7 @@ from heckeb.combinat import format_bipartition, parse_bipartition
 from heckeb.cyclo import CycloNumber, Specialization
 from heckeb.errors import NonIntegralMultiplicity, RankDeficiency
 from heckeb.hecke import cell_datum
-from heckeb.laurent import ACoeff, XiOrder
+from heckeb.laurent import ACoeff, XiOrder, pack
 from heckeb.specht import (CellModule, adjointness_check, cell_module,
                            decomposition_numbers, generic_semisimplicity_check,
                            nonzero_simples, theorem41_check)
@@ -75,7 +75,8 @@ def trace(mat, m):
 
 def character(gens, dim, n, m):
     """Trace of every T_w, in kernel order, on the module gens act on."""
-    return [trace(a, m) for a in specht._action_matrices(gens, dim, n, m)]
+    return [trace(a, m) for a in specht._action_matrices(
+        gens, specht._identity(dim, m), n, CycloNumber.zero(m))]
 
 
 def radical_character(mod, n):
@@ -83,16 +84,18 @@ def radical_character(mod, n):
     by one solve per element for the action of T_w on a basis of the
     radical.  The reference for the heads of decomposition_numbers."""
     m = mod.spec.m
+    zero = CycloNumber.zero(m)
     rad = nullspace(mod.gram, m)
-    actions = specht._action_matrices(mod.generators, mod.dim, n, m)
+    actions = specht._action_matrices(
+        mod.generators, specht._identity(mod.dim, m), n, zero)
     if not rad:
         return [CycloNumber.zero(m) for _ in actions]
     basis_mat = [[vec[i] for vec in rad] for i in range(mod.dim)]
     out = []
     for a in actions:
-        image = specht._mat_mul(a, basis_mat, m)
+        image = specht._mat_mul(a, basis_mat, zero)
         coords = specht._solve_full_column_rank(
-            basis_mat, [[row[j] for row in image] for j in range(len(rad))], m)
+            basis_mat, [[row[j] for row in image] for j in range(len(rad))])
         out.append(trace(coords, m))
     return out
 
@@ -121,6 +124,41 @@ def run_optimized(code):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def dense_product(a, b, zero):
+    """a b by the definition: every entry a sum over the inner index."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for row in a]
+
+
+def ring_values(ring):
+    """(zero, five nonzero values) of ACoeff or of CycloNumber at m = 8."""
+    if ring == "ACoeff":
+        return ACoeff(), [ACoeff({pack(1, 0): 2, pack(0, -1): -1}),
+                          ACoeff.integer(3), ACoeff({pack(-2, 1): 1}),
+                          ACoeff({pack(0, 0): 1, pack(1, 1): -4}),
+                          ACoeff({pack(3, -2): 5})]
+    return CycloNumber.zero(8), [CycloNumber(8, [1, 2]),
+                                 CycloNumber.rational(8, Fraction(-1, 3)),
+                                 CycloNumber(8, [0, 0, 1, -1]),
+                                 CycloNumber.zeta_power(8, 5),
+                                 CycloNumber(8, [2, 0, 0, 7])]
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("ring", ["ACoeff", "CycloNumber"])
+    def test_matches_the_definition(self, ring):
+        zero, (x, y, z, u, w) = ring_values(ring)
+        a = [[x, zero, y], [zero, zero, zero], [u, w, z]]
+        # b's middle row and its second column are zero
+        b = [[y, zero, x, u], [zero, zero, zero, zero], [w, zero, zero, z]]
+        all_zero = [[zero, zero], [zero, zero], [zero, zero]]
+        for left, right in ((a, b), (a, all_zero), ([[z, x, w]], b),
+                            ([[zero, u, zero]], b), ([[y, x, z]], all_zero)):
+            assert specht._mat_mul(left, right, zero) == \
+                dense_product(left, right, zero)
+        assert specht._mat_mul(a, all_zero, zero) == [[zero, zero]] * 3
 
 
 class TestCellModules:
@@ -152,6 +190,20 @@ class TestCellModules:
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_form_respects_star(self, n, r):
         assert adjointness_check(n, r)
+
+    def test_perturbed_gram_is_not_adjoint(self, monkeypatch):
+        # one off-diagonal Gram entry of one shape moved by 1: the check
+        # fails, while the same patch with the Gram unchanged passes
+        n, r = 2, 1
+        generic = specht._generic_data(n, r)
+        lam, (sbt, gens, gram) = next(
+            (lam, data) for lam, data in generic.items() if len(data[0]) > 1)
+        bad = [row[:] for row in gram]
+        bad[0][1] = bad[0][1] + ACoeff.integer(1)
+        for form, want in ((gram, True), (bad, False)):
+            monkeypatch.setattr(specht, "_generic_data", lambda *args, g=form:
+                                {**generic, lam: (sbt, gens, g)})
+            assert adjointness_check(n, r) is want
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -191,8 +243,10 @@ class TestSimpleHeads:
         for mu in nonzero_simples(n, e, d, r):
             mod = cell_module(n, e, d, r, mu)
             head = specht._head(mod, n, e, d, r)
-            actions = specht._action_matrices(mod.generators, mod.dim, n,
-                                              mod.spec.m)
+            m = mod.spec.m
+            actions = specht._action_matrices(
+                mod.generators, specht._identity(mod.dim, m), n,
+                CycloNumber.zero(m))
             assert [head(a) for a in actions] == head_oracle(mod, n), \
                 format_bipartition(mu)
 
@@ -207,7 +261,9 @@ class TestSimpleHeads:
         m = mod.spec.m
         ech, pivots = specht._row_reduce(mod.gram)
         want = head_oracle(mod, n)
-        actions = specht._action_matrices(mod.generators, mod.dim, n, m)
+        actions = specht._action_matrices(
+            mod.generators, specht._identity(mod.dim, m), n,
+            CycloNumber.zero(m))
         for rows, cols in ((ech[:len(pivots)], pivots[1:] + pivots[:1]),
                            (specht._identity(mod.dim, m), range(mod.dim))):
             mutated = specht._trace_through(rows, cols, m)
