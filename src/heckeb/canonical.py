@@ -70,6 +70,13 @@ def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
     (ConventionViolation otherwise), and its canonical vector is computed
     recursively.  The principal monomials are not triangular in general,
     but the dependency graph has no cycles for any charge met in practice.
+
+    The loop for one vertex ends: subtracting beta G(nu) takes the largest
+    offender nu into vZ[v], and adds only terms of G(nu) below nu in ⊴_r,
+    so below nu in order_key.  So the largest offender strictly decreases
+    in order_key, through the finitely many bipartitions of n.  That is
+    checked at each step, and a step that does not lower it raises
+    ConventionViolation.
     """
     s = tuple(s)
     if r is None:
@@ -88,21 +95,22 @@ def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
                 f"cyclic correction at {format_bipartition(mu)}")
         in_progress.add(mu)
         g = principal_monomial(mu, s, e, policy)
-        for _ in range(10000):
-            offenders = [nu for nu, c in g.terms.items()
-                         if nu != mu and not c.in_v_zv()]
-            if not offenders:
-                break
+        last = None
+        while offenders := [nu for nu, c in g.terms.items()
+                            if nu != mu and not c.in_v_zv()]:
             nu = max(offenders, key=key)
+            if last is not None and key(nu) >= key(last):
+                raise ConventionViolation(
+                    f"correcting {format_bipartition(last)} in "
+                    f"{format_bipartition(mu)} left the offender "
+                    f"{format_bipartition(nu)}, not below it in order_key")
             if nu not in uglov_set:
                 raise ConventionViolation(
                     f"correction term {format_bipartition(nu)} of "
                     f"{format_bipartition(mu)} is not a crystal vertex")
             beta = g.terms[nu].symmetric_completion()
             g = g - compute(nu).scale(beta)
-        else:
-            raise ConventionViolation(
-                f"correction loop did not settle at {format_bipartition(mu)}")
+            last = nu
         if g.coeff(mu) != V_ONE:
             raise ConventionViolation(
                 f"diagonal coefficient of {format_bipartition(mu)} "

@@ -219,7 +219,10 @@ def q_r_inverse(b: Bipartition, r: int) -> Partition:
     core_beta = BetaSet.from_partition(delta_core(r), n)
     c_odd = sum(1 for x in core_beta.entries if x % 2 == 1)
     c_even = n - c_odd
-    assert c_odd >= len(lam0.parts) and c_even >= len(lam1.parts)
+    if c_odd < len(lam0.parts) or c_even < len(lam1.parts):
+        raise CoreMismatch(
+            f"the {n} beads of delta_{r} leave {c_odd} odd and {c_even} even "
+            f"runner beads, too few for the 2-quotient {b}")
     odd = [2 * (lam0.part(i) + c_odd - i) + 1 for i in range(1, c_odd + 1)]
     even = [2 * (lam1.part(i) + c_even - i) for i in range(1, c_even + 1)]
     return BetaSet(tuple(sorted(odd + even, reverse=True))).to_partition()

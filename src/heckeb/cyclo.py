@@ -12,7 +12,7 @@ import operator
 from fractions import Fraction
 
 from . import Frozen, check_e
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NonIntegralDivision
 from .laurent import ACoeff, unpack
 
 Poly = list[Fraction]  # dense, index = degree
@@ -54,7 +54,10 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     for d in range(1, m):
         if m % d == 0:
             q, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise NonIntegralDivision(
+                    f"dividing x^{m} - 1 by Phi_{d} left the remainder "
+                    f"{[str(c) for c in rem]}")
             num = q
     return tuple(num)
 
@@ -201,7 +204,10 @@ class CycloNumber:
                      zip(s0 + [Fraction(0)] * max(0, len(qs) - len(s0)),
                          qs + [Fraction(0)] * max(0, len(s0) - len(qs)))]
             s0, s1 = s1, _trim(new_s)
-        assert len(r0) == 1, "gcd with the cyclotomic polynomial not constant"
+        if len(r0) != 1:
+            raise NonIntegralDivision(
+                f"{self} has no inverse: its gcd with Phi_{self.m} has "
+                f"degree {len(r0) - 1}")
         inv_lead = 1 / r0[0]
         return CycloNumber(self.m, [c * inv_lead for c in s0])
 

@@ -17,7 +17,8 @@ class SizeMismatch(HeckebError):
 
 
 class CoreMismatch(HeckebError):
-    """A partition does not have the 2-core required by the requested map."""
+    """A partition does not have the 2-core required by the requested map,
+    or a core's beta-set has too few beads on a runner for a 2-quotient."""
 
 
 class BoundExceeded(HeckebError):
@@ -42,8 +43,10 @@ class BadResidue(HeckebError):
 
 
 class NonIntegralDivision(HeckebError):
-    """Exact division of Laurent polynomials left a remainder; signals a
-    convention bug upstream."""
+    """Exact division of Laurent polynomials, or of a cyclotomic
+    polynomial's multiple by lower ones, left a remainder, or a cyclotomic
+    number shares a factor with its modulus; signals a convention bug
+    upstream."""
 
 
 class NotUglov(HeckebError):
@@ -65,8 +68,9 @@ class ConventionViolation(HeckebError):
 
 class KLRecursionViolation(HeckebError):
     """The recursive Kazhdan-Lusztig construction produced an element that is
-    not congruent to T_w modulo strictly negative coefficients, or two ascents
-    to the same w disagreed; signals a convention bug."""
+    not congruent to T_w modulo strictly negative coefficients, two ascents
+    to the same w disagreed, or a computed coefficient is not the shift of
+    the one at the top of its left coset; signals a convention bug."""
 
 
 class ConjectureAViolation(HeckebError):

@@ -8,14 +8,14 @@ congruent to T_w modulo strictly negative coefficients.
 
 One sweep over the ascents ws > w builds every C_{ws} from C_w C_s by
 Lusztig's recursion (Hecke algebras with unequal parameters, Thm 6.6) and
-keeps the mu it reads off the same products.  It reduces only the positions
-z of each product that are extremal for (LD(w), {s}): zs < z, and tz < z for
-every left descent t of w.  C_w C_s and every mu C_y it subtracts are
-multiplied by v_s under T_s on the right and by v_t under T_t on the left
-(Thm 6.6(b)), so their coefficient one step below z on either side, at
-zs < z or at tz < z, is v_s^{-1} or v_t^{-1} times the one at z; the other
-positions are filled from the extremal ones (du Cloux's extremal pairs,
-Experiment. Math. 11, 2002).
+keeps the mu it reads off the same products.  T_t C_w = v_t C_w for each
+left descent t of w (Thm 6.6(b)), so the coefficient of C_w one left step
+tz < z below a position z is v_t^{-1} times the one at z.  The sweep keeps
+each C_w only at its left-extremal positions, the z with tz < z for every
+left descent t of w (du Cloux's extremal pairs, Experiment. Math. 11, 2002),
+and reduces only the positions of C_w C_s that are extremal for (LD(w),
+{s}), where zs < z as well; _expand fills in a whole C_w for the callers
+that read one (kl_basis, CellDatum).
 
 The mu and the descent sets are the W-graph of H_n: on the right,
 C_w T_s = v_s C_w when ws < w, and C_w T_s = C_{ws} + sum_y mu^s_{y,w} C_y
@@ -25,7 +25,7 @@ edges w -> {w, ws, y}, of their star image (star(C_w) = C_{w^{-1}}, so a
 left mu at (y, w) is the right mu at (y^{-1}, w^{-1})) and of their union;
 the conjecture checkers compare them with the fibers of domino insertion.
 The cellular datum holds its sweep and reads C_{S,T} = dagger(C_w) off the
-packed C_w, and the action of T_s on it off the same W-graph entries, with
+expanded C_w, and the action of T_s on it off the same W-graph entries, with
 no product in the algebra (_generator_action).
 
 Whatever is built from a sweep is cached for two slopes, as the sweep is:
@@ -219,6 +219,9 @@ class _Coefficients:
         self.intern({})
         self.intern({0: 1})
 
+    def __repr__(self) -> str:
+        return f"_Coefficients(order={self.order!r}, terms={self.terms!r})"
+
     def intern(self, terms: dict[int, int]) -> int:
         """The id of the value of terms, zeros dropped; 0 if all cancel."""
         if 0 in terms.values():
@@ -258,6 +261,32 @@ class _Coefficients:
         return out
 
 
+def _expand(kern, coeffs: _Coefficients, w: int, stored) \
+        -> tuple[array, array]:
+    """Every term of C_w, packed as the sweep packs its stored terms, the
+    positions increasing: from stored, the terms at the left-extremal
+    positions y of w (LD(w) in LD(y)), each other term is a left step
+    below a known one, x_{tx} = v_t^{-1} x_x for t in LD(w) and tx < x, as
+    T_t C_w = v_t C_w.  Shifts go through the memos of coeffs, whose ids
+    are append-only."""
+    steps = [(left, coeffs.shifted[-g], -g)
+             for t, left in enumerate(kern.left) if left[w] < w
+             for g in (generator_gamma(t),)]
+    out = dict(zip(*stored))
+    pending = list(out)
+    while pending:
+        x = pending.pop()
+        c = out[x]
+        for left, down, h in steps:
+            tx = left[x]
+            if tx < x and tx not in out:
+                ct = down[c]
+                out[tx] = ct if ct >= 0 else coeffs.shift(c, h)
+                pending.append(tx)
+    positions = sorted(out)
+    return array("I", positions), array("I", map(out.get, positions))
+
+
 @functools.lru_cache(maxsize=2)
 def _kl_sweep(n: int, order: XiOrder):
     """C_w for all w in W_n and the W-graph, from one pass over the ascents
@@ -270,59 +299,80 @@ def _kl_sweep(n: int, order: XiOrder):
     subtracting the bar-invariant completion of each coefficient times C_y
     leaves C_{ws}, and each mu is that completion, kept where it is nonzero.
 
-    Most of every product is known in advance, on both sides.  On the
-    right, X = C_w C_s has X T_s = v_s X, as C_s T_s = v_s C_s, and
-    C_y T_s = v_s C_y when ys < y (Thm 6.6(b)).  For such an X, comparing
-    the coefficients of X T_s and v_s X at a descent position z (zs < z)
-    gives x_{zs} = v_s^{-1} x_z.  mu^s_{y,w} vanishes at an ascent y.
-    On the left, let I = LD(w) be the left descents of w.
-    - I is in LD(ws): for t in I, tws > ws would give l(tws) = l(w) + 2,
-      while tws = (tw)s has length at most l(w).  So T_t X = v_t X, as
-      T_t C_w = v_t C_w, and T_t C_{ws} = v_t C_{ws}, for every t in I.
-    - So R = X - C_{ws} = sum_y mu^s_{y,w} C_y has T_t R = v_t R.  The
-      eigenspace has C-basis {C_y : ty < y}: in T_t R - v_t R the
-      coefficient of a C_y with ty > y is -(v_t + v_t^{-1}) mu_y, as T_t C_y
-      = C_{ty} + sum_{tz < z} mu C_z - v_t^{-1} C_y there.  So
-      mu^s_{y,w} != 0 forces I in LD(y).
-    - An h with T_t h = v_t h has h_z = v_t^{-1} h_{tz} whenever tz > z:
-      the coefficient of T_t h at z is h_{tz}, as T_t T_{tz} = T_z +
-      (v_t - v_t^{-1}) T_{tz} and T_t T_z = T_{tz}.
-    So no mu lives off the positions extremal for (I, {s}), where zs < z and
-    I is in LD(z), and every other coefficient of X, of each mu C_y and of
-    C_{ws} is a shift of an extremal one.  Each term c_y T_y of C_w lands
-    once, on a descent position: at ys with c_y on an ascent ys > y, at y
-    with v_s c_y on a descent; it is kept only if that position is
-    extremal.  The frontier holds extremal positions only, and mu C_y is
-    subtracted only at the extremal positions of C_y.  Then every other
-    descent position is filled downward by left steps: x_{tx} = v_t^{-1}
-    x_x for t in I, tx < x and (tx)s < tx.  That reaches every descent
-    position z: if z is not extremal, some t in I has tz > z, and (tz)s <
-    tz, since (tz)s > tz would give l(tzs) = l(z) + 2, while tzs = t(zs)
-    has length at most l(z); so the upward left steps from z stay on
-    descent positions up to an extremal one.  At the end each ascent
-    position zs is filled with the coefficient at z shifted by -gamma_s.
+    The storage.  T_t C_w = v_t C_w for each left descent t of w (Thm
+    6.6(b)), and an h with T_t h = v_t h has h_z = v_t^{-1} h_{tz} whenever
+    tz > z: the coefficient of T_t h at z is h_{tz}, as T_t T_{tz} = T_z +
+    (v_t - v_t^{-1}) T_{tz} and T_t T_z = T_{tz}.  So with I = LD(w), C_w
+    holds one value on each left coset W_I z, at its top z*, the one
+    element of the coset with I in LD(z*), and p_{z,w} = e^{-(L(z*) -
+    L(z))} p_{z*,w}, L the weighted length (du Cloux's extremal pairs,
+    Experiment. Math. 11, 2002).  C_w is kept at these left-extremal
+    positions only, 7,884 of the 40,249 terms of the rank-4 basis at r = 1
+    (416,896 of 3,089,459 at rank 5), and _expand fills in the rest.  Two
+    facts on an I-top y and a generator s:
+    - if ys > y, ys is an I-top: for t in I, tys > ys would give l(tys) =
+      l(y) + 2, while tys = (ty)s has length at most l(y).
+    - if ys < y and ys is not an I-top, then t(ys) = y for exactly one t in
+      I, and v_t = v_s (Deodhar's lemma).  Take t in I with u = ys < tu.
+      Then (tu)s = ty is shorter than tu, so by the exchange condition it
+      is t a_1 ... a_k, for a reduced word a_1 ... a_k of u, with one letter
+      deleted.  Deleting some a_j would give us = a_1 ... (a_j) ... a_k,
+      shorter than u, while us = y > u; so t is deleted, and tus = u, that
+      is t(ys) = y.  So t = y s y^{-1}, which is unique and conjugate to s,
+      and conjugate generators have one parameter (t and the s_i of type B
+      are not conjugate).
 
-    Both checks still see every term of every C_{ws}.  The first build is
-    checked, on its position -> id dict before packing, to be T_{ws} plus
-    strictly negative terms; every later build along another right descent
-    of ws is packed and compared with the first.  So the half for one
-    generator is checked against the half for every other, and the left
-    fill from one LD(w) against the fill from another, as the builds of
-    C_{ws} start from different w.  Ids name values one to one, so equal id
-    arrays are equal coefficients.
+    The product, for an ascent (w, s) and I = LD(w).  I is in LD(ws): for
+    t in I, tws > ws would give l(tws) = l(w) + 2, while tws = (tw)s has
+    length at most l(w).  So X = C_w C_s has T_t X = v_t X for t in I, and
+    X T_s = v_s X, as C_s T_s = v_s C_s: comparing X T_s with v_s X at zs <
+    z gives x_{zs} = v_s^{-1} x_z.  R = X - C_{ws} = sum_y mu^s_{y,w} C_y
+    has T_t R = v_t R, and that eigenspace has C-basis {C_y : ty < y}: in
+    T_t R - v_t R the coefficient of a C_y with ty > y is -(v_t + v_t^{-1})
+    mu_y, as T_t C_y = C_{ty} + sum_{tz < z} mu C_z - v_t^{-1} C_y there.
+    So mu^s_{y,w} != 0 forces I in LD(y), and X, each mu C_y and C_{ws} are
+    all fixed by their values at the positions z extremal for (I, {s}): zs
+    < z and I in LD(z).  x_z = c_{zs} + v_s c_z there, from T_y T_s +
+    v_s^{-1} T_y, which is T_{ys} + v_s^{-1} T_y on an ascent y and T_{ys}
+    + v_s T_y on a descent.  So only the stored terms of C_w are read.  A
+    stored ascent y lands at ys, an I-top by the first fact.  A stored
+    descent y lands at y as v_s c_y; if its partner ys is off the store,
+    the second fact gives c_{ys} = v_t^{-1} c_y = v_s^{-1} c_y, which lands
+    at y as well.  A term off the store lands at an I-top in no other way:
+    at an ascent y it lands at ys, whose partner it is when ys is an
+    I-top, and at a descent y it lands at y itself.  The mu C_y are
+    subtracted at the extremal positions of C_y: its stored ones when
+    LD(y) = I, else those of its expansion.  Of the values at the extremal
+    positions, those at the LD(ws)-tops are kept, and each ascent zs that
+    is an LD(ws)-top gets the value at z shifted by -gamma_s; an ascent
+    that is an LD(ws)-top goes up to one by the first fact.
+
+    The checks see every value a build computes, zeros included.  The
+    first build of C_{ws} is checked, on its position -> id dict, to be
+    T_{ws} plus strictly negative terms.  Every later build along another
+    right descent of ws is packed and compared entry by entry with the
+    stored arrays.  Each computed value off the store, at an I-top z that
+    is not an LD(ws)-top, is compared with the stored value at the top of
+    W_{LD(ws)} z shifted down the left steps between them: that checks
+    T_t C_{ws} = v_t C_{ws} for the t in LD(ws) but not in I, which the
+    build did not assume.  Ids name values one to one, so equal ids are
+    equal coefficients.  Every term of C_{ws} that is not computed is a
+    computed one shifted down left steps in I or the step s, by a nonzero
+    weight -(L(z*) - L(z)) with a, b <= 0, which takes an exponent 0 or
+    strictly negative to a strictly negative one, as xi > 0; so the first
+    check covers every term of C_{ws}.
 
     Everything is keyed by kernel position, and each coefficient is a value
-    id of _Coefficients: the 40,249 terms of the rank-4 basis at r = 1 hold
-    1,281 values, of the 1,658 the sweep interns; at rank 5, r = 1, it
-    interns 44,763.  A work entry holds the id while a single product term
-    lands on its position, becomes an exponent dict of its own when a second
-    term or a mu C_y subtraction arrives, and is interned when popped.  Each
-    C_w is kept packed as two 4-byte arrays, its positions in increasing
-    order and the value id at each.  Returns (basis, wgraph, terms):
-    basis[w] is that pair of arrays for C_w, terms[id] the value of an id,
-    and wgraph[i] is three 4-byte arrays (starts, ys, mus) for generator i:
-    the y with mu^s_{y,w} != 0 and the ids of their mu are ys[k] and mus[k]
-    for starts[w] <= k < starts[w + 1], an empty range at a descent of w.
+    id of _Coefficients.  A work entry holds the id while a single product
+    term lands on its position, becomes an exponent dict of its own when a
+    second term or a mu C_y subtraction arrives, and is interned when
+    popped.  Each C_w is kept packed as two 4-byte arrays, its stored
+    positions in increasing order and the value id at each.  Returns
+    (basis, wgraph, coeffs): basis[w] is that pair of arrays for C_w,
+    coeffs the _Coefficients whose terms[id] is the value of an id, and
+    wgraph[i] is three 4-byte arrays (starts, ys, mus) for generator i: the
+    y with mu^s_{y,w} != 0 and the ids of their mu are ys[k] and mus[k] for
+    starts[w] <= k < starts[w + 1], an empty range at a descent of w.
     """
     kern = kernel(n)
     size = len(kern.elements)
@@ -340,36 +390,33 @@ def _kl_sweep(n: int, order: XiOrder):
         for z, tz in enumerate(left):
             if tz < z:
                 ld[z] |= 1 << t
-    # per t: its left table and the memo of shifts by -gamma_t
-    lowering = [(left, shifted[-generator_gamma(t)], -generator_gamma(t))
+    # per t: its left table and -gamma_t
+    lowering = [(left, -generator_gamma(t))
                 for t, left in enumerate(kern.left)]
 
-    def times_c_s(cw: tuple[array, array], i: int, ws: int, lds: int):
-        """C_w C_s reduced to C_{ws} as a position -> id dict, and the
-        y -> id dict of the mu^s_{y,w} != 0, for lds the left descents of w
-        as a bitmask.
+    def times_c_s(w: int, i: int, ws: int) -> tuple[dict, dict]:
+        """C_w C_s reduced to C_{ws} at the extremal positions for (LD(w),
+        {s}), and its ascents that are LD(ws)-tops, as a position -> id
+        dict, zeros kept; and the y -> id dict of the mu^s_{y,w} != 0.
 
-        The extremal positions below ws (zs < z, ld[z] containing lds) are
-        visited longest first from an ascending frontier popped at its end,
-        and a term is final when it is popped: subtracting mu C_y only adds
-        terms below y, each inserted once.  The other descent positions are
-        filled from them by left steps, and the ascent positions last."""
+        The extremal positions below ws are visited longest first from an
+        ascending frontier popped at its end, and a term is final when it
+        is popped: subtracting mu C_y only adds terms below y, each
+        inserted once."""
+        lds = ld[w]
         g = generator_gamma(i)
         table = kern.right[i]
         up = shifted[g]
         work: dict[int, int | dict[int, int]] = {}
-        for y, c in zip(*cw):
-            # T_y T_s + v_s^{-1} T_y is T_{ys} + v_s^{-1} T_y on an ascent
-            # and T_{ys} + v_s T_y on a descent; keep the descent term, and
-            # only where it is extremal
+        for y, c in zip(*basis[w]):
             z = table[y]
             if z > y:
-                if ld[z] & lds != lds:
-                    continue
                 cz = c
-            elif ld[y] & lds != lds:
-                continue
             else:
+                if ld[z] & lds != lds:
+                    # the partner ys is off the store, and nothing else
+                    # lands at y: c_{ys} = v_s^{-1} c_y
+                    work[y] = shift(c, -g)
                 # shift's memo lookup, inlined on the hottest loop
                 z, cz = y, up[c]
                 if cz < 0:
@@ -398,7 +445,9 @@ def _kl_sweep(n: int, order: XiOrder):
                 if mu:
                     mus[y] = mu
                     mu = terms[mu]
-                    for z, cz in zip(*basis[y]):
+                    cy = basis[y] if ld[y] == lds else \
+                        _expand(kern, coeffs, y, basis[y])
+                    for z, cz in zip(*cy):
                         if table[z] > z or ld[z] & lds != lds:
                             continue
                         acc = work.get(z)
@@ -409,36 +458,23 @@ def _kl_sweep(n: int, order: XiOrder):
                             acc = work[z] = dict(terms[acc])
                         add_product(acc, mu, terms[cz], -1)
                     c = intern(work[y])
-            if c:
-                out[y] = c
-        # x_{tx} = v_t^{-1} x_x down every left step t in lds that stays on
-        # a descent position; each value is final when set, so any visiting
-        # order will do
-        steps = [lowering[t] for t in bits(lds)]
-        pending = list(out)
-        while pending:
-            x = pending.pop()
-            c = out[x]
-            for left, down, h in steps:
-                tx = left[x]
-                if tx < x and table[tx] < tx and tx not in out:
-                    ct = down[c]
-                    out[tx] = ct if ct >= 0 else shift(c, h)
-                    pending.append(tx)
+            out[y] = c
+        top = ld[ws]
         down = shifted[-g]
         for z, c in list(out.items()):
-            zs = down[c]
-            out[table[z]] = zs if zs >= 0 else shift(c, -g)
+            zs = table[z]
+            if c and ld[zs] & top == top:
+                cs = down[c]
+                out[zs] = cs if cs >= 0 else shift(c, -g)
         return out, mus
 
     for w in range(size):
-        cw = basis[w]
         for i, (starts, ys, mus) in enumerate(wgraph):
             ws = kern.right[i][w]
             if ws < w:
                 starts.append(len(ys))
                 continue
-            c_ws, mu = times_c_s(cw, i, ws, ld[w])
+            c_ws, mu = times_c_s(w, i, ws)
             first = basis[ws] is None
             # the top term, id 1, is the one term with an exponent >= 0
             if first and (c_ws[ws] != 1
@@ -447,22 +483,39 @@ def _kl_sweep(n: int, order: XiOrder):
                     n, {kern.elements[y]: ACoeff(dict(terms[c]))
                         for y, c in c_ws.items()})
                 raise KLRecursionViolation(
-                    f"C[{kern.elements[ws]}] = {element} is not "
+                    f"C[{kern.elements[ws]}] = {element} + ... is not "
                     f"T[{kern.elements[ws]}] plus strictly negative "
                     f"terms at xi = {order.xi}")
-            positions = sorted(c_ws)
+            top = ld[ws]
+            kept = {z: c for z, c in c_ws.items()
+                    if c and ld[z] & top == top}
+            positions = sorted(kept)
             packed = (array("I", positions),
-                      array("I", map(c_ws.__getitem__, positions)))
+                      array("I", map(kept.__getitem__, positions)))
             if first:
                 basis[ws] = packed
             elif basis[ws] != packed:
                 raise KLRecursionViolation(
                     f"C[{kern.elements[w]}] C[s{i}] gives a second "
                     f"C[{kern.elements[ws]}] at xi = {order.xi}")
+            for z, c in c_ws.items():
+                # up to the top x of W_{LD(ws)} z, and its value back down
+                x, path = z, []
+                while m := top & ~ld[x]:
+                    path.append(lowering[(m & -m).bit_length() - 1])
+                    x = path[-1][0][x]
+                expected = kept.get(x, 0)
+                for _, h in path:
+                    expected = shift(expected, h)
+                if expected != c:
+                    raise KLRecursionViolation(
+                        f"C[{kern.elements[ws]}] has a term at "
+                        f"{kern.elements[z]} off the coset top "
+                        f"{kern.elements[x]} at xi = {order.xi}")
             ys.extend(mu)
             mus.extend(mu.values())
             starts.append(len(ys))
-    return basis, wgraph, terms
+    return basis, wgraph, coeffs
 
 
 # Cached as well as the sweep so that cache_info() counts its lookups.
@@ -474,23 +527,25 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
     Each C_w is bar-fixed and congruent to T_w modulo strictly negative
     coefficients.  It is built by Lusztig's recursion C_w C_s = C_{ws} +
     sum mu C_y (Hecke algebras with unequal parameters, Thm 6.6), in one
-    sweep per (n, xi) that every bound and the cells share.  Each distinct
+    sweep per (n, xi) that every bound and the cells share, and expanded
+    here from the left-extremal terms the sweep keeps.  Each distinct
     coefficient is one ACoeff that every C_w holding it shares, so it must
     never be changed in place.
     """
     check_bound(n, bound)
-    elements = kernel(n).elements
-    basis, _, terms = _kl_sweep(n, order)
-    wrapped: list[ACoeff | None] = [None] * len(terms)
+    kern = kernel(n)
+    elements = kern.elements
+    basis, _, coeffs = _kl_sweep(n, order)
+    wrapped: dict[int, ACoeff] = {}
 
     def wrap(c: int) -> ACoeff:
-        out = wrapped[c]
+        out = wrapped.get(c)
         if out is None:
-            out = wrapped[c] = ACoeff._of(dict(terms[c]))
+            out = wrapped[c] = ACoeff._of(dict(coeffs.terms[c]))
         return out
 
-    return {elements[w]: HeckeElement(n, {elements[y]: wrap(c)
-                                          for y, c in zip(*cw)})
+    return {elements[w]: HeckeElement(n, {elements[y]: wrap(c) for y, c in
+                                          zip(*_expand(kern, coeffs, w, cw))})
             for w, cw in enumerate(basis)}
 
 
@@ -584,17 +639,17 @@ def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
     return True, None
 
 
-def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
-    """Compare KL cells with insertion fibers (clauses a, b, c, c+)."""
-    check_bound(n, bound)
-    r = order.r
-    kern, table = kernel(n), insertion_table(n, r)
-    report = {"n": n, "xi": str(order.xi), "r": r, "clauses": {}}
-    # the fibers of S, T and the shape, each block a bitset of positions
+def _cell_clauses(n: int, order: XiOrder) -> tuple[dict, dict]:
+    """Clauses (a), (b) and (c) of Conjecture A: the left, right and
+    two-sided cells against the fibers of T, S and the shape under
+    insertion, as clause -> {"ok", "detail" on a mismatch}; and the fibers
+    of the shapes, each a bitset of positions."""
+    kern, table = kernel(n), insertion_table(n, order.r)
     fibers: tuple[dict, dict, dict] = ({}, {}, {})
     for v, entry in enumerate(table):
         for fiber, key in zip(fibers, entry):
             fiber[key] = fiber.get(key, 0) | 1 << v
+    clauses = {}
     for clause, side, fiber in (("a_left_vs_T", "L", fibers[1]),
                                 ("b_right_vs_S", "R", fibers[0]),
                                 ("c_twosided_vs_shape", "LR", fibers[2])):
@@ -607,7 +662,17 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
                 [{kern.elements[v] for v in block} for block in part],
                 [{kern.elements[v] for v in bits(x)}
                  for x in fiber.values()])
-        report["clauses"][clause] = {"ok": ok, **({"detail": why} if why else {})}
+        clauses[clause] = {"ok": ok, **({"detail": why} if why else {})}
+    return clauses, fibers[2]
+
+
+def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
+    """Compare KL cells with insertion fibers (clauses a, b, c, c+)."""
+    check_bound(n, bound)
+    r = order.r
+    kern, table = kernel(n), insertion_table(n, r)
+    clauses, shape_fibers = _cell_clauses(n, order)
+    report = {"n": n, "xi": str(order.xi), "r": r, "clauses": clauses}
     # (c+): two-sided preorder against ⊴_r on shapes.  Row w2 of the
     # preorder must be the union of the fibers of the shapes below its
     # shape; only a mismatch is located by the pair scan, in group_elements
@@ -615,7 +680,7 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     reach = _reach(n, order, "LR")
     index, below = order_table(n, r)
     shapes, shape_at = list(index), [index[lam] for _, _, lam in table]
-    union = [sum(fibers[2][shapes[j]] for j in bits(row))
+    union = [sum(shape_fibers[shapes[j]] for j in bits(row))
              for row in below]
     bad = None
     if any(x != union[i] for x, i in zip(reach, shape_at)):
@@ -636,7 +701,8 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 class CellDatum(Value):
     """Graham-Lehrer style quadruple, an index over the KL sweep it was
     built from: C_{S,T} = dagger(C_w) for w = w_of[(S, T)], read off sweep,
-    the (basis, wgraph, terms) of _kl_sweep at (n, order)."""
+    the (basis, wgraph, coeffs) of _kl_sweep at (n, order).  Each C_w is
+    expanded from the sweep's left-extremal terms once, when first read."""
 
     _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "sweep")
 
@@ -653,8 +719,21 @@ class CellDatum(Value):
         self.sbt = sbt
         self.w_of = w_of
         self.sweep = sweep
+        # kernel position w -> C_w as (positions, value ids), positions
+        # increasing
+        self._expanded: dict[int, tuple[array, array]] = {}
         # (value id, parity of l(y)) -> (-1)^{l(y)} bar(value), as items
         self._signed_bars: dict[tuple[int, int], tuple] = {}
+
+    def expanded(self, w: int) -> tuple[array, array]:
+        """Every term of C_w, w a kernel position, as two arrays: the
+        positions in increasing order and the value id at each."""
+        out = self._expanded.get(w)
+        if out is None:
+            basis, _, coeffs = self.sweep
+            out = self._expanded[w] = _expand(kernel(self.n), coeffs, w,
+                                              basis[w])
+        return out
 
     def element(self, st: tuple):
         """C_{S,T} for st = (S, T) as (kernel position y, exponent items)
@@ -666,9 +745,9 @@ class CellDatum(Value):
         commutes with bar (on A, and on T_s: both composites give -T_s), so
         dagger(C_w) is bar-invariant with C_w, and the outer bar drops."""
         kern = kernel(self.n)
-        basis, _, terms = self.sweep
+        terms = self.sweep[2].terms
         length, memo = kern.length, self._signed_bars
-        for y, c in zip(*basis[kern.index[self.w_of[st]]]):
+        for y, c in zip(*self.expanded(kern.index[self.w_of[st]])):
             key = (c, length[y] & 1)
             items = memo.get(key)
             if items is None:
@@ -682,14 +761,14 @@ def cell_datum(n: int, order: XiOrder) -> CellDatum:
     """The quadruple ((Bip(n), order r), SBT, C_{S,T} = dagger(C_w), *).
 
     Cached by (n, order), as the sweep is; it takes no bound, and its
-    callers check n against theirs.  Raises ConjectureAViolation when
-    insertion fibers do not match the KL cells (the construction would
-    then be ill-defined).
+    callers check n against theirs.  Raises ConjectureAViolation, with the
+    whole conjecture_a_report, when the insertion fibers do not match the
+    KL cells of clauses (a), (b) and (c) (the construction would then be
+    ill-defined); (c+) is not needed, and is built only for that report.
     """
-    report = conjecture_a_report(n, order, n)
-    core_clauses = ("a_left_vs_T", "b_right_vs_S", "c_twosided_vs_shape")
-    if not all(report["clauses"][c]["ok"] for c in core_clauses):
-        raise ConjectureAViolation(json.dumps(report))
+    if not all(c["ok"] for c in _cell_clauses(n, order)[0].values()):
+        raise ConjectureAViolation(json.dumps(
+            conjecture_a_report(n, order, n)))
     r = order.r
     index, table = kernel(n).index, insertion_table(n, r)
     w_of = {}
@@ -714,7 +793,8 @@ def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
     sw, g = kern.left[i][w], generator_gamma(i)
     if sw < w:
         return {st: ACoeff._of({-g: -1})}
-    _, wgraph, terms = datum.sweep
+    _, wgraph, coeffs = datum.sweep
+    terms = coeffs.terms
     starts, ys, mus = wgraph[i]
     lo, hi = starts[inverse[w]], starts[inverse[w] + 1]
     out = {st: ACoeff._of({g: 1}), table[sw][:2]: ACoeff._of({0: -1})}
@@ -752,22 +832,22 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     structure_coefficients) and multiplied out against the product in the
     algebra, so a wrong or missing mu, or the untwisted formulas, fail.
     star(C_{S,T}) = C_{T,S}, star(T_y) = T_{y^{-1}} A-linearly, is checked
-    on the arrays: as l(y^{-1}) = l(y), it says that w(T, S) = w(S, T)^{-1}
-    and that C_{w^{-1}} holds each value id of C_w at y^{-1}.
+    on the expanded arrays: as l(y^{-1}) = l(y), it says that w(T, S) =
+    w(S, T)^{-1} and that C_{w^{-1}} holds each value id of C_w at y^{-1}.
     """
     check_bound(n, bound)
     datum = cell_datum(n, order)
     r = order.r
     kern = kernel(n)
-    basis, inverse = datum.sweep[0], kern.inverse
+    inverse = kern.inverse
     index, below = order_table(n, r)
     failures = []
     star_ok = True
     for (s, t), w in datum.w_of.items():
         v = kern.index[w]
-        mirrored = {inverse[y]: c for y, c in zip(*basis[v])}
+        mirrored = {inverse[y]: c for y, c in zip(*datum.expanded(v))}
         if kern.index[datum.w_of[(t, s)]] != inverse[v] \
-                or dict(zip(*basis[inverse[v]])) != mirrored:
+                or dict(zip(*datum.expanded(inverse[v]))) != mirrored:
             star_ok = False
             failures.append(f"star(C[{s.to_text()},{t.to_text()}]) != C[T,S]")
     for i in range(n):

@@ -83,6 +83,14 @@ class TestCanonicalBasis:
                 assert outcome(canonical_basis, n, r) == \
                     outcome(pairwise_canonical_basis, n, r), (n, r)
 
+    def test_offender_must_go_down(self, monkeypatch):
+        # with no completion a correction leaves its offender in place; the
+        # next step sees the largest offender fail to go down in order_key
+        monkeypatch.setattr(VPoly, "symmetric_completion",
+                            lambda self: VPoly())
+        with pytest.raises(ConventionViolation, match="not below it"):
+            canonical_basis.__wrapped__(4, (0, 0), 2)
+
     def test_n1_example(self):
         basis = canonical_basis(1, (0, 0), 2)
         g = basis[B("(1;∅)")]

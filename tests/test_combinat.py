@@ -117,6 +117,16 @@ class TestQuotient:
         assert P(6, 4, 3).size == core.size + 2 * (quot[0].size + quot[1].size)
 
 
+    def test_too_few_runner_beads_raise(self, monkeypatch):
+        # q_r_inverse sizes the core's beta-set so that each runner holds a
+        # bead per part of its quotient component; a beta-set with no odd
+        # bead leaves none for the first one
+        monkeypatch.setattr(BetaSet, "from_partition", classmethod(
+            lambda cls, p, n: cls(tuple(range(2 * n - 2, -1, -2)))))
+        with pytest.raises(CoreMismatch):
+            q_r_inverse(B((1,), ()), 0)
+
+
 class TestEnumeration:
     def test_counts(self):
         # convolution of partition counts

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from heckeb import cyclo
 from heckeb.cyclo import (CycloNumber, Specialization, _poly_divmod,
                           _poly_mul, cyclotomic_polynomial)
-from heckeb.errors import InvalidArgument
+from heckeb.errors import InvalidArgument, NonIntegralDivision
 from heckeb.laurent import ACoeff, pack
 
 MODULI = (8, 12, 16, 20)
@@ -208,3 +208,41 @@ def test_mixed_moduli_raise_under_optimize():
                           env={"PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=120)
     assert done.stdout == "raised\nraised\n", done.stderr
+
+
+def test_inexact_cyclotomic_division_raises(monkeypatch):
+    # x^m - 1 divided by Phi_d for d | m leaves no remainder; a remainder
+    # raises whether or not asserts run
+    def divmod_with_remainder(a, b):
+        q, _ = _poly_divmod(a, b)
+        return q, [Fraction(1)]
+
+    monkeypatch.setattr(cyclo, "_poly_divmod", divmod_with_remainder)
+    with pytest.raises(NonIntegralDivision):
+        cyclotomic_polynomial.__wrapped__(6)
+
+
+def test_non_invertible_number_raises(monkeypatch):
+    # with a reducible modulus x^2 - 1 in place of Phi_2, 1 + x shares its
+    # factor x + 1, and has no inverse
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial",
+                        lambda m: (Fraction(-1), Fraction(0), Fraction(1)))
+    with pytest.raises(NonIntegralDivision):
+        CycloNumber._of(2, (1, 1)).inverse()
+
+
+def test_non_invertible_number_raises_under_optimize():
+    code = ("from fractions import Fraction\n"
+            "from heckeb import cyclo\n"
+            "from heckeb.errors import NonIntegralDivision\n"
+            "cyclo.cyclotomic_polynomial = lambda m: (\n"
+            "    Fraction(-1), Fraction(0), Fraction(1))\n"
+            "try:\n"
+            "    cyclo.CycloNumber._of(2, (1, 1)).inverse()\n"
+            "except NonIntegralDivision:\n"
+            "    print('raised')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout == "raised\n", done.stderr

@@ -2,8 +2,11 @@ import functools
 import gc
 import hashlib
 import heapq
+import inspect
+import json
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import weakref
 from array import array
@@ -15,7 +18,8 @@ import pytest
 from heckeb import bits, hecke, specht
 from heckeb.domino import (SignedPermutation, group_elements, kernel, length,
                            s_t_lambda)
-from heckeb.errors import (InvalidArgument, IrrationalityViolation,
+from heckeb.errors import (ConjectureAViolation, InvalidArgument,
+                           IrrationalityViolation,
                            KLRecursionViolation)
 from heckeb.hecke import (CellDatum, HeckeElement, _len_key, _same_partition,
                           bar, cell_datum, cells, cellularity_check,
@@ -133,9 +137,9 @@ def sweep_coefficients(n, order):
     """hecke._kl_sweep with its layout undone: ({w: {y: terms}},
     {(w, i): {y: terms}}), terms the (key, coefficient) pairs of the
     coefficient of T_y in C_w, or of mu^s_{y,w} at each ascent (w, s), s of
-    index i, sorted by key."""
-    basis, wgraph, terms = hecke._kl_sweep(n, order)
-    kern = kernel(n)
+    index i, sorted by key.  Each C_w is expanded from its stored terms."""
+    basis, wgraph, coeffs = hecke._kl_sweep(n, order)
+    kern, terms = kernel(n), coeffs.terms
     out = {}
     for i, (starts, ys, mus) in enumerate(wgraph):
         for w, ws in enumerate(kern.right[i]):
@@ -145,7 +149,8 @@ def sweep_coefficients(n, order):
                              for y, mu in zip(ys[lo:hi], mus[lo:hi])}
             else:
                 assert starts[w] == starts[w + 1]
-    return ({w: {y: terms[c] for y, c in zip(*cw)}
+    return ({w: {y: terms[c] for y, c in zip(*hecke._expand(
+                 kern, coeffs, w, cw))}
              for w, cw in enumerate(basis)}, out)
 
 
@@ -466,18 +471,22 @@ def test_rank4_chamber_digest(xi):
 
 def test_sweep_shares_each_coefficient():
     # one value id per distinct coefficient value in the sweep, and one
-    # ACoeff per id in kl_basis
+    # ACoeff per id in kl_basis; the sweep stores 7,884 of the 40,249
+    # terms, those at the left-extremal positions
     order = XiOrder.for_r(1)
-    basis, _, terms = hecke._kl_sweep(4, order)
+    basis, _, coeffs = hecke._kl_sweep(4, order)
+    terms = coeffs.terms
     held = [c for _, values in basis for c in values]
-    assert len(held) == 40249
+    assert len(held) == 7884
     assert len(set(terms)) == len(terms)
     assert len({terms[c] for c in held}) == len(set(held)) < 2000
+    expanded = [c for w, cw in enumerate(basis)
+                for c in hecke._expand(kernel(4), coeffs, w, cw)[1]]
     wrapped = [c for cw in kl_basis(4, order).values()
                for c in cw.terms.values()]
-    assert len(wrapped) == 40249
+    assert len(wrapped) == len(expanded) == 40249
     assert len({id(c) for c in wrapped}) == len(set(wrapped)) \
-        == len(set(held))
+        == len(set(expanded))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -498,9 +507,78 @@ def test_sweep_layout(n):
         assert starts[-1] == len(ys) == len(mus)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_stores_the_left_extremal_terms(n):
+    # C_w is stored exactly at the y of its support with LD(w) in LD(y),
+    # the support taken from the reference sweep
+    kern, order = kernel(n), XiOrder.for_r(1)
+    full = full_sweep(n, order)[0]
+
+    def ld(z):
+        return {t for t, left in enumerate(kern.left) if left[z] < z}
+
+    for w, (positions, _) in enumerate(hecke._kl_sweep(n, order)[0]):
+        assert list(positions) == sorted(y for y in full[w]
+                                         if ld(w) <= ld(y))
+
+
+def mutated_kl_sweep(old, new):
+    """hecke._kl_sweep, uncached, with the one occurrence of old in its
+    source replaced by new, compiled in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(hecke._kl_sweep.__wrapped__))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(hecke))
+    exec(compile(source.replace(old, new), hecke.__file__, "exec"),
+         namespace)
+    return namespace["_kl_sweep"].__wrapped__
+
+
+# Mutants of the sweep, each (old, new, start of the message it must raise):
+# a later build of C_{ws} with its last stored entry changed; every value
+# computed off the store shifted by gamma_s; and the partner rule with v_t
+# for a t of the other class than s (t = y s y^{-1} is conjugate to s).
+SWEEP_MUTANTS = {
+    "second_build": (
+        "elif basis[ws] != packed:",
+        "elif basis[ws] != (packed[0], packed[1][:-1]"
+        " + array('I', [packed[1][-1] + 1])):",
+        "gives a second C["),
+    "off_store": (
+        "            out[y] = c\n",
+        "            out[y] = c if ld[y] & ld[ws] == ld[ws]"
+        " else shift(c, g)\n",
+        "a term at"),
+    "partner_t": (
+        "work[y] = shift(c, -g)",
+        "work[y] = shift(c, g - GAMMA_S - GAMMA_T)",
+        ""),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SWEEP_MUTANTS))
+def test_mutated_sweep_raises(mutant):
+    old, new, message = SWEEP_MUTANTS[mutant]
+    sweep = mutated_kl_sweep(old, new)
+    with pytest.raises(KLRecursionViolation) as info:
+        sweep(3, XiOrder.for_r(1))
+    assert message in str(info.value)
+
+
+def test_unmutated_sweep_source_compiles_to_the_sweep():
+    # the mutants' harness with no mutation gives the sweep itself
+    sweep = mutated_kl_sweep("return basis, wgraph, coeffs",
+                             "return basis, wgraph, coeffs")
+    basis, wgraph, coeffs = sweep(3, XiOrder.for_r(1))
+    cached = hecke._kl_sweep(3, XiOrder.for_r(1))
+    assert basis == cached[0] and wgraph == cached[1]
+    # readers of the cached sweep may have appended values since
+    assert cached[2].terms[:len(coeffs.terms)] == coeffs.terms
+
+
 def test_sweep_retained_memory():
-    # the rank-4 basis at r = 1 holds 40,249 terms; packed it retains
-    # about 1.1 MB, and a dict of interned tuples per C_w retains 2.1 MB
+    # the rank-4 sweep at r = 1 stores 7,884 of the 40,249 terms and
+    # retains about 0.7 MB; with every term packed it retained 1.1 MB, and
+    # with a dict of interned tuples per C_w 2.1 MB
     order = XiOrder.for_r(1)
     kernel(4)
     tracemalloc.start()
@@ -820,21 +898,21 @@ def over_sweep(datum, sweep):
 
 
 def mutated_sweep(sweep, mutation):
-    """The sweep with the first mu of its W-graph dropped, or raised by 1."""
-    basis, wgraph, terms = sweep
+    """The sweep with the first mu of its W-graph dropped, or raised by 1.
+    The raised value is interned in the sweep's own table, whose ids are
+    append-only, so the sweep itself reads as before."""
+    basis, wgraph, coeffs = sweep
     i = next(i for i, (_, ys, _) in enumerate(wgraph) if ys)
     starts, ys, mus = (array("I", a) for a in wgraph[i])
     if mutation == "drop":
         del ys[0], mus[0]
         starts = array("I", (max(x - 1, 0) for x in starts))
     else:
-        raised = dict(terms[mus[0]])
+        raised = dict(coeffs.terms[mus[0]])
         raised[0] = raised.get(0, 0) + 1
-        terms = terms + [tuple(sorted((k, x) for k, x in raised.items()
-                                      if x))]
-        mus[0] = len(terms) - 1
+        mus[0] = coeffs.intern(raised)
     wgraph = wgraph[:i] + [(starts, ys, mus)] + wgraph[i + 1:]
-    return basis, wgraph, terms
+    return basis, wgraph, coeffs
 
 
 def untwisted(action):
@@ -873,7 +951,7 @@ def test_swapped_value_ids_break_star_symmetry(monkeypatch):
     # no longer holds the ids of C_w at the inverse positions
     n, order = 3, XiOrder.for_r(1)
     datum = cell_datum(n, order)
-    basis, wgraph, terms = datum.sweep
+    basis, wgraph, coeffs = datum.sweep
     inverse = kernel(n).inverse
     w = next(w for w, (_, ids) in enumerate(basis)
              if inverse[w] != w and len(set(ids)) > 1)
@@ -881,11 +959,56 @@ def test_swapped_value_ids_break_star_symmetry(monkeypatch):
     k = next(k for k, c in enumerate(ids) if c != ids[0])
     ids[0], ids[k] = ids[k], ids[0]
     swapped = basis[:w] + [(positions, ids)] + basis[w + 1:]
-    mutated = over_sweep(datum, (swapped, wgraph, terms))
+    mutated = over_sweep(datum, (swapped, wgraph, coeffs))
     monkeypatch.setattr(hecke, "cell_datum", lambda *args: mutated)
     report = cellularity_check(n, order)
     assert report["star_symmetry"] is False and report["ok"] is False
     assert sum(f.startswith("star(") for f in report["failures"]) == 2
+
+
+def test_datum_expands_each_element_once(monkeypatch):
+    # the star check and the action check read every C_w, and each is
+    # expanded from the sweep once
+    order = XiOrder.for_r(1)
+    datum = cell_datum(3, order)
+    fresh = over_sweep(datum, datum.sweep)
+    expanded = []
+    expand = hecke._expand
+
+    def counted(kern, coeffs, w, stored):
+        expanded.append(w)
+        return expand(kern, coeffs, w, stored)
+
+    monkeypatch.setattr(hecke, "_expand", counted)
+    monkeypatch.setattr(hecke, "cell_datum", lambda *args: fresh)
+    assert cellularity_check(3, order)["ok"]
+    assert sorted(expanded) == list(range(len(kernel(3).elements)))
+
+
+def test_datum_needs_no_c_plus(monkeypatch):
+    # the datum reads clauses (a), (b) and (c) only, so (c+) and its order
+    # table are not built
+    def refuse(*args):
+        raise AssertionError("order_table was read")
+
+    monkeypatch.setattr(hecke, "order_table", refuse)
+    datum = cell_datum.__wrapped__(3, XiOrder.for_r(1))
+    assert datum.w_of == cell_datum(3, XiOrder.for_r(1)).w_of
+
+
+@pytest.mark.parametrize("side", ["L", "R", "LR"])
+def test_datum_violation_carries_the_whole_report(side, monkeypatch):
+    # merged cells on one side fail a clause of (a), (b) or (c); the error
+    # holds the report of conjecture_a_report at bound n, (c+) included
+    reach = hecke._reach
+    monkeypatch.setattr(hecke, "_reach", lambda n, order, s: merged_reach(
+        reach(n, order, s), 0, 1) if s == side else reach(n, order, s))
+    order = XiOrder.for_r(1)
+    with pytest.raises(ConjectureAViolation) as info:
+        cell_datum.__wrapped__(3, order)
+    report = conjecture_a_report(3, order, 3)
+    assert not report["ok"]
+    assert str(info.value) == json.dumps(report)
 
 
 def test_one_datum_per_slope():

@@ -223,6 +223,10 @@ class TestKernel:
 
 class TestMutable:
     def test_reprs(self):
+        # the sweep's value table grows as readers expand a C_w, so the
+        # datum is built over a fresh sweep
+        hecke._kl_sweep.cache_clear()
+        hecke.cell_datum.cache_clear()
         values = _mutable()
         assert repr(values["HasseDiagram"]) == (
             f"HasseDiagram(vertices=[{B_ONE_EMPTY}, {B_EMPTY_ONE}], "
@@ -240,9 +244,10 @@ class TestMutable:
             f"{B_EMPTY_ONE}: [{SBT_SECOND}]}}, "
             f"w_of={{{first}: {W_PLUS}, {second}: {W_MINUS}}}, "
             "sweep=([(array('I', [0]), array('I', [1])), "
-            "(array('I', [0, 1]), array('I', [2, 1]))], "
+            "(array('I', [1]), array('I', [1]))], "
             "[(array('I', [0, 0, 0]), array('I'), array('I'))], "
-            "[(), ((0, 1),), ((-1, 1),)]))")
+            "_Coefficients(order=XiOrder(xi=Fraction(1, 101)), "
+            "terms=[(), ((0, 1),)])))")
         assert repr(values["CellModule"]) == (
             f"CellModule(shape={B_ONE_EMPTY}, basis=[{SBT_FIRST}], "
             "generators=[[[z^2]]], gram=[[1]], "
