@@ -211,9 +211,6 @@ class CycloNumber:
         inv_lead = 1 / r0[0]
         return CycloNumber(self.m, [c * inv_lead for c in s0])
 
-    def __truediv__(self, other: "CycloNumber") -> "CycloNumber":
-        return self * other.inverse()
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -12,6 +12,12 @@ reduced echelon form of the Gram form (_head).  Decomposition numbers are
 recovered from these trace functions: the traces of all standard basis
 elements on the simples are linearly independent, so each cell-module
 character decomposes uniquely.
+
+Only the generic data of a rank and slope are cached (_generic_data).  The
+specialization at (e, d) is applied where it is read: nonzero_simples
+specializes the Gram forms, and decomposition_numbers specializes one cell
+module at a time inside its loop over shapes, so no specialized module
+outlives the reading of its traces.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 
-from . import Value, check_bound
+from . import check_bound
 from .combinat import Bipartition, format_bipartition
 from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
@@ -95,25 +101,6 @@ def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]]) \
     return [[ech[i][cols + k] for i in range(cols)] for k in range(len(bs))]
 
 
-class CellModule(Value):
-    """A cell module with its specialized generator action and Gram form."""
-
-    _fields = ("shape", "basis", "generators", "gram", "spec")
-
-    def __init__(self, shape: Bipartition, basis: list,
-                 generators: list[Matrix], gram: Matrix,
-                 spec: Specialization):
-        self.shape = shape
-        self.basis = basis  # StandardBitableau, the S-indices
-        self.generators = generators  # action of T_t, T_{s_1}, ...
-        self.gram = gram
-        self.spec = spec
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 @functools.lru_cache(maxsize=None)
 def _generic_data(n: int, r: int):
     """Generator-action and Gram matrices over the generic ring, per shape.
@@ -165,20 +152,6 @@ def _generic_data(n: int, r: int):
     return modules
 
 
-@functools.lru_cache(maxsize=None)
-def _specialized_data(n: int, e: int, d: int, r: int) \
-        -> tuple[Specialization, dict[Bipartition, CellModule]]:
-    """The specialization at (e, d) and the cell module of every shape, its
-    generic data specialized."""
-    spec = Specialization(e, d)
-    modules = {}
-    for lam, (sbt, gens, gram) in _generic_data(n, r).items():
-        sgens = [[[spec.theta(c) for c in row] for row in g] for g in gens]
-        sgram = [[spec.theta(c) for c in row] for row in gram]
-        modules[lam] = CellModule(lam, sbt, sgens, sgram, spec)
-    return spec, modules
-
-
 def _acoeff_det(mat) -> ACoeff:
     """Determinant over the generic ring by memoized Laplace expansion."""
     cols = list(range(len(mat)))
@@ -222,21 +195,16 @@ def generic_semisimplicity_check(n: int, r: int,
                for _, _, gram in _generic_data(n, r).values())
 
 
-def cell_module(n: int, e: int, d: int, r: int, lam: Bipartition,
-                bound: int = SPECHT_BOUND) -> CellModule:
-    check_bound(n, bound)
-    return _specialized_data(n, e, d, r)[1][lam]
-
-
 def nonzero_simples(n: int, e: int, d: int, r: int,
                     bound: int = SPECHT_BOUND) -> list[Bipartition]:
     """Shapes whose Gram form survives specialization (labels of simples):
     the head D = S / rad is nonzero exactly when the form is
-    (Graham-Lehrer, section 3)."""
+    (Graham-Lehrer, section 3).  Each generic Gram of _generic_data is
+    specialized here, entry by entry, by Specialization(e, d).theta."""
     check_bound(n, bound)
-    _, modules = _specialized_data(n, e, d, r)
-    return [lam for lam, mod in modules.items()
-            if any(not x.is_zero() for row in mod.gram for x in row)]
+    spec = Specialization(e, d)
+    return [lam for lam, (_, _, gram) in _generic_data(n, r).items()
+            if any(not spec.theta(c).is_zero() for row in gram for c in row)]
 
 
 def _action_matrices(gens: list, start: list, n: int, zero) -> list:
@@ -257,9 +225,11 @@ def _trace_through(rows: Matrix, pivots, m: int):
                            CycloNumber.zero(m))
 
 
-def _head(mod: CellModule, n: int, e: int, d: int, r: int):
-    """The character of the simple head D = S / rad of a cell module, as a
-    functional on the matrices M_w of T_w on S.
+def _head(lam: Bipartition, gens: list[Matrix], gram: Matrix, m: int,
+          n: int, e: int, d: int, r: int):
+    """The character of the simple head D = S / rad of the cell module S of
+    shape lam, as a functional on the matrices M_w of T_w on S; gens and
+    gram are its specialized generator action and Gram form, over Q(zeta_m).
 
     Let E be the nonzero rows of the reduced echelon form of the Gram G,
     with pivot columns p_j, and J put row j at column p_j.  null(E) =
@@ -269,16 +239,15 @@ def _head(mod: CellModule, n: int, e: int, d: int, r: int):
     E M_i = (E M_i J) E; raises RankDeficiency, naming the shape, when it
     is not.
     """
-    m = mod.spec.m
     zero = CycloNumber.zero(m)
-    ech, pivots = _row_reduce(mod.gram)
+    ech, pivots = _row_reduce(gram)
     rows = ech[:len(pivots)]
-    for g in mod.generators:
+    for g in gens:
         moved = _mat_mul(rows, g, zero)
         if _mat_mul([[x[p] for p in pivots] for x in moved], rows, zero) \
                 != moved:
             raise RankDeficiency(
-                f"the radical of the form on S_{format_bipartition(mod.shape)}"
+                f"the radical of the form on S_{format_bipartition(lam)}"
                 f" is not a submodule at n = {n}, e = {e}, d = {d}, r = {r}")
     return _trace_through(rows, pivots, m)
 
@@ -300,28 +269,32 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     """Multiplicities [S_lam : D_mu] via trace functions.
 
     Returns (rows, cols, entries): rows are all shapes, cols the labels of
-    the simples, entries a dict keyed by (lam, mu).  The matrices of every
-    T_w on a cell module are built once, and both its character and, for a
-    simple, the character of its head are read off them.  Raises
+    the simples, entries a dict keyed by (lam, mu).  Each shape's entry of
+    _generic_data is specialized at (e, d) inside the loop over shapes, and
+    the matrices of every T_w on that cell module are built once; both its
+    character and, for a simple, the character of its head are read off
+    them before the next shape is specialized.  Raises
     RankDeficiency when a radical is not a submodule of its cell module, or
     "trace system degenerate" when the simple characters fail to separate.
     """
     check_bound(n, bound)
-    spec, modules = _specialized_data(n, e, d, r)
+    spec = Specialization(e, d)
     m = spec.m
     simples = nonzero_simples(n, e, d, r, bound)
     # per shape, its character and, for a simple, its head's; one module's
-    # matrices are dropped before the next module's are built
+    # specialized data and matrices are dropped before the next module's
+    # are built
     traces = {}
-    for lam, mod in modules.items():
-        one = _identity(mod.dim, m)
-        reads = [_trace_through(one, range(mod.dim), m)]
+    for lam, (sbt, gens, gram) in _generic_data(n, r).items():
+        sgens = [[[spec.theta(c) for c in row] for row in g] for g in gens]
+        one = _identity(len(sbt), m)
+        reads = [_trace_through(one, range(len(sbt)), m)]
         if lam in simples:
-            reads.append(_head(mod, n, e, d, r))
+            sgram = [[spec.theta(c) for c in row] for row in gram]
+            reads.append(_head(lam, sgens, sgram, m, n, e, d, r))
         traces[lam] = list(zip(*(
             [read(a) for read in reads]
-            for a in _action_matrices(mod.generators, one, n,
-                                      CycloNumber.zero(m)))))
+            for a in _action_matrices(sgens, one, n, CycloNumber.zero(m)))))
     try:
         sols = _solve_full_column_rank(
             [list(row) for row in zip(*(traces[mu][1] for mu in simples))],
@@ -329,12 +302,12 @@ def decomposition_numbers(n: int, e: int, d: int, r: int,
     except RankDeficiency as exc:
         raise RankDeficiency(f"trace system degenerate: {exc}") from None
     entries = {}
-    for lam, sol in zip(modules, sols):
+    for lam, sol in zip(traces, sols):
         for mu, x in zip(simples, sol):
             val = _as_int(x, n, e, d, r, lam, mu)
             if val:
                 entries[(lam, mu)] = val
-    return list(modules), simples, entries
+    return list(traces), simples, entries
 
 
 def theorem41_check(n: int, e: int, d: int, r: int,

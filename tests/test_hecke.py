@@ -1041,10 +1041,9 @@ def test_datum_keeps_its_sweep():
 def test_datum_is_not_kept_past_two_slopes():
     # cell_datum keeps two slopes, as the sweep does, and the Specht data
     # keep no datum, so data at two more slopes release the first one
-    for cached in (specht._generic_data, specht._specialized_data):
-        cached.cache_clear()
+    specht._generic_data.cache_clear()
     datum = weakref.ref(cell_datum(3, XiOrder.for_r(0)))
-    specht._specialized_data(3, 2, 0, 0)
+    specht.nonzero_simples(3, 2, 0, 0)
     for r in (0, 1, 2):
         specht._generic_data(3, r)
     gc.collect()
@@ -1066,7 +1065,7 @@ def test_checks_build_no_hecke_element(monkeypatch):
     # sweep's arrays and on exponent dicts alone
     for cached in (hecke._kl_sweep, hecke._reach, hecke.cells,
                    hecke.kl_basis, hecke.cell_datum, specht._generic_data,
-                   specht._specialized_data, specht.decomposition_numbers):
+                   specht.decomposition_numbers):
         cached.cache_clear()
 
     def refuse(*args, **kwargs):

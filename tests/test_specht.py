@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -14,9 +15,9 @@ from heckeb.cyclo import CycloNumber, Specialization
 from heckeb.errors import NonIntegralMultiplicity, RankDeficiency
 from heckeb.hecke import cell_datum
 from heckeb.laurent import ACoeff, XiOrder, pack
-from heckeb.specht import (CellModule, adjointness_check, cell_module,
-                           decomposition_numbers, generic_semisimplicity_check,
-                           nonzero_simples, theorem41_check)
+from heckeb.specht import (adjointness_check, decomposition_numbers,
+                           generic_semisimplicity_check, nonzero_simples,
+                           theorem41_check)
 
 from back_substitution import cellular_basis, expand_in_cellular
 from hook_lengths import bipartitions_of_shape_count
@@ -34,6 +35,38 @@ THEOREM41_DIGESTS = {
 
 def B(text):
     return parse_bipartition(text)
+
+
+class Module(NamedTuple):
+    """A cell module specialized at (e, d), in the order of specht._head's
+    leading arguments: its shape, the matrices of T_t, T_{s_1}, ... and the
+    Gram form over Q(zeta_m)."""
+    shape: object
+    generators: list
+    gram: list
+    m: int
+
+    @property
+    def dim(self):
+        return len(self.gram)
+
+
+def specialize(lam, data, e, d):
+    """The cell module of shape lam from its generic (sbt, gens, gram),
+    specialized at (e, d) entry by entry, as decomposition_numbers does."""
+    spec = Specialization(e, d)
+    _, gens, gram = data
+
+    def theta(mat):
+        return [[spec.theta(c) for c in row] for row in mat]
+
+    return Module(lam, [theta(g) for g in gens], theta(gram), spec.m)
+
+
+def cell_module(n, e, d, r, lam):
+    """The cell module S_lam at (e, d): its _generic_data entry
+    specialized."""
+    return specialize(lam, specht._generic_data(n, r)[lam], e, d)
 
 
 def product_gram(n, r):
@@ -83,7 +116,7 @@ def radical_character(mod, n):
     """Trace of every T_w on the radical of the Gram form, in kernel order,
     by one solve per element for the action of T_w on a basis of the
     radical.  The reference for the heads of decomposition_numbers."""
-    m = mod.spec.m
+    m = mod.m
     zero = CycloNumber.zero(m)
     rad = nullspace(mod.gram, m)
     actions = specht._action_matrices(
@@ -104,17 +137,16 @@ def head_oracle(mod, n):
     """Trace of every T_w on S / rad: the cell character minus the
     radical's."""
     return [c - x for c, x in zip(
-        character(mod.generators, mod.dim, n, mod.spec.m),
+        character(mod.generators, mod.dim, n, mod.m),
         radical_character(mod, n))]
 
 
-def broken_module(spec):
-    """A two-dimensional module of W_1 whose form has radical span(e_2),
-    which T_t swaps with e_1: the radical is not a submodule."""
-    m = spec.m
-    one, zero = CycloNumber.rational(m, 1), CycloNumber.zero(m)
-    return CellModule(B("(1;∅)"), [0, 1], [[[zero, one], [one, zero]]],
-                      [[one, zero], [zero, zero]], spec)
+def broken_data():
+    """Generic data (sbt, gens, gram) of a two-dimensional module of W_1
+    whose form has radical span(e_2), which T_t swaps with e_1: the radical
+    is not a submodule."""
+    one, zero = ACoeff.integer(1), ACoeff()
+    return [0, 1], [[[zero, one], [one, zero]]], [[one, zero], [zero, zero]]
 
 
 def run_optimized(code):
@@ -242,8 +274,8 @@ class TestSimpleHeads:
     def test_head_is_cell_minus_radical(self, n, e, d, r):
         for mu in nonzero_simples(n, e, d, r):
             mod = cell_module(n, e, d, r, mu)
-            head = specht._head(mod, n, e, d, r)
-            m = mod.spec.m
+            head = specht._head(*mod, n, e, d, r)
+            m = mod.m
             actions = specht._action_matrices(
                 mod.generators, specht._identity(mod.dim, m), n,
                 CycloNumber.zero(m))
@@ -258,7 +290,7 @@ class TestSimpleHeads:
         mod = next(mod for mu in nonzero_simples(n, e, d, r)
                    for mod in [cell_module(n, e, d, r, mu)]
                    if 2 <= len(specht._row_reduce(mod.gram)[1]) < mod.dim)
-        m = mod.spec.m
+        m = mod.m
         ech, pivots = specht._row_reduce(mod.gram)
         want = head_oracle(mod, n)
         actions = specht._action_matrices(
@@ -271,19 +303,16 @@ class TestSimpleHeads:
 
     def test_radical_not_a_submodule_raises(self):
         with pytest.raises(RankDeficiency) as info:
-            specht._head(broken_module(Specialization(2, 0)), 1, 2, 0, 0)
+            specht._head(*specialize(B("(1;∅)"), broken_data(), 2, 0),
+                         1, 2, 0, 0)
         assert str(info.value) == (
             "the radical of the form on S_(1;∅) is not a submodule at "
             "n = 1, e = 2, d = 0, r = 0")
 
     def test_theorem41_blocked(self, monkeypatch):
-        specialized = specht._specialized_data
-
-        def patched(n, e, d, r):
-            spec, modules = specialized(n, e, d, r)
-            return spec, {**modules, B("(1;∅)"): broken_module(spec)}
-
-        monkeypatch.setattr(specht, "_specialized_data", patched)
+        generic = specht._generic_data
+        monkeypatch.setattr(specht, "_generic_data", lambda n, r: {
+            **generic(n, r), B("(1;∅)"): broken_data()})
         # a fresh cache, so no earlier result hides the broken module
         fresh = functools.lru_cache(maxsize=None)(
             decomposition_numbers.__wrapped__)
@@ -312,17 +341,14 @@ class TestSimpleHeads:
     def test_theorem41_blocked_under_optimize(self):
         code = ("from heckeb import specht\n"
                 "from heckeb.combinat import parse_bipartition as B\n"
-                "from heckeb.cyclo import CycloNumber\n"
-                "specialized = specht._specialized_data\n"
-                "def patched(n, e, d, r):\n"
-                "    spec, modules = specialized(n, e, d, r)\n"
-                "    one = CycloNumber.rational(spec.m, 1)\n"
-                "    zero = CycloNumber.zero(spec.m)\n"
-                "    broken = specht.CellModule(B('(1;∅)'), [0, 1],"
-                " [[[zero, one], [one, zero]]], [[one, zero], [zero, zero]],"
-                " spec)\n"
-                "    return spec, {**modules, B('(1;∅)'): broken}\n"
-                "specht._specialized_data = patched\n"
+                "from heckeb.laurent import ACoeff\n"
+                "generic = specht._generic_data\n"
+                "def patched(n, r):\n"
+                "    one, zero = ACoeff.integer(1), ACoeff()\n"
+                "    broken = ([0, 1], [[[zero, one], [one, zero]]],"
+                " [[one, zero], [zero, zero]])\n"
+                "    return {**generic(n, r), B('(1;∅)'): broken}\n"
+                "specht._generic_data = patched\n"
                 "report = specht.theorem41_check(1, 2, 0, 0)\n"
                 "print(report['status'], *report['details'], sep='\\n')\n")
         assert run_optimized(code) == (
@@ -369,6 +395,11 @@ class TestTheorem41:
         report = theorem41_check(n, 2, 0, r)
         assert report["status"] == "ok", report["details"]
 
+    def test_rank4_case(self):
+        # modules with proper radicals at rank 4, specialized one by one
+        report = theorem41_check(4, 2, 0, 1, bound=4)
+        assert report["status"] == "ok", report["details"]
+
     def test_report_carries_assumptions(self):
         report = theorem41_check(1, 2, 0, 0)
         assert any("assumed" in a for a in report["assumptions"])
@@ -395,3 +426,22 @@ def test_theorem41_rank3_matches_references():
                 or hashlib.sha256(text).hexdigest() != digest:
             wrong.append((e, d, r))
     assert wrong == []
+
+
+def specht_caches():
+    """name -> cache of every lru_cache that specht defines."""
+    return {name: obj for name, obj in vars(specht).items()
+            if hasattr(obj, "cache_info")
+            and obj.__module__ == specht.__name__}
+
+
+def test_only_generic_data_and_results_are_cached():
+    # no specialized module is kept per case: after every rank-3 case, the
+    # caches hold one generic entry per slope and one result per case
+    for cached in specht_caches().values():
+        cached.cache_clear()
+    for e, d, r in THEOREM41_DIGESTS:
+        theorem41_check(3, e, d, r)
+    assert {name: cached.cache_info().currsize
+            for name, cached in specht_caches().items()} == {
+        "_generic_data": 3, "decomposition_numbers": 15}

@@ -28,7 +28,6 @@ from heckeb.fock import FockVector, f_action
 from heckeb.hecke import HeckeElement, cell_datum, kl_basis
 from heckeb.laurent import XiOrder
 from heckeb.orders import HasseDiagram, hasse
-from heckeb.specht import cell_module
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = "Partition(parts=())"
@@ -89,7 +88,6 @@ MUTABLE = {
     "HasseDiagram": ("vertices", "edges"),
     "CrystalGraph": ("s", "e", "nmax", "vertices", "edges"),
     "CellDatum": ("n", "order", "r", "shapes", "sbt", "w_of", "sweep"),
-    "CellModule": ("shape", "basis", "generators", "gram", "spec"),
     "HeckeElement": ("n", "terms"),
     "FockVector": ("s", "e", "terms"),
 }
@@ -101,7 +99,6 @@ def _mutable():
         "HasseDiagram": hasse(1, 0),
         "CrystalGraph": crystal_graph((0, 0), 2, 1),
         "CellDatum": cell_datum(1, XiOrder.for_r(0)),
-        "CellModule": cell_module(1, 2, 0, 0, Bipartition(Partition((1,)))),
         "HeckeElement": HeckeElement.unit(2).mul_gen(0),
         "FockVector": f_action(0, FockVector.vacuum((0, 0), 2)),
     }
@@ -248,10 +245,6 @@ class TestMutable:
             "[(array('I', [0, 0, 0]), array('I'), array('I'))], "
             "_Coefficients(order=XiOrder(xi=Fraction(1, 101)), "
             "terms=[(), ((0, 1),)])))")
-        assert repr(values["CellModule"]) == (
-            f"CellModule(shape={B_ONE_EMPTY}, basis=[{SBT_FIRST}], "
-            "generators=[[[z^2]]], gram=[[1]], "
-            "spec=Specialization(e=2, d=0))")
 
     @pytest.mark.parametrize("name", MUTABLE)
     def test_unhashable_and_equal_by_fields(self, name):
@@ -315,7 +308,6 @@ class TestTypedErrors:
         lambda: domino.verify_insertion_bijection(2, 0, 1),
         lambda: specht.adjointness_check(2, 0, 1),
         lambda: specht.generic_semisimplicity_check(2, 0, 1),
-        lambda: specht.cell_module(2, 2, 0, 0, None, 1),
         lambda: specht.nonzero_simples(2, 2, 0, 0, 1),
         lambda: specht.decomposition_numbers(2, 2, 0, 0, 1),
     ])
