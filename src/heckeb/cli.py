@@ -1,13 +1,11 @@
 """Command-line surface.
 
-Each subcommand runs one library computation.  Three checks are reachable
-from the library and the test suite only: specht.adjointness_check,
-specht.generic_semisimplicity_check and domino.verify_insertion_bijection.
-All configuration is by flags and output ordering is deterministic, so runs
-are byte-identical for fixed inputs.  Exit status: 0 on success, 2 when a
-check subcommand reports a failure, 1 on usage errors, and 141 (128 +
-SIGPIPE, as for a process the signal ends) with nothing on stderr when the
-reader of stdout closes it early, as `heckeb ... | head` does.
+Each subcommand runs one library computation.  All configuration is by
+flags and output ordering is deterministic, so runs are byte-identical for
+fixed inputs.  Exit status: 0 on success, 2 when a check subcommand reports
+a failure, 1 on usage errors, and 141 (128 + SIGPIPE, as for a process the
+signal ends) with nothing on stderr when the reader of stdout closes it
+early, as `heckeb ... | head` does.
 
 A subcommand imports only what it runs.  Every command is a fresh
 interpreter, and loading all of the library (and building every

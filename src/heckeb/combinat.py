@@ -73,13 +73,6 @@ class Partition(Frozen):
             parts.pop(row - 1)
         return Partition(tuple(parts))
 
-    def transpose(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(tuple(
-            sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
-        ))
-
     def cells(self):
         """All (row, column) cells, 1-based."""
         for i, p in enumerate(self.parts, start=1):
@@ -183,18 +176,6 @@ def core_and_quotient(p: Partition) -> tuple[Partition, tuple[Partition, Partiti
     return core, (q0, q1)
 
 
-def two_core(p: Partition) -> Partition:
-    return core_and_quotient(p)[0]
-
-
-def staircase_index(core: Partition) -> int:
-    """r such that core = delta_r; raises if core is not a staircase."""
-    r = len(core.parts)
-    if core != delta_core(r):
-        raise CoreMismatch(f"{core} is not a staircase 2-core")
-    return r
-
-
 def q_r(p: Partition, r: int) -> Bipartition:
     """2-quotient of p as a bipartition, components swapped for odd r.
 
@@ -258,10 +239,6 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
             for q in partitions(n - k):
                 out.append(Bipartition(p, q))
     return tuple(out)
-
-
-def bipartition_count(n: int) -> int:
-    return sum(len(partitions(k)) * len(partitions(n - k)) for k in range(n + 1))
 
 
 # --- text rendering, paper style: "(21;∅)", "(1;11)" -------------------

@@ -18,17 +18,16 @@ import json
 
 from . import Value, check_e, check_n
 from .combinat import Bipartition, Partition, format_bipartition
-from .errors import BadResidue, ChargeOutOfRange
+from .errors import ChargeOutOfRange
 from .fock import (Charge, Node, addable_nodes, removable_nodes, residue,
-                   node_key, _with_node, _without_node)
+                   node_key, _check_residue, _with_node, _without_node)
 
 
 def signature_word(bip: Bipartition, s: Charge, e: int, i: int) \
         -> list[tuple[str, Node]]:
     """Addable/removable i-nodes in increasing order, tagged 'A' or 'R',
     after cancelling each removable immediately left of an addable."""
-    if not (0 <= i < e):
-        raise BadResidue(f"residue {i} out of range for e = {e}")
+    _check_residue(i, e)
     tagged = [("A", g) for g in addable_nodes(bip) if residue(g, s, e) == i]
     tagged += [("R", g) for g in removable_nodes(bip) if residue(g, s, e) == i]
     tagged.sort(key=lambda t: node_key(t[1], s))
@@ -61,10 +60,6 @@ def crystal_e(bip: Bipartition, s: Charge, e: int, i: int) -> Bipartition | None
 
 def epsilon(bip: Bipartition, s: Charge, e: int, i: int) -> int:
     return sum(1 for tag, _ in signature_word(bip, s, e, i) if tag == "R")
-
-
-def phi(bip: Bipartition, s: Charge, e: int, i: int) -> int:
-    return sum(1 for tag, _ in signature_word(bip, s, e, i) if tag == "A")
 
 
 class CrystalGraph(Value):

@@ -146,10 +146,6 @@ class CycloNumber:
     def rational(cls, m: int, x) -> "CycloNumber":
         return cls(m, [x])
 
-    @classmethod
-    def zeta_power(cls, m: int, k: int) -> "CycloNumber":
-        return cls._of(m, _powers(m)[k % m])
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -247,11 +243,3 @@ class Specialization(Frozen):
             alpha, beta = unpack(key)
             acc[(2 * alpha + (self.e + 2 * self.d) * beta) % self.m] += coeff
         return CycloNumber._of(self.m, _reduce(self.m, acc))
-
-    @property
-    def q0(self) -> CycloNumber:
-        return CycloNumber.zeta_power(self.m, 2)
-
-    @property
-    def Q0(self) -> CycloNumber:
-        return CycloNumber.zeta_power(self.m, self.e + 2 * self.d)

@@ -29,9 +29,8 @@ import functools
 import json
 from collections import deque
 
-from . import Frozen, check_bound, check_n, resolve_r
-from .combinat import (Bipartition, Partition, delta_core, format_bipartition,
-                       staircase_index)
+from . import Frozen, check_n, resolve_r
+from .combinat import Bipartition, Partition, delta_core, format_bipartition
 from .errors import InvalidArgument, MalformedTableau
 
 Cell = tuple[int, int]  # (row, column), 1-based
@@ -77,20 +76,6 @@ class SignedPermutation(Frozen):
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def generator(cls, n: int, i: int) -> "SignedPermutation":
-        """Generator i: index 0 is t (sign change in slot 1), index i >= 1
-        is the adjacent transposition s_i."""
-        if not 0 <= i < n:
-            raise InvalidArgument(f"generator index {i} outside 0..{n - 1}")
-        w = list(range(1, n + 1))
-        if i == 0:
-            w[0] = -1
-        else:
-            w[i - 1], w[i] = w[i], w[i - 1]
-        return cls(tuple(w))
-
 
 def _inverse(window: tuple[int, ...]) -> tuple[int, ...]:
     """The window of the inverse: w(j) = v gives w^{-1}(v) = j."""
@@ -395,13 +380,6 @@ class StandardBitableau(Frozen):
         return f"[{comp_text(self.first)} ; {comp_text(self.second)}]"
 
 
-def qtilde_r(d: DominoTableau) -> StandardBitableau:
-    """Bitableau image of a standard domino tableau: the box that each
-    domino adds to the 2-quotient, read on the abacus (see _qtilde)."""
-    return _qtilde(staircase_index(d.core),
-                   [(k, _domino(cells)) for k, cells in sorted(d.dominoes)])
-
-
 def _qtilde(r: int, dominoes: list[tuple[int, Domino]]) -> StandardBitableau:
     """q~_r of the dominoes (entry, domino), in increasing entry order,
     on top of delta_r.
@@ -465,29 +443,6 @@ def _insertion_table(n: int, r: int) -> tuple[tuple, ...]:
                 image[x] = (s, s.shape)
         table.append((image[p][0], image[q][0], image[p][1]))
     return tuple(table)
-
-
-def verify_insertion_bijection(n: int, r, bound: int = 5) -> dict:
-    """Exhaustive check that w -> (S, T) is a bijection onto same-shape
-    bitableau pairs, with |W_n| = 2^n n!."""
-    check_bound(n, bound)
-    seen = {}
-    shapes: dict[Bipartition, int] = {}
-    for w, (s, t, lam) in zip(kernel(n).elements, insertion_table(n, r)):
-        if s.shape != t.shape:
-            return {"ok": False, "reason": f"shape mismatch at {w}"}
-        if (s, t) in seen:
-            return {"ok": False, "reason": f"collision {w} vs {seen[s, t]}"}
-        seen[s, t] = w
-        shapes[lam] = shapes.get(lam, 0) + 1
-    expected = 2 ** n * functools.reduce(lambda a, b: a * b, range(1, n + 1), 1)
-    ok = len(seen) == expected
-    return {
-        "ok": ok,
-        "count": len(seen),
-        "expected": expected,
-        "per_shape": {format_bipartition(k): v for k, v in sorted(shapes.items())},
-    }
 
 
 def stl_json(w: SignedPermutation, r) -> str:

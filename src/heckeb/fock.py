@@ -2,15 +2,15 @@
 type A_{e-1}^{(1)}.
 
 The Fock space attached to a charge s = (s_0, s_1) has standard basis the
-set of all bipartitions; the Chevalley generators e_i, f_i act by removing
-and adding boxes of residue i, with v-power coefficients read off a total
-order on boxes (by content, ties broken towards the second component).
+set of all bipartitions; the Chevalley generator f_i acts by adding boxes
+of residue i, with v-power coefficients read off a total order on boxes (by
+content, ties broken towards the second component).  The tests check it
+against e_i, which removes boxes, through the commutator [e_i, f_j].
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import Value, check_e
 from .combinat import Bipartition, Partition, format_bipartition
@@ -64,13 +64,6 @@ def _with_node(bip: Bipartition, node: Node) -> Bipartition:
 def _without_node(bip: Bipartition, node: Node) -> Bipartition:
     r, _, c = node
     return bip.with_component(c, bip.component(c).without_box(r))
-
-
-def weight_ni(bip: Bipartition, s: Charge, e: int, i: int) -> int:
-    """N_i = (addable i-nodes) - (removable i-nodes)."""
-    add = sum(1 for g in addable_nodes(bip) if residue(g, s, e) == i)
-    rem = sum(1 for g in removable_nodes(bip) if residue(g, s, e) == i)
-    return add - rem
 
 
 class FockVector(Value):
@@ -172,24 +165,6 @@ def f_action(i: int, vec: FockVector) -> FockVector:
     return FockVector(s, e, out)
 
 
-def e_action(i: int, vec: FockVector) -> FockVector:
-    """e_i: remove one box of residue i in all ways, with exponent
-    (lower removable i-nodes of the source) - (lower addable i-nodes of
-    the target)."""
-    _check_residue(i, vec.e)
-    s, e = vec.s, vec.e
-    out: dict[Bipartition, VPoly] = {}
-    for bip, c in vec.terms.items():
-        rem_i = [g for g in removable_nodes(bip) if residue(g, s, e) == i]
-        for g in rem_i:
-            target = _without_node(bip, g)
-            d = sum(1 for h in rem_i if node_key(h, s) < node_key(g, s)) \
-                - sum(1 for h in addable_nodes(target)
-                      if residue(h, s, e) == i and node_key(h, s) < node_key(g, s))
-            out[target] = out.get(target, VPoly()) + c * VPoly.monomial(d)
-    return FockVector(s, e, out)
-
-
 def divided_power_f(i: int, a: int, vec: FockVector) -> FockVector:
     """f_i^{(a)} = f_i^a / [a]!; the division is exact on any vector."""
     if a < 0:
@@ -205,16 +180,6 @@ def divided_power_f(i: int, a: int, vec: FockVector) -> FockVector:
 def _check_residue(i: int, e: int):
     if not (0 <= i < e):
         raise BadResidue(f"residue {i} out of range for e = {e}")
-
-
-def delta_s(s: Charge, e: int) -> Fraction:
-    """Normalization constant of the charge: sum over components of
-    (s_j - sbar_j)/e * (s_j + sbar_j - e) / 2 with sbar_j = s_j mod e."""
-    total = Fraction(0)
-    for sj in s:
-        sbar = sj % e
-        total += Fraction(sj - sbar, e) * Fraction(sj + sbar - e, 2)
-    return total
 
 
 def fock_modules_isomorphic(s1: Charge, s2: Charge, e: int) -> bool:

@@ -196,16 +196,6 @@ class XiOrder(Frozen):
                 f"gamma = {(a, b)} ties at xi = {self.xi}; perturb xi")
         return (val > 0) - (val < 0)
 
-    def is_strictly_negative(self, x: ACoeff) -> bool:
-        return all(self.sign(g) < 0 for g in x.terms)
-
-    def antisymmetric_solution(self, f: ACoeff) -> ACoeff:
-        """The unique x with all exponents negative and x - bar(x) = f,
-        for f with bar(f) = -f: the strictly-negative truncation of f."""
-        if f.bar() != -f:
-            raise InvalidArgument(f"{f} is not antisymmetric")
-        return ACoeff({g: c for g, c in f.terms.items() if self.sign(g) < 0})
-
     def symmetric_completion(self, c: ACoeff) -> ACoeff:
         """Bar-fixed element matching c on non-negative exponents: the
         constant term plus e^gamma + e^{-gamma} for each positive gamma."""

@@ -3,8 +3,7 @@
 The order on bipartitions of index r is pulled back through the inverse
 2-quotient map: a is below b iff the preimage partitions (with 2-core the
 r-staircase) are dominance-comparable.  For r at least n-1 all these orders
-agree with the classical dominance order on bipartitions, which is also
-implemented directly so the two can be tested against each other.
+agree with the classical dominance order on bipartitions.
 
 dominance_r is the pairwise definition.  A sweep over Bip(n) reads ⊴_r from
 order_table(n, r), below-bitsets from one q_r^{-1} per shape, or sorts by
@@ -70,24 +69,6 @@ def _order_table(n: int, r: int):
     below = tuple(sum(1 << j for j, p in enumerate(sums)
                       if all(map(le, p, q))) for q in sums)
     return {b: i for i, b in enumerate(shapes)}, below
-
-
-def dominance_inf_explicit(a: Bipartition, b: Bipartition) -> bool:
-    """Classical dominance on bipartitions, written out with prefix sums:
-    those of the first components, then |first| plus those of the second.
-
-    Kept separate from dominance_r(..., INFINITY) so the two can be checked
-    against each other; dominance_r is normative if they ever disagree.
-    """
-    if a.size != b.size:
-        raise SizeMismatch(f"|{a}| = {a.size} != {b.size} = |{b}|")
-    width = max(len(p.parts) for x in (a, b) for p in (x.first, x.second))
-
-    def sums(x: Bipartition):
-        return accumulate(p.parts[j] if j < len(p.parts) else 0
-                          for p in (x.first, x.second) for j in range(width))
-
-    return all(map(le, sums(a), sums(b)))
 
 
 class HasseDiagram(Value):

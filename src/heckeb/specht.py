@@ -152,49 +152,6 @@ def _generic_data(n: int, r: int):
     return modules
 
 
-def _acoeff_det(mat) -> ACoeff:
-    """Determinant over the generic ring by memoized Laplace expansion."""
-    cols = list(range(len(mat)))
-    memo: dict[tuple[int, ...], ACoeff] = {(): ACoeff.integer(1)}
-
-    def minor(avail: tuple[int, ...]) -> ACoeff:
-        if avail in memo:
-            return memo[avail]
-        row = len(mat) - len(avail)
-        total = ACoeff()
-        for k, c in enumerate(avail):
-            x = mat[row][c]
-            if x.is_zero():
-                continue
-            sub = minor(avail[:k] + avail[k + 1:])
-            term = x * sub
-            total = total + (term if k % 2 == 0 else -term)
-        memo[avail] = total
-        return total
-
-    return minor(tuple(cols))
-
-
-def adjointness_check(n: int, r: int, bound: int = SPECHT_BOUND) -> bool:
-    """Bilinear form compatibility with *: since every generator is fixed
-    by *, the condition is M_i^t G = G M_i over the generic ring."""
-    check_bound(n, bound)
-    zero = ACoeff()
-    return all(_mat_mul(list(zip(*mat)), gram, zero)
-               == _mat_mul(gram, mat, zero)
-               for _, gens, gram in _generic_data(n, r).values()
-               for mat in gens)
-
-
-def generic_semisimplicity_check(n: int, r: int,
-                                 bound: int = SPECHT_BOUND) -> bool:
-    """All generic Gram determinants nonzero, so every cell module stays
-    simple over the fraction field."""
-    check_bound(n, bound)
-    return all(not _acoeff_det(gram).is_zero()
-               for _, _, gram in _generic_data(n, r).values())
-
-
 def nonzero_simples(n: int, e: int, d: int, r: int,
                     bound: int = SPECHT_BOUND) -> list[Bipartition]:
     """Shapes whose Gram form survives specialization (labels of simples):

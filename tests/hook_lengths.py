@@ -4,7 +4,7 @@ no code with either."""
 
 import functools
 
-from heckeb.combinat import enumerate_bipartitions
+from heckeb.combinat import Partition, enumerate_bipartitions
 
 
 def bipartitions_of_shape_count(n):
@@ -18,12 +18,20 @@ def _binomial(n, k):
     return functools.reduce(lambda a, i: a * (n - i) // (i + 1), range(k), 1)
 
 
+def transpose(p):
+    """The conjugate partition: column j of p is row j of its transpose."""
+    if not p.parts:
+        return Partition()
+    return Partition(tuple(
+        sum(1 for x in p.parts if x > j) for j in range(p.parts[0])))
+
+
 def _hook_count(p):
     """Number of standard Young tableaux of shape p (hook length formula)."""
     n = p.size
     if n == 0:
         return 1
-    t = p.transpose()
+    t = transpose(p)
     num = functools.reduce(lambda a, b: a * b, range(1, n + 1), 1)
     den = 1
     for (i, j) in p.cells():

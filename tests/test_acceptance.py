@@ -11,13 +11,15 @@ from heckeb.canonical import (canonical_basis, charge_from,
                               decomposition_matrix, gamma)
 from heckeb.combinat import enumerate_bipartitions, parse_bipartition
 from heckeb.crystal import crystal_graph, uglov_bipartitions
-from heckeb.domino import group_elements, insert, qtilde_r, s_t_lambda
-from heckeb.fock import FockVector, e_action, f_action, weight_ni
+from heckeb.domino import group_elements, insert, s_t_lambda
+from heckeb.fock import FockVector, f_action
 from heckeb.hecke import cells, cellularity_check, conjecture_a_report, \
     kl_basis
 from heckeb.laurent import XiOrder, gauss_integer
-from heckeb.orders import dominance_inf_explicit, dominance_r, hasse
+from heckeb.orders import dominance_r, hasse
 from heckeb.specht import theorem41_check
+
+from oracles import dominance_inf_explicit, e_action, qtilde_r, weight_ni
 
 
 def B(text):

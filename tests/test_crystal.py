@@ -3,8 +3,7 @@ import pytest
 from heckeb.combinat import (Bipartition, Partition, enumerate_bipartitions,
                              parse_bipartition)
 from heckeb.crystal import (crystal_e, crystal_f, crystal_graph, epsilon,
-                            flotw_oracle, phi, signature_word,
-                            uglov_bipartitions)
+                            flotw_oracle, signature_word, uglov_bipartitions)
 from heckeb.errors import ChargeOutOfRange, InvalidArgument
 from heckeb.fock import f_action, FockVector
 
@@ -83,7 +82,6 @@ class TestOperators:
                     # reduced word has all A's before all R's
                     assert tags == sorted(tags)
                     assert epsilon(b, (0, 0), 2, i) == tags.count("R")
-                    assert phi(b, (0, 0), 2, i) == tags.count("A")
 
     def test_crystal_is_lowest_term_of_f(self):
         # the crystal image carries the unique minimal v-exponent of f_i|b>

@@ -53,6 +53,11 @@ def as_ints(poly):
     return [int(c) for c in poly]
 
 
+def zeta_power(m, k):
+    """zeta_m^k, as the residue of x^k."""
+    return CycloNumber(m, [0] * k + [1])
+
+
 class TestCyclotomicPolynomial:
     def test_small_cases(self):
         assert as_ints(cyclotomic_polynomial(1)) == [-1, 1]
@@ -71,7 +76,7 @@ class TestCyclotomicPolynomial:
 class TestCycloNumber:
     @pytest.mark.parametrize("m", [8, 12])
     def test_zeta_has_order_m(self, m):
-        z = CycloNumber.zeta_power(m, 1)
+        z = zeta_power(m, 1)
         acc = z
         for k in range(1, m):
             assert not (acc - CycloNumber.rational(m, 1)).is_zero()
@@ -99,9 +104,13 @@ class TestSpecialization:
     @pytest.mark.parametrize("e,d", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_parameter_conditions(self, e, d):
         sp = Specialization(e, d)
+        # theta sends q to zeta_m^2 and Q to zeta_m^(e + 2d)
+        q0, Q0 = zeta_power(sp.m, 2), zeta_power(sp.m, e + 2 * d)
+        assert sp.theta(ACoeff({pack(1, 0): 1})) == q0
+        assert sp.theta(ACoeff({pack(0, 1): 1})) == Q0
         one = CycloNumber.rational(sp.m, 1)
         # q0^2 is a primitive e-th root of unity
-        p = sp.q0 * sp.q0
+        p = q0 * q0
         acc = p
         for k in range(1, e):
             assert not (acc - one).is_zero()
@@ -110,8 +119,8 @@ class TestSpecialization:
         # Q0^2 = -q0^(2d)
         q2d = one
         for _ in range(2 * d):
-            q2d = q2d * sp.q0
-        assert (sp.Q0 * sp.Q0 + q2d).is_zero()
+            q2d = q2d * q0
+        assert (Q0 * Q0 + q2d).is_zero()
 
     def test_theta_ring_map(self):
         sp = Specialization(2, 0)
@@ -126,7 +135,8 @@ class TestSpecialization:
         # specialized quadratic coefficient q - q^-1 maps consistently
         sp = Specialization(2, 0)
         c = ACoeff({pack(1, 0): 1, pack(-1, 0): -1})
-        assert sp.theta(c) == sp.q0 - sp.q0.inverse()
+        q0 = zeta_power(sp.m, 2)
+        assert sp.theta(c) == q0 - q0.inverse()
 
 
 def test_specialization_rejects_e_below_two():
@@ -179,8 +189,10 @@ class TestIntegerFirstKernel:
 
 def test_trailing_zeros_are_ignored():
     # a coefficient list longer than deg Phi_m that ends in zeros
-    assert CycloNumber(8, [0, 0, 0, 1, 0]) == CycloNumber.zeta_power(8, 3)
-    assert CycloNumber(8, [0, 0, 1, 0, 0]) == CycloNumber.zeta_power(8, 2)
+    assert CycloNumber(8, [0, 0, 0, 1, 0]) == \
+        CycloNumber._of(8, cyclo._powers(8)[3])
+    assert CycloNumber(8, [0, 0, 1, 0, 0]) == \
+        CycloNumber._of(8, cyclo._powers(8)[2])
     q, rem = _poly_divmod([Fraction(c) for c in (0, 0, 0, 1, 0)],
                           list(cyclotomic_polynomial(8)))
     assert q == [] and rem == [0, 0, 0, 1]

@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 from collections import deque
@@ -6,21 +7,21 @@ from pathlib import Path
 import pytest
 
 from heckeb import INFINITY, domino
-from heckeb.combinat import Partition, delta_core, q_r, staircase_index
+from heckeb.combinat import Partition, delta_core, format_bipartition, q_r
 from heckeb.domino import (DominoTableau, SignedPermutation,
                            StandardBitableau, group_elements, insert,
-                           insertion_table, kernel, length, qtilde_r,
-                           reduced_word, resolve_r, s_t_lambda,
-                           verify_insertion_bijection)
+                           insertion_table, kernel, length, reduced_word,
+                           resolve_r, s_t_lambda)
 from heckeb.errors import InvalidArgument, MalformedTableau
 
 from hook_lengths import bipartitions_of_shape_count
+from oracles import generator, qtilde_r, staircase_index
 
 
 def bfs_group_elements(n):
     """Reference BFS of W_n over right multiplication by the generators,
     as products of signed permutations: element -> (length, reduced word)."""
-    gens = [SignedPermutation.generator(n, i) for i in range(n)]
+    gens = [generator(n, i) for i in range(n)]
     e = SignedPermutation.identity(n)
     out = {e: (0, ())}
     queue = deque([e])
@@ -55,6 +56,28 @@ def quotient_chain_qtilde_r(d):
         prev = cur
     return StandardBitableau(tuple(map(tuple, comps[0])),
                              tuple(map(tuple, comps[1])))
+
+
+def verify_insertion_bijection(n, r):
+    """Exhaustive check that w -> (S, T) is a bijection onto same-shape
+    bitableau pairs, with |W_n| = 2^n n!."""
+    seen = {}
+    shapes = {}
+    for w, (s, t, lam) in zip(kernel(n).elements, insertion_table(n, r)):
+        if s.shape != t.shape:
+            return {"ok": False, "reason": f"shape mismatch at {w}"}
+        if (s, t) in seen:
+            return {"ok": False, "reason": f"collision {w} vs {seen[s, t]}"}
+        seen[s, t] = w
+        shapes[lam] = shapes.get(lam, 0) + 1
+    expected = 2 ** n * functools.reduce(lambda a, b: a * b, range(1, n + 1), 1)
+    ok = len(seen) == expected
+    return {
+        "ok": ok,
+        "count": len(seen),
+        "expected": expected,
+        "per_shape": {format_bipartition(k): v for k, v in sorted(shapes.items())},
+    }
 
 
 class SetShape:
@@ -161,7 +184,7 @@ class TestSignedPermutation:
                 assert len(word) == length(w)
                 acc = SignedPermutation.identity(n)
                 for i in word:
-                    acc = acc * SignedPermutation.generator(n, i)
+                    acc = acc * generator(n, i)
                 assert acc == w
 
     def test_inverse(self):
@@ -178,7 +201,7 @@ class TestSignedPermutation:
     @pytest.mark.parametrize("i", [-1, 3])
     def test_generator_index_checked(self, i):
         with pytest.raises(InvalidArgument):
-            SignedPermutation.generator(3, i)
+            generator(3, i)
 
     def test_product_ranks_checked(self):
         with pytest.raises(InvalidArgument):
@@ -221,7 +244,7 @@ class TestKernel:
 
     def test_tables_match_products(self, n):
         kern = kernel(n)
-        gens = [SignedPermutation.generator(n, i) for i in range(n)]
+        gens = [generator(n, i) for i in range(n)]
         e = SignedPermutation.identity(n)
         for k, w in enumerate(kern.elements):
             assert kern.elements[kern.inverse[k]] == w.inverse()
@@ -232,7 +255,7 @@ class TestKernel:
 
     def test_along_words_rebuilds_elements(self, n):
         kern = kernel(n)
-        gens = [SignedPermutation.generator(n, i) for i in range(n)]
+        gens = [generator(n, i) for i in range(n)]
         assert kern.along_words(SignedPermutation.identity(n),
                                 lambda w, i: w * gens[i]) == \
             list(kern.elements)

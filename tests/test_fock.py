@@ -4,10 +4,11 @@ from fractions import Fraction
 from heckeb.combinat import Bipartition, Partition, enumerate_bipartitions
 from heckeb.errors import (BadResidue, IncompatibleCharges, InvalidArgument,
                            NonIntegralDivision)
-from heckeb.fock import (FockVector, addable_nodes, delta_s, divided_power_f,
-                         e_action, f_action, fock_modules_isomorphic,
-                         removable_nodes, weight_ni)
+from heckeb.fock import (FockVector, addable_nodes, divided_power_f, f_action,
+                         fock_modules_isomorphic, removable_nodes)
 from heckeb.laurent import VPoly, gauss_integer
+
+from oracles import e_action, weight_ni
 
 
 def B(a, b):
@@ -92,11 +93,6 @@ class TestDividedPowers:
 
 
 class TestCharges:
-    def test_delta(self):
-        assert delta_s((0, 0), 2) == 0
-        assert delta_s((2, 0), 2) == 0
-        assert delta_s((3, 0), 2) == 1
-
     def test_isomorphism_criterion(self):
         assert fock_modules_isomorphic((0, 0), (0, 0), 2)
         assert fock_modules_isomorphic((0, 0), (2, 0), 2)
