@@ -15,7 +15,7 @@ each C_w only at its left-extremal positions, the z with tz < z for every
 left descent t of w (du Cloux's extremal pairs, Experiment. Math. 11, 2002),
 and reduces only the positions of C_w C_s that are extremal for (LD(w),
 {s}), where zs < z as well; _expand fills in a whole C_w for the callers
-that read one (kl_basis, CellDatum).
+that read one (kl_basis, cellularity_check).
 
 The mu and the descent sets are the W-graph of H_n: on the right,
 C_w T_s = v_s C_w when ws < w, and C_w T_s = C_{ws} + sum_y mu^s_{y,w} C_y
@@ -24,9 +24,9 @@ cell-module action.  Cells are the strongly connected components of its
 edges w -> {w, ws, y}, of their star image (star(C_w) = C_{w^{-1}}, so a
 left mu at (y, w) is the right mu at (y^{-1}, w^{-1})) and of their union;
 the conjecture checkers compare them with the fibers of domino insertion.
-The cellular datum holds its sweep and reads C_{S,T} = dagger(C_w) off the
-expanded C_w, and the action of T_s on it off the same W-graph entries, with
-no product in the algebra (_generator_action).
+The cellular datum holds its sweep; the action of T_s on C_{S,T} =
+dagger(C_w) (_generator_action) and the Gram forms (gram_form) are read off
+its W-graph, with no expanded C_w and no product in the algebra.
 
 Whatever is built from a sweep is cached for two slopes, as the sweep is:
 kl_basis and cell_datum keep two entries, cell_datum keyed by (n, order)
@@ -700,9 +700,8 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 
 class CellDatum(Value):
     """Graham-Lehrer style quadruple, an index over the KL sweep it was
-    built from: C_{S,T} = dagger(C_w) for w = w_of[(S, T)], read off sweep,
-    the (basis, wgraph, coeffs) of _kl_sweep at (n, order).  Each C_w is
-    expanded from the sweep's left-extremal terms once, when first read."""
+    built from: C_{S,T} = dagger(C_w) for w = w_of[(S, T)], and sweep the
+    (basis, wgraph, coeffs) of _kl_sweep at (n, order)."""
 
     _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "sweep")
 
@@ -719,41 +718,6 @@ class CellDatum(Value):
         self.sbt = sbt
         self.w_of = w_of
         self.sweep = sweep
-        # kernel position w -> C_w as (positions, value ids), positions
-        # increasing
-        self._expanded: dict[int, tuple[array, array]] = {}
-        # (value id, parity of l(y)) -> (-1)^{l(y)} bar(value), as items
-        self._signed_bars: dict[tuple[int, int], tuple] = {}
-
-    def expanded(self, w: int) -> tuple[array, array]:
-        """Every term of C_w, w a kernel position, as two arrays: the
-        positions in increasing order and the value id at each."""
-        out = self._expanded.get(w)
-        if out is None:
-            basis, _, coeffs = self.sweep
-            out = self._expanded[w] = _expand(kernel(self.n), coeffs, w,
-                                              basis[w])
-        return out
-
-    def element(self, st: tuple):
-        """C_{S,T} for st = (S, T) as (kernel position y, exponent items)
-        pairs, y increasing: with C_w = sum_y p_{y,w} T_y, w = w(S, T),
-        dagger(C_w) = sum_y (-1)^{l(y)} bar(p_{y,w}) T_y.  bar and dagger
-        are both multiplicative and dagger(T_s) = -T_s^{-1} = -bar(T_s), so
-        dagger(T_y) = (-1)^{l(y)} bar(T_y) and, dagger being A-linear,
-        dagger(C_w) = bar(sum_y (-1)^{l(y)} bar(p_{y,w}) T_y).  dagger
-        commutes with bar (on A, and on T_s: both composites give -T_s), so
-        dagger(C_w) is bar-invariant with C_w, and the outer bar drops."""
-        kern = kernel(self.n)
-        terms = self.sweep[2].terms
-        length, memo = kern.length, self._signed_bars
-        for y, c in zip(*self.expanded(kern.index[self.w_of[st]])):
-            key = (c, length[y] & 1)
-            items = memo.get(key)
-            if items is None:
-                items = memo[key] = tuple((-k, -x if key[1] else x)
-                                          for k, x in terms[c])
-            yield y, items
 
 
 @functools.lru_cache(maxsize=2)
@@ -803,21 +767,28 @@ def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
     return out
 
 
-def _is_action(datum: CellDatum, i: int, st: tuple, expansion: dict) -> bool:
-    """Whether T_s C_{S,T} = sum c C_{S',T'} over expansion, compared on one
-    exponent dict per kernel position, for generator s of index i and
-    st = (S, T); T_s T_y is T_{sy}, plus (v_s - v_s^{-1}) T_y if sy < y."""
-    table = kernel(datum.n).left[i]
-    quad = _quad(i).terms.items()
+def _is_action(datum: CellDatum, expanded: list, i: int, st: tuple,
+               expansion: dict) -> bool:
+    """Whether T_s C_{S,T} = sum c C_{S',T'} over expansion, for generator
+    s of index i and st = (S, T); expanded[w] is C_w as _expand gives it.
+    dagger is an A-linear involution with dagger(T_s) = v_s - v_s^{-1} -
+    T_s, so this holds exactly when (v_s - v_s^{-1} - T_s) C_w = sum c
+    C_{w(S',T')}, w = w(S, T), which is compared on one exponent dict per
+    kernel position: (v_s - v_s^{-1} - T_s) T_y is -T_{sy}, plus (v_s -
+    v_s^{-1}) T_y if sy > y."""
+    kern = kernel(datum.n)
+    table, index = kern.left[i], kern.index
+    terms = datum.sweep[2].terms
+    one, quad = A_ONE.terms.items(), _quad(i).terms.items()
     acc: dict[int, dict[int, int]] = {}
-    for y, x in datum.element(st):
+    for y, c in zip(*expanded[index[datum.w_of[st]]]):
         sy = table[y]
-        add_product(acc.setdefault(sy, {}), x, A_ONE.terms.items())
-        if sy < y:
-            add_product(acc.setdefault(y, {}), x, quad)
+        add_product(acc.setdefault(sy, {}), terms[c], one, -1)
+        if sy > y:
+            add_product(acc.setdefault(y, {}), terms[c], quad)
     for key, c in expansion.items():
-        for y, x in datum.element(key):
-            add_product(acc.setdefault(y, {}), c.terms.items(), x, -1)
+        for y, x in zip(*expanded[index[datum.w_of[key]]]):
+            add_product(acc.setdefault(y, {}), c.terms.items(), terms[x], -1)
     return not any(any(x.values()) for x in acc.values())
 
 
@@ -834,20 +805,23 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     star(C_{S,T}) = C_{T,S}, star(T_y) = T_{y^{-1}} A-linearly, is checked
     on the expanded arrays: as l(y^{-1}) = l(y), it says that w(T, S) =
     w(S, T)^{-1} and that C_{w^{-1}} holds each value id of C_w at y^{-1}.
+    Each C_w is expanded once, and kept while the check runs.
     """
     check_bound(n, bound)
     datum = cell_datum(n, order)
     r = order.r
     kern = kernel(n)
     inverse = kern.inverse
+    basis, _, coeffs = datum.sweep
+    expanded = [_expand(kern, coeffs, w, cw) for w, cw in enumerate(basis)]
     index, below = order_table(n, r)
     failures = []
     star_ok = True
     for (s, t), w in datum.w_of.items():
         v = kern.index[w]
-        mirrored = {inverse[y]: c for y, c in zip(*datum.expanded(v))}
+        mirrored = {inverse[y]: c for y, c in zip(*expanded[v])}
         if kern.index[datum.w_of[(t, s)]] != inverse[v] \
-                or dict(zip(*datum.expanded(inverse[v]))) != mirrored:
+                or dict(zip(*expanded[inverse[v]])) != mirrored:
             star_ok = False
             failures.append(f"star(C[{s.to_text()},{t.to_text()}]) != C[T,S]")
     for i in range(n):
@@ -858,7 +832,8 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
                 for t in datum.sbt[lam]:
                     name = f"C[{s.to_text()},{t.to_text()}]"
                     expansion = _generator_action(datum, i, (s, t))
-                    if not _is_action(datum, i, (s, t), expansion):
+                    if not _is_action(datum, expanded, i, (s, t),
+                                      expansion):
                         failures.append(f"gen {i}: T_s {name} is not its "
                                         "W-graph expansion")
                     maps.append({})
@@ -901,3 +876,50 @@ def structure_coefficients(datum: CellDatum, i: int, lam: Bipartition) \
             if u.shape == lam and vv == t0:
                 out[(u, s)] = c
     return out
+
+
+def gram_form(datum: CellDatum, lam: Bipartition, gens: list) \
+        -> list[list[ACoeff]]:
+    """The Gram form of the cell module of shape lam, rows S and columns T
+    over sbt[lam]; gens[i] is M_s, as in _generic_data.
+
+    phi(S, T) is defined by C_{T0,S} C_{T,T0} = phi(S, T) C_{T0,T0} modulo
+    shapes strictly below (Graham-Lehrer, Cellular algebras, section 2), so
+    by the cellular axiom row S is row T0 of the matrix of C_{T0,S} on the
+    cell module.  Let C'_x = dagger(C_x) = C_{S,T}, x = w(S, T), and r_x be
+    row T0 of its matrix.  dagger is an A-linear algebra automorphism, so
+    C_{ws} = C_w C_s - sum_y mu^s_{y,w} C_y at an ascent ws > w (Lusztig,
+    Thm 6.6) gives C'_{ws} = C'_w C'_s - sum_y mu^s_{y,w} C'_y, where C'_s =
+    dagger(T_s + v_s^{-1}) = v_s - T_s.  So r_1 = e_{T0}, row S is
+    r_{w(T0,S)}, and along reduced words (s the last letter of ws)
+
+        r_{ws} = v_s r_w - r_w M_s - sum_y mu^s_{y,w} r_y,
+
+    the mu read off the W-graph at w, each y shorter than w.
+    """
+    kern = kernel(datum.n)
+    _, wgraph, coeffs = datum.sweep
+    sbt = datum.sbt[lam]
+    # per generator and row U of M_s: its nonzero entries (T, items)
+    mats = [[[(t, c.terms.items()) for t, c in enumerate(row) if c.terms]
+             for row in g] for g in gens]
+    rows = [{0: {0: 1}}]
+    for x, i in enumerate(kern.last[1:], 1):
+        w = kern.right[i][x]
+        starts, ys, mus = wgraph[i]
+        acc: dict[int, dict[int, int]] = {}
+        for u, c in rows[w].items():
+            add_product(acc.setdefault(u, {}), c.items(),
+                        ((generator_gamma(i), 1),))
+            for t, m in mats[i][u]:
+                add_product(acc.setdefault(t, {}), c.items(), m, -1)
+        for k in range(starts[w], starts[w + 1]):
+            for u, c in rows[ys[k]].items():
+                add_product(acc.setdefault(u, {}), coeffs.terms[mus[k]],
+                            c.items(), -1)
+        rows.append({u: d for u, c in acc.items()
+                     if (d := {e: a for e, a in c.items() if a})})
+    index, t0 = kern.index, sbt[0]
+    return [[ACoeff._of(c) if (c := row.get(k)) else ACoeff()
+             for k in range(len(sbt))]
+            for row in (rows[index[datum.w_of[(t0, s)]]] for s in sbt)]

@@ -13,8 +13,8 @@ recovered from these trace functions: the traces of all standard basis
 elements on the simples are linearly independent, so each cell-module
 character decomposes uniquely.
 
-Only the generic data of a rank and slope are cached (_generic_data).  The
-specialization at (e, d) is applied where it is read: nonzero_simples
+Only generic data are cached, for two (rank, slope) pairs (_generic_data).
+The specialization at (e, d) is applied where it is read: nonzero_simples
 specializes the Gram forms, and decomposition_numbers specializes one cell
 module at a time inside its loop over shapes, so no specialized module
 outlives the reading of its traces.
@@ -31,7 +31,7 @@ from .canonical import charge_from, decomposition_matrix
 from .cyclo import CycloNumber, Specialization
 from .domino import kernel
 from .errors import NonIntegralMultiplicity, RankDeficiency
-from .hecke import cell_datum, structure_coefficients
+from .hecke import cell_datum, gram_form, structure_coefficients
 from .laurent import ACoeff, XiOrder
 
 Matrix = list[list[CycloNumber]]
@@ -101,32 +101,17 @@ def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]]) \
     return [[ech[i][cols + k] for i in range(cols)] for k in range(len(bs))]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _generic_data(n: int, r: int):
     """Generator-action and Gram matrices over the generic ring, per shape.
 
     Returns {shape: (sbt, gens, gram)} with matrix entries ACoeff;
-    gens[i][U][S] is the coefficient of C_{U,T0} in T_{s_i} C_{S,T0}.  The
-    datum they are read from is not kept: cell_datum's cache bounds it.
-
-    The Gram form is read off the cell-module action, with no product in
-    the algebra.  phi(S, T) is defined by C_{T0,S} C_{T,T0} = phi(S, T)
-    C_{T0,T0} modulo shapes strictly below (Graham-Lehrer, Cellular
-    algebras, Invent. Math. 123, 1996, section 2).  By the cellular
-    axiom, h C_{T,T0} is sum_U r_h(U, T) C_{U,T0} modulo the same ideal
-    for every h, and r_h is linear in h, so with h = C_{T0,S} =
-    sum_w c_w T_w:
-
-        phi(S, T) = r_h(T0, T) = sum_w c_w r_{T_w}(T0, T).
-
-    r_{T_w} is the matrix M_w of T_w on the cell module, and its row T0 is
-    e_{T0} M_w: _action_matrices started from the unit row e_{T0} gives it
-    for every w.  So the Gram is the product of the matrix (c_w) of the
-    C_{T0,S}, one row per S, with the matrix of these rows.
+    gens[i][U][S] is the coefficient of C_{U,T0} in T_{s_i} C_{S,T0}.  Both
+    are read off the W-graph (structure_coefficients, gram_form).  The datum
+    is not kept: cell_datum's cache bounds it.
     """
     # the public entries have checked n against their bound
     datum = cell_datum(n, XiOrder.for_r(r))
-    size = len(kernel(n).elements)
     zero = ACoeff()
     modules = {}
     for lam in datum.shapes:
@@ -139,16 +124,7 @@ def _generic_data(n: int, r: int):
             for (u, s), c in coeffs.items():
                 mat[idx[u]][idx[s]] = c
             gens.append(mat)
-        unit = [[ACoeff.integer(1)] + [zero for _ in sbt[1:]]]
-        rows = [m[0] for m in _action_matrices(gens, unit, n, zero)]
-        t0 = sbt[0]
-        expansions = []
-        for s in sbt:
-            row = [zero] * size
-            for y, c in datum.element((t0, s)):
-                row[y] = ACoeff(dict(c))
-            expansions.append(row)
-        modules[lam] = (sbt, gens, _mat_mul(expansions, rows, zero))
+        modules[lam] = (sbt, gens, gram_form(datum, lam, gens))
     return modules
 
 

@@ -4,7 +4,8 @@ The oracle for the W-graph read-off of heckeb.hecke: it expands any
 HeckeElement in the C-basis or in the cellular basis C_{S,T} by the
 definition, longest term first, with no KL data but the basis itself.
 The cellular basis is the reference one, built from kl_basis and the
-closed form of dagger, not read off the sweep as the datum reads it.
+closed form of dagger; the library expands no C_{S,T}, and reads the
+action and the Gram forms off the W-graph.
 """
 
 import functools
@@ -36,8 +37,13 @@ def expand_in_kl(h, basis):
 
 def dagger_bar_fixed(h):
     """dagger(h) for a bar-invariant h = sum_y p_y T_y, such as C_w, in
-    closed form: sum_y (-1)^{l(y)} bar(p_y) T_y (proved where
-    CellDatum.element reads it off the sweep)."""
+    closed form: sum_y (-1)^{l(y)} bar(p_y) T_y.
+
+    bar and dagger are both multiplicative and dagger(T_s) = -T_s^{-1} =
+    -bar(T_s), so dagger(T_y) = (-1)^{l(y)} bar(T_y) and, dagger being
+    A-linear, dagger(h) = bar(sum_y (-1)^{l(y)} bar(p_y) T_y).  dagger
+    commutes with bar (on A, and on T_s: both composites give -T_s), so
+    dagger(h) is bar-invariant with h, and the outer bar drops."""
     kern = kernel(h.n)
     return HeckeElement(h.n, {
         y: -c.bar() if kern.length[kern.index[y]] % 2 else c.bar()

@@ -3,8 +3,7 @@ import pytest
 from heckeb.canonical import (canonical_basis, charge_from,
                               decomposition_matrix, default_r, gamma,
                               peeling_path, principal_monomial)
-from heckeb.combinat import (Bipartition, Partition, enumerate_bipartitions,
-                             parse_bipartition)
+from heckeb.combinat import enumerate_bipartitions, parse_bipartition
 from heckeb.crystal import crystal_f, uglov_bipartitions
 from heckeb.errors import ConventionViolation, IncompatibleCharges, NotUglov
 from heckeb.fock import FockVector

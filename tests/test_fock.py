@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 
 from heckeb.combinat import Bipartition, Partition, enumerate_bipartitions
 from heckeb.errors import (BadResidue, IncompatibleCharges, InvalidArgument,

@@ -855,26 +855,6 @@ class TestCellularity:
             assert star(c_st) == basis[(t, s)]
 
 
-def read_off(datum, st):
-    """C_{S,T} as CellDatum.element reads it off the sweep, as a
-    HeckeElement."""
-    elements = kernel(datum.n).elements
-    return HeckeElement(datum.n, {elements[y]: ACoeff(dict(items))
-                                  for y, items in datum.element(st)})
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_read_off_matches_reference_basis(n, r):
-    order = XiOrder.for_r(r)
-    datum, basis = cell_datum(n, order), cellular_basis(n, order)
-    assert len(basis) == len(kernel(n).elements)
-    for st, c_st in basis.items():
-        assert [y for y, _ in datum.element(st)] == sorted(
-            kernel(n).index[y] for y in c_st.terms)
-        assert read_off(datum, st) == c_st
-
-
 def action_mismatches(datum):
     """The (S, T, i) where the W-graph read-off of T_s C_{S,T} differs from
     its expansion by back-substitution in the reference basis."""
@@ -983,6 +963,49 @@ def test_datum_expands_each_element_once(monkeypatch):
     monkeypatch.setattr(hecke, "cell_datum", lambda *args: fresh)
     assert cellularity_check(3, order)["ok"]
     assert sorted(expanded) == list(range(len(kernel(3).elements)))
+
+
+@pytest.mark.parametrize("mutation", ["drop", "raise"])
+def test_mutated_wgraph_changes_the_gram(mutation, monkeypatch):
+    # the Gram forms are read off the W-graph, so a datum over a mutated
+    # sweep gives a different generic Gram for some shape at some slope
+    differs = []
+    for r in range(3):
+        datum = cell_datum(3, XiOrder.for_r(r))
+        mutated = over_sweep(datum, mutated_sweep(datum.sweep, mutation))
+        want = specht._generic_data.__wrapped__(3, r)
+        monkeypatch.setattr(specht, "cell_datum", lambda *args: mutated)
+        got = specht._generic_data.__wrapped__(3, r)
+        monkeypatch.undo()
+        differs += [(r, lam) for lam in want if got[lam][2] != want[lam][2]]
+    assert differs
+
+
+def test_generic_data_expands_nothing(monkeypatch):
+    # the generator action and the Gram forms are read off the W-graph of
+    # a datum that has read no C_w yet, with no C_w expanded
+    datum = cell_datum(3, XiOrder.for_r(1))
+    fresh = over_sweep(datum, datum.sweep)
+    expanded = []
+    expand = hecke._expand
+
+    def counted(kern, coeffs, w, stored):
+        expanded.append(w)
+        return expand(kern, coeffs, w, stored)
+
+    monkeypatch.setattr(hecke, "_expand", counted)
+    monkeypatch.setattr(specht, "cell_datum", lambda *args: fresh)
+    specht._generic_data.__wrapped__(3, 1)
+    assert expanded == []
+
+
+def test_datum_keeps_no_expansion():
+    # cellularity_check expands every C_w and keeps the expansions only
+    # while it runs: the datum holds its seven fields and nothing else
+    order = XiOrder.for_r(1)
+    datum = cell_datum(3, order)
+    assert cellularity_check(3, order)["ok"]
+    assert set(vars(datum)) == set(CellDatum._fields)
 
 
 def test_datum_needs_no_c_plus(monkeypatch):

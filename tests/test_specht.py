@@ -12,9 +12,10 @@ import pytest
 from heckeb import specht
 from heckeb.combinat import format_bipartition, parse_bipartition
 from heckeb.cyclo import CycloNumber, Specialization
+from heckeb.domino import kernel
 from heckeb.errors import NonIntegralMultiplicity, RankDeficiency
 from heckeb.hecke import cell_datum
-from heckeb.laurent import ACoeff, XiOrder, pack
+from heckeb.laurent import ACoeff, XiOrder, add_product, pack
 from heckeb.specht import (decomposition_numbers, nonzero_simples,
                            theorem41_check)
 
@@ -81,6 +82,31 @@ def product_gram(n, r):
         out[lam] = [[expand_in_cellular(
                          datum, basis[(t0, s)] * basis[(t, t0)])
                      .get((t0, t0), ACoeff()) for t in sbt] for s in sbt]
+    return out
+
+
+def row_gram(n, r):
+    """The Gram matrices by the cellular axiom: row S is row T0 of the
+    matrix of C_{T0,S} = sum_w c_w T_w on the cell module, that is
+    phi(S, T) = sum_w c_w (e_{T0} M_w)[T], with the c_w read off the
+    reference basis and the rows e_{T0} M_w built from the generator
+    action along reduced words.  The reference for the recursion of
+    hecke.gram_form at rank 4, where product_gram is too slow."""
+    datum = cell_datum(n, XiOrder.for_r(r))
+    basis = cellular_basis(n, datum.order)
+    index = kernel(n).index
+    zero = ACoeff()
+    out = {}
+    for lam, (sbt, gens, _) in specht._generic_data(n, r).items():
+        unit = [[ACoeff.integer(1)] + [zero] * (len(sbt) - 1)]
+        rows = [m[0] for m in specht._action_matrices(gens, unit, n, zero)]
+        out[lam] = []
+        for s in sbt:
+            acc = [{} for _ in sbt]
+            for w, c in basis[(sbt[0], s)].terms.items():
+                for k, x in enumerate(rows[index[w]]):
+                    add_product(acc[k], c.terms.items(), x.terms.items())
+            out[lam].append([ACoeff(x) for x in acc])
     return out
 
 
@@ -245,6 +271,14 @@ class TestCellModules:
     def test_gram_matches_products(self, n, r):
         generic = specht._generic_data(n, r)
         want = product_gram(n, r)
+        assert set(generic) == set(want)
+        for lam, (_, _, gram) in generic.items():
+            assert gram == want[lam], format_bipartition(lam)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_gram_matches_rows_rank4(self, r):
+        generic = specht._generic_data(4, r)
+        want = row_gram(4, r)
         assert set(generic) == set(want)
         for lam, (_, _, gram) in generic.items():
             assert gram == want[lam], format_bipartition(lam)
@@ -483,4 +517,4 @@ def test_only_generic_data_and_results_are_cached():
         theorem41_check(3, e, d, r)
     assert {name: cached.cache_info().currsize
             for name, cached in specht_caches().items()} == {
-        "_generic_data": 3, "decomposition_numbers": 15}
+        "_generic_data": 2, "decomposition_numbers": 15}
