@@ -299,31 +299,41 @@ def _grown(before: list[int], after: list[int]) -> Domino:
                            "not by one domino")
 
 
+def _insert_letter(core: list[int], p: list, shape: list[int], v: int) \
+        -> tuple[list, list[int], Domino]:
+    """One letter v of domino insertion around core: from P (entry k at
+    index k - 1, None where not yet inserted) and its shape, the new P, its
+    shape and the domino Q grows by; p and shape are left as they are.
+    Letter m = |v| goes to the end of row 1 (horizontal) or column 1
+    (vertical) of the entries below it; the larger entries bump in order."""
+    m = abs(v)
+    p = list(p)
+    rows = list(core)
+    for dom in p[:m - 1]:
+        if dom is not None:
+            _place(rows, dom)
+    # rows has no zero entry
+    p[m - 1] = (1, (rows[0] if rows else 0) + 1, True) if v > 0 \
+        else (len(rows) + 1, 1, False)
+    _place(rows, p[m - 1])
+    for k in range(m, len(p)):
+        if p[k] is not None:
+            p[k] = _bump(rows, p[k])
+            _place(rows, p[k])
+    return p, rows, _grown(shape, rows)
+
+
 def _insert(window: tuple[int, ...], r: int) \
         -> tuple[list[Domino], list[Domino]]:
     """Domino insertion of a window around delta_r: (P, Q), entry k at
-    index k - 1.  Letter m goes to the end of row 1 (horizontal) or column 1
-    (vertical) of the entries below it; the larger entries bump in order."""
+    index k - 1, one _insert_letter per letter."""
     core = list(range(r, 0, -1))
     p: list = [None] * len(window)
     q: list[Domino] = []
     shape = core
     for v in window:
-        m = abs(v)
-        rows = list(core)
-        for dom in p[:m - 1]:
-            if dom is not None:
-                _place(rows, dom)
-        # rows has no zero entry
-        p[m - 1] = (1, (rows[0] if rows else 0) + 1, True) if v > 0 \
-            else (len(rows) + 1, 1, False)
-        _place(rows, p[m - 1])
-        for k in range(m, len(p)):
-            if p[k] is not None:
-                p[k] = _bump(rows, p[k])
-                _place(rows, p[k])
-        q.append(_grown(shape, rows))
-        shape = rows
+        p, shape, dom = _insert_letter(core, p, shape, v)
+        q.append(dom)
     return p, q
 
 
@@ -431,17 +441,38 @@ def insertion_table(n: int, r) -> tuple[tuple, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _insertion_table(n: int, r: int) -> tuple[tuple, ...]:
-    """The table shares one bitableau object per distinct tableau and one
+    """The windows are inserted in increasing order, so each window shares
+    its longest common prefix with the one before it, and the (P, shape)
+    after each letter of that prefix, with its part of Q, is reused: each
+    prefix is inserted once, sum_k 2^k n!/(n-k)! letters for k = 1..n
+    (632 at rank 4, 6,330 at rank 5) against n |W_n| one window at a time.
+    The table shares one bitableau object per distinct tableau and one
     shape object per bitableau."""
+    elements = kernel(n).elements
+    core = list(range(r, 0, -1))
+    # (P, shape) after each prefix of the last window, and its Q
+    states: list[tuple[list, list[int]]] = [([None] * n, core)]
+    grown: list[Domino] = []
+    last: tuple[int, ...] = ()
     image: dict[tuple[Domino, ...], tuple] = {}    # tableau -> (q~_r, shape)
-    table = []
-    for w in kernel(n).elements:
-        p, q = map(tuple, _insert(w.window, r))
+    table: list = [None] * len(elements)
+    for w in sorted(range(len(elements)), key=lambda k: elements[k].window):
+        window = elements[w].window
+        k = 0
+        while k < len(last) and window[k] == last[k]:
+            k += 1
+        del states[k + 1:], grown[k:]
+        for v in window[k:]:
+            p, shape, dom = _insert_letter(core, *states[-1], v)
+            states.append((p, shape))
+            grown.append(dom)
+        last = window
+        p, q = tuple(states[-1][0]), tuple(grown)
         for x in (p, q):
             if x not in image:
                 s = _qtilde(r, list(enumerate(x, 1)))
                 image[x] = (s, s.shape)
-        table.append((image[p][0], image[q][0], image[p][1]))
+        table[w] = (image[p][0], image[q][0], image[p][1])
     return tuple(table)
 
 

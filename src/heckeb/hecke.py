@@ -14,8 +14,9 @@ tz < z below a position z is v_t^{-1} times the one at z.  The sweep keeps
 each C_w only at its left-extremal positions, the z with tz < z for every
 left descent t of w (du Cloux's extremal pairs, Experiment. Math. 11, 2002),
 and reduces only the positions of C_w C_s that are extremal for (LD(w),
-{s}), where zs < z as well; _expand fills in a whole C_w for the callers
-that read one (kl_basis, cellularity_check).
+{s}), where zs < z as well; _expand fills in a whole C_w where one is
+read: in the sweep for each mu C_y with LD(y) != LD(w), once per y, and
+for kl_basis and cellularity_check.
 
 The mu and the descent sets are the W-graph of H_n: on the right,
 C_w T_s = v_s C_w when ws < w, and C_w T_s = C_{ws} + sum_y mu^s_{y,w} C_y
@@ -347,6 +348,13 @@ def _kl_sweep(n: int, order: XiOrder):
     is an LD(ws)-top gets the value at z shifted by -gamma_s; an ascent
     that is an LD(ws)-top goes up to one by the first fact.
 
+    Each C_y with LD(y) != I is expanded once per sweep, into a dict that
+    lives for this call only, so the sweep still retains (basis, wgraph,
+    coeffs) alone.  At rank 4, r = 1 that is 102 expansions where one per
+    mu made 280; at rank 5, r = 1 it is 1,464 where 7,182 were made, and
+    the dict holds their 936,694 terms, about 7 MB of the sweep's 55 MB
+    peak RSS (48 MB with one expansion per mu).
+
     The checks see every value a build computes, zeros included.  The
     first build of C_{ws} is checked, on its position -> id dict, to be
     T_{ws} plus strictly negative terms.  Every later build along another
@@ -393,6 +401,9 @@ def _kl_sweep(n: int, order: XiOrder):
     # per t: its left table and -gamma_t
     lowering = [(left, -generator_gamma(t))
                 for t, left in enumerate(kern.left)]
+    # y -> C_y expanded, for the mu C_y with LD(y) != LD(w); this sweep's
+    # only, dropped when it returns
+    expanded: dict[int, tuple[array, array]] = {}
 
     def times_c_s(w: int, i: int, ws: int) -> tuple[dict, dict]:
         """C_w C_s reduced to C_{ws} at the extremal positions for (LD(w),
@@ -445,8 +456,10 @@ def _kl_sweep(n: int, order: XiOrder):
                 if mu:
                     mus[y] = mu
                     mu = terms[mu]
-                    cy = basis[y] if ld[y] == lds else \
-                        _expand(kern, coeffs, y, basis[y])
+                    if ld[y] == lds:
+                        cy = basis[y]
+                    elif (cy := expanded.get(y)) is None:
+                        cy = expanded[y] = _expand(kern, coeffs, y, basis[y])
                     for z, cz in zip(*cy):
                         if table[z] > z or ld[z] & lds != lds:
                             continue
@@ -487,8 +500,12 @@ def _kl_sweep(n: int, order: XiOrder):
                     f"T[{kern.elements[ws]}] plus strictly negative "
                     f"terms at xi = {order.xi}")
             top = ld[ws]
-            kept = {z: c for z, c in c_ws.items()
-                    if c and ld[z] & top == top}
+            kept, off = {}, []
+            for z, c in c_ws.items():
+                if ld[z] & top != top:
+                    off.append((z, c))
+                elif c:
+                    kept[z] = c
             positions = sorted(kept)
             packed = (array("I", positions),
                       array("I", map(kept.__getitem__, positions)))
@@ -498,7 +515,7 @@ def _kl_sweep(n: int, order: XiOrder):
                 raise KLRecursionViolation(
                     f"C[{kern.elements[w]}] C[s{i}] gives a second "
                     f"C[{kern.elements[ws]}] at xi = {order.xi}")
-            for z, c in c_ws.items():
+            for z, c in off:
                 # up to the top x of W_{LD(ws)} z, and its value back down
                 x, path = z, []
                 while m := top & ~ld[x]:

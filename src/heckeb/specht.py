@@ -13,7 +13,8 @@ recovered from these trace functions: the traces of all standard basis
 elements on the simples are linearly independent, so each cell-module
 character decomposes uniquely.
 
-Only generic data are cached, for two (rank, slope) pairs (_generic_data).
+Only generic data are cached, for two (rank, slope) pairs (_generic_data),
+and the last 32 results of decomposition_numbers.
 The specialization at (e, d) is applied where it is read: nonzero_simples
 specializes the Gram forms, and decomposition_numbers specializes one cell
 module at a time inside its loop over shapes, so no specialized module
@@ -196,7 +197,7 @@ def _as_int(x: CycloNumber, n: int, e: int, d: int, r: int,
     return int(c)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def decomposition_numbers(n: int, e: int, d: int, r: int,
                           bound: int = SPECHT_BOUND):
     """Multiplicities [S_lam : D_mu] via trace functions.

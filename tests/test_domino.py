@@ -1,4 +1,5 @@
 import functools
+import math
 import subprocess
 import sys
 from collections import deque
@@ -369,6 +370,23 @@ class TestInsertionTable:
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_insertion_table_resolves_r_before_the_cache(n):
     assert insertion_table(n, INFINITY) is insertion_table(n, max(n - 1, 0))
+
+
+def test_insertion_table_inserts_each_prefix_once(monkeypatch):
+    # the windows share their prefixes: one letter per prefix of length
+    # k = 1..4, 2^k 4!/(4 - k)! of them, against 4 |W_4| = 1,536 letters
+    # inserted one window at a time
+    letters = []
+    insert_letter = domino._insert_letter
+
+    def counted(*args):
+        letters.append(args[-1])
+        return insert_letter(*args)
+
+    monkeypatch.setattr(domino, "_insert_letter", counted)
+    domino._insertion_table.__wrapped__(4, 1)
+    assert len(letters) == sum(2 ** k * math.perm(4, k)
+                               for k in range(1, 5)) == 632
 
 
 # Each invariant of the integer insertion core, broken by hand: a placed

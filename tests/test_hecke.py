@@ -451,6 +451,17 @@ RANK4_CHAMBER_SHA256 = {
 }
 
 
+# SHA-256 of the rank-4 W-graph: one line "i w y mu" per mu^s_{y,w} != 0,
+# s of index i, w in kernel order, then i, then y as the W-graph lists it;
+# captured before the sweep kept its expansions of the mu targets C_y.
+RANK4_WGRAPH_SHA256 = {
+    0: "04ac98b7fa86c844fdc0f38b09d813a2adde2b06f4b14189022bcf99969bcd79",
+    1: "cc2fa462bf2b0ee867f9c241e806930d33850848eb2eb00f5833b2e7096e046d",
+    2: "b1130bfb4a75ee5b1ace31138cc7b96fef2dfb459b818d4a619c26142554083b",
+    3: "e277990b678a14048a2666937adebca039f4d6448a69340c0249f618bbfbfbe8",
+}
+
+
 def basis_digest(order):
     basis = kl_basis(4, order)
     h = hashlib.sha256()
@@ -462,6 +473,19 @@ def basis_digest(order):
 @pytest.mark.parametrize("r", sorted(RANK4_BASIS_SHA256))
 def test_rank4_basis_digest(r):
     assert basis_digest(XiOrder.for_r(r)) == RANK4_BASIS_SHA256[r]
+
+
+@pytest.mark.parametrize("r", sorted(RANK4_WGRAPH_SHA256))
+def test_rank4_wgraph_digest(r):
+    _, wgraph, coeffs = hecke._kl_sweep(4, XiOrder.for_r(r))
+    elements = kernel(4).elements
+    h = hashlib.sha256()
+    for w, x in enumerate(elements):
+        for i, (starts, ys, mus) in enumerate(wgraph):
+            for k in range(starts[w], starts[w + 1]):
+                mu = ACoeff(dict(coeffs.terms[mus[k]]))
+                h.update(f"{i} {x} {elements[ys[k]]} {mu}\n".encode())
+    assert h.hexdigest() == RANK4_WGRAPH_SHA256[r]
 
 
 @pytest.mark.parametrize("xi", sorted(RANK4_CHAMBER_SHA256))
@@ -536,7 +560,8 @@ def mutated_kl_sweep(old, new):
 # Mutants of the sweep, each (old, new, start of the message it must raise):
 # a later build of C_{ws} with its last stored entry changed; every value
 # computed off the store shifted by gamma_s; and the partner rule with v_t
-# for a t of the other class than s (t = y s y^{-1} is conjugate to s).
+# for a t of the other class than s (t = y s y^{-1} is conjugate to s); and
+# the sweep's expansions of the mu targets keyed by LD(y) instead of y.
 SWEEP_MUTANTS = {
     "second_build": (
         "elif basis[ws] != packed:",
@@ -552,6 +577,12 @@ SWEEP_MUTANTS = {
         "work[y] = shift(c, -g)",
         "work[y] = shift(c, g - GAMMA_S - GAMMA_T)",
         ""),
+    "stale_expansion": (
+        "expanded.get(y)) is None:\n"
+        "                        cy = expanded[y] =",
+        "expanded.get(ld[y])) is None:\n"
+        "                        cy = expanded[ld[y]] =",
+        "plus strictly negative terms"),
 }
 
 
@@ -573,6 +604,29 @@ def test_unmutated_sweep_source_compiles_to_the_sweep():
     assert basis == cached[0] and wgraph == cached[1]
     # readers of the cached sweep may have appended values since
     assert cached[2].terms[:len(coeffs.terms)] == coeffs.terms
+
+
+def counted_expansions(monkeypatch):
+    """The list of the w of every later call of hecke._expand."""
+    expanded = []
+    expand = hecke._expand
+
+    def counted(kern, coeffs, w, stored):
+        expanded.append(w)
+        return expand(kern, coeffs, w, stored)
+
+    monkeypatch.setattr(hecke, "_expand", counted)
+    return expanded
+
+
+def test_sweep_expands_each_mu_target_once(monkeypatch):
+    # a mu C_y with LD(y) != LD(w) is subtracted from the expansion of
+    # C_y, made once per sweep: at rank 4, r = 1 the mu reach 102 such y,
+    # 280 times in all
+    expanded = counted_expansions(monkeypatch)
+    _, _, coeffs = hecke._kl_sweep.__wrapped__(4, XiOrder.for_r(1))
+    assert len(expanded) == len(set(expanded)) == 102
+    assert len(coeffs.terms) == 1225
 
 
 def test_sweep_retained_memory():
@@ -952,14 +1006,7 @@ def test_datum_expands_each_element_once(monkeypatch):
     order = XiOrder.for_r(1)
     datum = cell_datum(3, order)
     fresh = over_sweep(datum, datum.sweep)
-    expanded = []
-    expand = hecke._expand
-
-    def counted(kern, coeffs, w, stored):
-        expanded.append(w)
-        return expand(kern, coeffs, w, stored)
-
-    monkeypatch.setattr(hecke, "_expand", counted)
+    expanded = counted_expansions(monkeypatch)
     monkeypatch.setattr(hecke, "cell_datum", lambda *args: fresh)
     assert cellularity_check(3, order)["ok"]
     assert sorted(expanded) == list(range(len(kernel(3).elements)))
@@ -986,14 +1033,7 @@ def test_generic_data_expands_nothing(monkeypatch):
     # a datum that has read no C_w yet, with no C_w expanded
     datum = cell_datum(3, XiOrder.for_r(1))
     fresh = over_sweep(datum, datum.sweep)
-    expanded = []
-    expand = hecke._expand
-
-    def counted(kern, coeffs, w, stored):
-        expanded.append(w)
-        return expand(kern, coeffs, w, stored)
-
-    monkeypatch.setattr(hecke, "_expand", counted)
+    expanded = counted_expansions(monkeypatch)
     monkeypatch.setattr(specht, "cell_datum", lambda *args: fresh)
     specht._generic_data.__wrapped__(3, 1)
     assert expanded == []

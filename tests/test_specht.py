@@ -518,3 +518,14 @@ def test_only_generic_data_and_results_are_cached():
     assert {name: cached.cache_info().currsize
             for name, cached in specht_caches().items()} == {
         "_generic_data": 2, "decomposition_numbers": 15}
+
+
+def test_decomposition_numbers_cache_is_bounded():
+    # 33 distinct cases at n <= 3 leave the last 32 results
+    decomposition_numbers.cache_clear()
+    cases = [(n, e, d, r) for n in (1, 2, 3) for e in (2, 3, 4)
+             for d in range(e) for r in range(n)][:33]
+    for case in cases:
+        decomposition_numbers(*case)
+    info = decomposition_numbers.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (33, 32, 32)
