@@ -144,9 +144,6 @@ class DecompositionMatrix:
     def entry(self, lam: Bipartition, mu: Bipartition) -> VPoly:
         return self.entries.get((lam, mu), VPoly())
 
-    def at_one(self) -> dict[tuple[Bipartition, Bipartition], int]:
-        return {k: v.at_one() for k, v in self.entries.items()}
-
     def _fmt(self, p: VPoly) -> str:
         return str(p.at_one()) if self.v1 else str(p)
 

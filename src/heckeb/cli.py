@@ -13,6 +13,7 @@ subcommand's parser) would cost about a third of a small command's time;
 so this module imports nothing of the library at the top but `heckeb` and
 `heckeb.errors`, each `_run_*` imports the library names it calls, and
 `run` builds only the parser of the subcommand named by its first argument.
+Each subcommand is declared once, by the `_command` decorator on its runner.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ import sys
 from . import INFINITY, resolve_r
 from .errors import HeckebError, InvalidSlope
 
-# The subcommands whose computation has a size bound that --bound
-# overrides, and those that print a JSON report and take no --format.
-_BOUNDED = ("order", "klbasis", "cells", "check-conj-a", "check-cellular",
-           "theorem41", "specht")
-_JSON_REPORTS = ("check-conj-a", "check-cellular", "theorem41")
-# The formats a subcommand renders besides text and json.
-_MORE_FORMATS = {"order": ("dot",), "crystal": ("dot",), "decmat": ("tsv",),
-                 "specht": ("tsv",)}
 # The status of a process ended by SIGPIPE, as a shell reports it.
 EXIT_BROKEN_PIPE = 141
 
@@ -56,23 +49,57 @@ def _parse_charge(text: str) -> tuple[int, int]:
     return (int(bits[0]), int(bits[1]))
 
 
+# name: (runner, help, arguments, formats, bounded), in declaration order
+_COMMANDS = {}
+
+
+def _command(name: str, help: str, *arguments, formats=(), bounded=False):
+    """Declare the decorated runner as subcommand name.  Each argument is
+    the (flags, keywords) of one add_argument call; formats are those it
+    renders besides text and json, or None for a JSON report, which takes
+    no --format; bounded says whether --bound overrides its size bound."""
+    def declare(runner):
+        _COMMANDS[name] = (runner, help, arguments, formats, bounded)
+        return runner
+    return declare
+
+
+def _arg(*flags, **keywords):
+    return flags, keywords
+
+
+_N = _arg("--n", type=int, required=True)
+_R = _arg("--r", type=_parse_r, required=True)
+_R_OPTIONAL = _arg("--r", type=_parse_r)
+_E = _arg("--e", type=int, required=True)
+# The shared groups: a Fock space and a case of Theorem 4.1.
+_FOCK = (_arg("--charge", type=_parse_charge, required=True), _E, _N)
+_CASE = (_N, _E, _arg("--d", type=int, required=True), _R)
+
+
+def _slope(xi_help=None):
+    # the shared group of a rank and a weight order: --r, --xi or both
+    return _N, _R_OPTIONAL, _arg("--xi", help=xi_help)
+
+
 def _order_from(args, n: int):
     from fractions import Fraction
 
     from .laurent import XiOrder
 
-    r = resolve_r(args.r, n)
-    if getattr(args, "xi", None):
-        try:
-            xi = Fraction(args.xi)
-        except ZeroDivisionError:
-            raise InvalidSlope(f"xi = {args.xi} has a zero denominator") \
-                from None
-        order = XiOrder(xi)
-        if order.r != r:
-            raise ValueError(f"floor(xi) = {order.r} inconsistent with r = {r}")
-        return order
-    return XiOrder.for_r(r)
+    r = None if args.r is None else resolve_r(args.r, n)
+    if not args.xi:
+        if r is None:
+            raise ValueError("need --r or --xi")
+        return XiOrder.for_r(r)
+    try:
+        xi = Fraction(args.xi)
+    except ZeroDivisionError:
+        raise InvalidSlope(f"xi = {args.xi} has a zero denominator") from None
+    order = XiOrder(xi)
+    if r is not None and order.r != r:
+        raise ValueError(f"floor(xi) = {order.r} inconsistent with r = {r}")
+    return order
 
 
 def build_parser(name: str | None = None) -> _Parser:
@@ -80,115 +107,21 @@ def build_parser(name: str | None = None) -> _Parser:
     Either way the top-level usage lists every subcommand: the metavar
     repeats the choices that argparse writes for the whole tree."""
     top = _Parser(prog="heckeb")
-    only = name if name in _RUNNERS else None
+    only = name in _COMMANDS
     sub = top.add_subparsers(
         dest="subcommand", required=True,
-        **({"metavar": "{" + ",".join(_RUNNERS) + "}"} if only else {}))
-
-    def cmd(name, **kwargs):
-        if only not in (None, name):
-            return None
-        p = sub.add_parser(name, **kwargs)
-        if name not in _JSON_REPORTS:
+        **({"metavar": "{" + ",".join(_COMMANDS) + "}"} if only else {}))
+    for cmd in [name] if only else _COMMANDS:
+        _, help, arguments, formats, bounded = _COMMANDS[cmd]
+        p = sub.add_parser(cmd, help=help)
+        if formats is not None:
             p.add_argument("--format", default="text",
-                           choices=["json", *_MORE_FORMATS.get(name, ()),
-                                    "text"])
-        if name in _BOUNDED:
+                           choices=["json", *formats, "text"])
+        if bounded:
             p.add_argument("--bound", type=int, default=None,
                            help="override the built-in size bound")
-        return p
-
-    if p := cmd("bip", help="enumerate bipartitions of n"):
-        p.add_argument("--n", type=int, required=True)
-
-    if p := cmd("quotient", help="2-quotient maps"):
-        p.add_argument("--partition", help="partition, e.g. 643 or 10.4.3")
-        p.add_argument("--bipartition", help="bipartition, e.g. '(21;∅)'")
-        p.add_argument("--r", type=_parse_r, default=None)
-        p.add_argument("--inverse", action="store_true",
-                       help="apply the inverse quotient map "
-                            "(needs --bipartition)")
-
-    if p := cmd("order", help="dominance order: compare two bipartitions or "
-                              "print the Hasse diagram of Bip(n)"):
-        p.add_argument("--n", type=int)
-        p.add_argument("--r", type=_parse_r, required=True)
-        p.add_argument("--a", help="first bipartition for a comparison")
-        p.add_argument("--b", help="second bipartition for a comparison")
-
-    if p := cmd("insert", help="domino insertion of a signed permutation"):
-        p.add_argument("--w", required=True, help="window, e.g. '-1 3 2'")
-        p.add_argument("--r", type=_parse_r, required=True)
-
-    if p := cmd("klbasis", help="Kazhdan-Lusztig basis of H_n"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, required=True)
-        p.add_argument("--xi", help="exact slope p/q overriding r + 1/101")
-
-    if p := cmd("cells", help="Kazhdan-Lusztig cells of W_n"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, required=True)
-        p.add_argument("--xi")
-        p.add_argument("--side", default="LR", choices=["L", "R", "LR"])
-
-    if p := cmd("check-conj-a", help="compare cells with insertion fibers"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, required=True)
-        p.add_argument("--xi")
-
-    if p := cmd("check-cellular", help="verify the cellular-basis axiom"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, required=True)
-        p.add_argument("--xi")
-
-    if p := cmd("crystal", help="crystal graph of the Fock space"):
-        p.add_argument("--charge", type=_parse_charge, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-
-    if p := cmd("uglov", help="crystal vertices of rank n"):
-        p.add_argument("--charge", type=_parse_charge, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-
-    if p := cmd("canbasis", help="canonical basis of the Fock space"):
-        p.add_argument("--charge", type=_parse_charge, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, default=None)
-
-    if p := cmd("decmat", help="graded decomposition matrix"):
-        p.add_argument("--charge", type=_parse_charge, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, default=None)
-        p.add_argument("--v1", action="store_true", help="specialize at v = 1")
-
-    if p := cmd("charge", help="charge attached to (r, d, e)"):
-        p.add_argument("--r", type=_parse_r, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--n", type=int, default=None,
-                       help="rank used to resolve r = inf")
-
-    if p := cmd("gamma", help="crystal isomorphism between two charges"):
-        p.add_argument("--mu", required=True)
-        p.add_argument("--charge1", type=_parse_charge, required=True)
-        p.add_argument("--charge2", type=_parse_charge, required=True)
-        p.add_argument("--e", type=int, required=True)
-
-    if p := cmd("theorem41", help="decomposition numbers vs canonical basis"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, required=True)
-
-    if p := cmd("specht", help="simple labels and decomposition numbers"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--r", type=_parse_r, required=True)
-
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
     return top
 
 
@@ -210,6 +143,7 @@ def _bound(args) -> dict:
     return {} if args.bound is None else {"bound": args.bound}
 
 
+@_command("bip", "enumerate bipartitions of n", _N)
 def _run_bip(args) -> int:
     from .combinat import enumerate_bipartitions, format_bipartition
 
@@ -222,13 +156,17 @@ def _run_bip(args) -> int:
     return 0
 
 
+@_command("quotient", "2-quotient maps",
+          _arg("--partition", help="partition, e.g. 643 or 10.4.3"),
+          _arg("--bipartition", help="bipartition, e.g. '(21;∅)'"),
+          _R_OPTIONAL)
 def _run_quotient(args) -> int:
     from .combinat import (Bipartition, core_and_quotient, format_bipartition,
                            format_partition, parse_bipartition,
                            parse_partition, q_r, q_r_inverse)
 
-    if args.inverse or args.bipartition:
-        if not args.bipartition or args.r is None:
+    if args.bipartition:
+        if args.r is None:
             raise ValueError("inverse quotient needs --bipartition and --r")
         b = parse_bipartition(args.bipartition)
         r = resolve_r(args.r, b.size)
@@ -258,6 +196,12 @@ def _run_quotient(args) -> int:
     return 0
 
 
+@_command("order", "dominance order: compare two bipartitions or print the "
+                   "Hasse diagram of Bip(n)",
+          _arg("--n", type=int), _R,
+          _arg("--a", help="first bipartition for a comparison"),
+          _arg("--b", help="second bipartition for a comparison"),
+          formats=("dot",), bounded=True)
 def _run_order(args) -> int:
     from .combinat import format_bipartition, parse_bipartition
     from .orders import dominance_r, hasse
@@ -283,6 +227,8 @@ def _run_order(args) -> int:
     return 0
 
 
+@_command("insert", "domino insertion of a signed permutation",
+          _arg("--w", required=True, help="window, e.g. '-1 3 2'"), _R)
 def _run_insert(args) -> int:
     from .combinat import format_bipartition
     from .domino import SignedPermutation, insert, s_t_lambda, stl_json
@@ -300,6 +246,8 @@ def _run_insert(args) -> int:
     return 0
 
 
+@_command("klbasis", "Kazhdan-Lusztig basis of H_n",
+          *_slope("exact slope p/q overriding r + 1/101"), bounded=True)
 def _run_klbasis(args) -> int:
     from .domino import _len_key
     from .hecke import kl_basis
@@ -316,6 +264,9 @@ def _run_klbasis(args) -> int:
     return 0
 
 
+@_command("cells", "Kazhdan-Lusztig cells of W_n", *_slope(),
+          _arg("--side", default="LR", choices=["L", "R", "LR"]),
+          bounded=True)
 def _run_cells(args) -> int:
     from .domino import _len_key
     from .hecke import cells
@@ -333,6 +284,8 @@ def _run_cells(args) -> int:
     return 0
 
 
+@_command("check-conj-a", "compare cells with insertion fibers",
+          *_slope(), formats=None, bounded=True)
 def _run_check_conj_a(args) -> int:
     from .hecke import conjecture_a_report
 
@@ -342,6 +295,8 @@ def _run_check_conj_a(args) -> int:
     return 0 if report["ok"] else 2
 
 
+@_command("check-cellular", "verify the cellular-basis axiom", *_slope(),
+          formats=None, bounded=True)
 def _run_check_cellular(args) -> int:
     from .hecke import cellularity_check
 
@@ -351,6 +306,8 @@ def _run_check_cellular(args) -> int:
     return 0 if report["ok"] else 2
 
 
+@_command("crystal", "crystal graph of the Fock space", *_FOCK,
+          formats=("dot",))
 def _run_crystal(args) -> int:
     from .crystal import crystal_graph
 
@@ -360,6 +317,7 @@ def _run_crystal(args) -> int:
     return 0
 
 
+@_command("uglov", "crystal vertices of rank n", *_FOCK)
 def _run_uglov(args) -> int:
     from .combinat import format_bipartition
     from .crystal import uglov_bipartitions
@@ -374,6 +332,8 @@ def _run_uglov(args) -> int:
     return 0
 
 
+@_command("canbasis", "canonical basis of the Fock space", *_FOCK,
+          _R_OPTIONAL)
 def _run_canbasis(args) -> int:
     import json
 
@@ -395,6 +355,9 @@ def _run_canbasis(args) -> int:
     return 0
 
 
+@_command("decmat", "graded decomposition matrix", *_FOCK, _R_OPTIONAL,
+          _arg("--v1", action="store_true", help="specialize at v = 1"),
+          formats=("tsv",))
 def _run_decmat(args) -> int:
     from .canonical import decomposition_matrix
 
@@ -405,6 +368,9 @@ def _run_decmat(args) -> int:
     return 0
 
 
+@_command("charge", "charge attached to (r, d, e)", _R,
+          _arg("--d", type=int, required=True), _E,
+          _arg("--n", type=int, help="rank used to resolve r = inf"))
 def _run_charge(args) -> int:
     from .canonical import charge_from
 
@@ -420,6 +386,10 @@ def _run_charge(args) -> int:
     return 0
 
 
+@_command("gamma", "crystal isomorphism between two charges",
+          _arg("--mu", required=True),
+          _arg("--charge1", type=_parse_charge, required=True),
+          _arg("--charge2", type=_parse_charge, required=True), _E)
 def _run_gamma(args) -> int:
     from .canonical import gamma
     from .combinat import format_bipartition, parse_bipartition
@@ -436,6 +406,8 @@ def _run_gamma(args) -> int:
     return 0
 
 
+@_command("theorem41", "decomposition numbers vs canonical basis",
+          *_CASE, formats=None, bounded=True)
 def _run_theorem41(args) -> int:
     from .specht import theorem41_check, theorem41_json
 
@@ -446,6 +418,8 @@ def _run_theorem41(args) -> int:
     return 0 if report["status"] == "ok" else 2
 
 
+@_command("specht", "simple labels and decomposition numbers", *_CASE,
+          formats=("tsv",), bounded=True)
 def _run_specht(args) -> int:
     from .combinat import format_bipartition
     from .specht import decomposition_numbers
@@ -476,26 +450,6 @@ def _run_specht(args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "bip": _run_bip,
-    "quotient": _run_quotient,
-    "order": _run_order,
-    "insert": _run_insert,
-    "klbasis": _run_klbasis,
-    "cells": _run_cells,
-    "check-conj-a": _run_check_conj_a,
-    "check-cellular": _run_check_cellular,
-    "crystal": _run_crystal,
-    "uglov": _run_uglov,
-    "canbasis": _run_canbasis,
-    "decmat": _run_decmat,
-    "charge": _run_charge,
-    "gamma": _run_gamma,
-    "theorem41": _run_theorem41,
-    "specht": _run_specht,
-}
-
-
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
@@ -504,7 +458,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return _RUNNERS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except (HeckebError, ValueError) as exc:
         print(f"heckeb: error: {exc}", file=sys.stderr)
         return 1

@@ -195,22 +195,6 @@ class DominoTableau(Frozen):
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "dominoes", dominoes)
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(sorted(k for k, _ in self.dominoes))
-
-    def shape_at(self, k: int) -> Partition:
-        """Shape of core plus dominoes with entries at most k; raises
-        MalformedTableau unless each in turn extends a Young diagram."""
-        rows = list(self.core.parts)
-        for label, cells in sorted(self.dominoes):
-            if label <= k:
-                _place(rows, _domino(cells))
-        return Partition(tuple(rows))
-
-    def validate(self) -> None:
-        self.shape_at(max(self.entries, default=0))
-
     def to_text(self) -> str:
         grid = {}
         for (i, j) in self.core.cells():
@@ -239,15 +223,6 @@ Domino = tuple[int, int, bool]
 def _cells(dom: Domino) -> frozenset[Cell]:
     i, j, horizontal = dom
     return frozenset({(i, j), (i, j + 1) if horizontal else (i + 1, j)})
-
-
-def _domino(cells: frozenset[Cell]) -> Domino:
-    """The integer form of a domino given by its two cells."""
-    if len(cells) == 2:
-        (i, j), (k, l) = sorted(cells)
-        if (k - i, l - j) in ((0, 1), (1, 0)):
-            return i, j, k == i
-    raise MalformedTableau(f"{set(cells)} is not a domino")
 
 
 def _place(rows: list[int], dom: Domino) -> None:

@@ -3,17 +3,19 @@
 Each one computes by the definition what the library reaches another way,
 and no command of the library runs it: the classical dominance order
 written out, the Chevalley generator e_i and the weight N_i of the Fock
-space, the bitableau of a domino tableau read off its 2-core, the
-generators of W_n as signed permutations, and the strictly negative
-truncation that solves x - bar(x) = f in the bar-solve KL basis.
+space, the bitableau of a domino tableau read off its 2-core, the shapes
+a domino tableau grows through, the generators of W_n as signed
+permutations, and the strictly negative truncation that solves
+x - bar(x) = f in the bar-solve KL basis.
 """
 
 from itertools import accumulate
 from operator import le
 
 from heckeb.combinat import Partition, delta_core
-from heckeb.domino import DominoTableau, SignedPermutation, _domino, _qtilde
-from heckeb.errors import CoreMismatch, InvalidArgument, SizeMismatch
+from heckeb.domino import DominoTableau, SignedPermutation, _place, _qtilde
+from heckeb.errors import (CoreMismatch, InvalidArgument, MalformedTableau,
+                           SizeMismatch)
 from heckeb.fock import (FockVector, _check_residue, _without_node,
                          addable_nodes, node_key, removable_nodes, residue)
 from heckeb.laurent import ACoeff, VPoly, XiOrder
@@ -70,11 +72,39 @@ def staircase_index(core: Partition) -> int:
     return r
 
 
+def domino_of(cells):
+    """The integer form (row, column, horizontal) of a domino given by its
+    two cells."""
+    if len(cells) == 2:
+        (i, j), (k, l) = sorted(cells)
+        if (k - i, l - j) in ((0, 1), (1, 0)):
+            return i, j, k == i
+    raise MalformedTableau(f"{set(cells)} is not a domino")
+
+
+def tableau_entries(d: DominoTableau):
+    return tuple(sorted(k for k, _ in d.dominoes))
+
+
+def shape_at(d: DominoTableau, k: int) -> Partition:
+    """Shape of the core of d plus its dominoes with entries at most k;
+    raises MalformedTableau unless each in turn extends a Young diagram."""
+    rows = list(d.core.parts)
+    for label, cells in sorted(d.dominoes):
+        if label <= k:
+            _place(rows, domino_of(cells))
+    return Partition(tuple(rows))
+
+
+def validate_tableau(d: DominoTableau) -> None:
+    shape_at(d, max(tableau_entries(d), default=0))
+
+
 def qtilde_r(d: DominoTableau):
     """Bitableau image of a standard domino tableau: the box that each
     domino adds to the 2-quotient, read on the abacus (see domino._qtilde)."""
     return _qtilde(staircase_index(d.core),
-                   [(k, _domino(cells)) for k, cells in sorted(d.dominoes)])
+                   [(k, domino_of(cells)) for k, cells in sorted(d.dominoes)])
 
 
 def generator(n, i):

@@ -19,7 +19,8 @@ from heckeb.laurent import XiOrder, gauss_integer
 from heckeb.orders import dominance_r, hasse
 from heckeb.specht import theorem41_check
 
-from oracles import dominance_inf_explicit, e_action, qtilde_r, weight_ni
+from oracles import (dominance_inf_explicit, e_action, qtilde_r,
+                     validate_tableau, weight_ni)
 
 
 def B(text):
@@ -77,8 +78,8 @@ def test_c03_domino_insertion(r):
         seen = set()
         for w in group_elements(n):
             p, q = insert(w, r)
-            p.validate()
-            q.validate()
+            validate_tableau(p)
+            validate_tableau(q)
             s, t, lam = s_t_lambda(w, r)
             # (3.1): bitableaux computed through the quotient chain
             assert qtilde_r(p) == s and qtilde_r(q) == t

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from heckeb.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
+
+# The subcommands that take a weight order as --r, --xi or both.
+SLOPE_COMMANDS = ("klbasis", "cells", "check-conj-a", "check-cellular")
 
 # One malformed input per check that must raise a typed error, not an
 # assertion that python -O strips.
@@ -40,7 +44,7 @@ MALFORMED = {
                           "--r", "0"),
     **{f"xi-zero-denominator-{name}": (name, "--n", "2", "--r", "0",
                                        "--xi", "1/0")
-       for name in ("klbasis", "cells", "check-conj-a", "check-cellular")},
+       for name in SLOPE_COMMANDS},
 }
 
 # The README's CLI commands with the SHA-256 of b"exit <code>\n" + stdout,
@@ -57,6 +61,191 @@ SUBCOMMANDS = ("{bip,quotient,order,insert,klbasis,cells,check-conj-a,"
                "theorem41,specht}")
 TOP_USAGE = f"usage: heckeb [-h]\n              {SUBCOMMANDS}\n              ...\n"
 BIP_USAGE = "usage: heckeb bip [-h] [--format {json,text}] --n N\n"
+
+# `heckeb <subcommand> -h` at 80 columns.
+SUBCOMMAND_HELP = {
+    "bip": """\
+usage: heckeb bip [-h] [--format {json,text}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --n N
+""",
+    "quotient": """\
+usage: heckeb quotient [-h] [--format {json,text}] [--partition PARTITION]
+                       [--bipartition BIPARTITION] [--r R]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --partition PARTITION
+                        partition, e.g. 643 or 10.4.3
+  --bipartition BIPARTITION
+                        bipartition, e.g. '(21;∅)'
+  --r R
+""",
+    "order": """\
+usage: heckeb order [-h] [--format {json,dot,text}] [--bound BOUND] [--n N]
+                    --r R [--a A] [--b B]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,dot,text}
+  --bound BOUND         override the built-in size bound
+  --n N
+  --r R
+  --a A                 first bipartition for a comparison
+  --b B                 second bipartition for a comparison
+""",
+    "insert": """\
+usage: heckeb insert [-h] [--format {json,text}] --w W --r R
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --w W                 window, e.g. '-1 3 2'
+  --r R
+""",
+    "klbasis": """\
+usage: heckeb klbasis [-h] [--format {json,text}] [--bound BOUND] --n N
+                      [--r R] [--xi XI]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --bound BOUND         override the built-in size bound
+  --n N
+  --r R
+  --xi XI               exact slope p/q overriding r + 1/101
+""",
+    "cells": """\
+usage: heckeb cells [-h] [--format {json,text}] [--bound BOUND] --n N [--r R]
+                    [--xi XI] [--side {L,R,LR}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --bound BOUND         override the built-in size bound
+  --n N
+  --r R
+  --xi XI
+  --side {L,R,LR}
+""",
+    "check-conj-a": """\
+usage: heckeb check-conj-a [-h] [--bound BOUND] --n N [--r R] [--xi XI]
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND  override the built-in size bound
+  --n N
+  --r R
+  --xi XI
+""",
+    "check-cellular": """\
+usage: heckeb check-cellular [-h] [--bound BOUND] --n N [--r R] [--xi XI]
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND  override the built-in size bound
+  --n N
+  --r R
+  --xi XI
+""",
+    "crystal": """\
+usage: heckeb crystal [-h] [--format {json,dot,text}] --charge CHARGE --e E
+                      --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,dot,text}
+  --charge CHARGE
+  --e E
+  --n N
+""",
+    "uglov": """\
+usage: heckeb uglov [-h] [--format {json,text}] --charge CHARGE --e E --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --charge CHARGE
+  --e E
+  --n N
+""",
+    "canbasis": """\
+usage: heckeb canbasis [-h] [--format {json,text}] --charge CHARGE --e E --n N
+                       [--r R]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --charge CHARGE
+  --e E
+  --n N
+  --r R
+""",
+    "decmat": """\
+usage: heckeb decmat [-h] [--format {json,tsv,text}] --charge CHARGE --e E --n
+                     N [--r R] [--v1]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,tsv,text}
+  --charge CHARGE
+  --e E
+  --n N
+  --r R
+  --v1                  specialize at v = 1
+""",
+    "charge": """\
+usage: heckeb charge [-h] [--format {json,text}] --r R --d D --e E [--n N]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --r R
+  --d D
+  --e E
+  --n N                 rank used to resolve r = inf
+""",
+    "gamma": """\
+usage: heckeb gamma [-h] [--format {json,text}] --mu MU --charge1 CHARGE1
+                    --charge2 CHARGE2 --e E
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --mu MU
+  --charge1 CHARGE1
+  --charge2 CHARGE2
+  --e E
+""",
+    "theorem41": """\
+usage: heckeb theorem41 [-h] [--bound BOUND] --n N --e E --d D --r R
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND  override the built-in size bound
+  --n N
+  --e E
+  --d D
+  --r R
+""",
+    "specht": """\
+usage: heckeb specht [-h] [--format {json,tsv,text}] [--bound BOUND] --n N --e
+                     E --d D --r R
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,tsv,text}
+  --bound BOUND         override the built-in size bound
+  --n N
+  --e E
+  --d D
+  --r R
+""",
+}
 
 # argv: (exit code, stdout, stderr) of `python -m heckeb.cli argv` at 80
 # columns, captured when every command built the whole parser.
@@ -87,12 +276,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """, ""),
-    ("bip", "-h"): (0, BIP_USAGE + """
-options:
-  -h, --help            show this help message and exit
-  --format {json,text}
-  --n N
-""", ""),
+    **{(name, "-h"): (0, text, "") for name, text in SUBCOMMAND_HELP.items()},
     ("nosuch",): (1, "", TOP_USAGE + (
         "heckeb: error: argument subcommand: invalid choice: 'nosuch' "
         "(choose from 'bip', 'quotient', 'order', 'insert', 'klbasis', "
@@ -132,7 +316,7 @@ class TestBasics:
         q_r_line = [l for l in out.splitlines() if l.startswith("q_r")][0]
         bip = q_r_line.split(": ")[1]
         code2, out2, _ = invoke(capsys, "quotient", "--bipartition", bip,
-                                "--r", "1", "--inverse")
+                                "--r", "1")
         assert code2 == 0 and out2.strip() == "643"
 
     def test_charge(self, capsys):
@@ -262,7 +446,9 @@ class TestChecksAndExitCodes:
         ("bip", "--n", "2", "--bound", "0"),
         ("check-conj-a", "--n", "2", "--r", "0", "--format", "json"),
         ("bip", "--n", "3", "--format", "dot"),
-    ], ids=["jobs", "bound", "format-on-json-report", "format-not-rendered"])
+        ("quotient", "--bipartition", "(2;1)", "--r", "1", "--inverse"),
+    ], ids=["jobs", "bound", "format-on-json-report", "format-not-rendered",
+            "inverse"])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
@@ -281,6 +467,19 @@ class TestChecksAndExitCodes:
             code, _, _ = invoke(capsys, name, "--format", fmt, "-h")
             assert code == (0 if fmt in ("text", "json", rendered.get(name))
                             else 1), fmt
+
+    @pytest.mark.parametrize("name", SLOPE_COMMANDS)
+    @pytest.mark.parametrize("xi", ["1/3", "3/2"])
+    def test_xi_alone_gives_r(self, capsys, name, xi):
+        alone = invoke(capsys, name, "--n", "2", "--xi", xi)
+        assert alone[0] == 0
+        assert alone == invoke(capsys, name, "--n", "2", "--xi", xi,
+                               "--r", str(int(Fraction(xi))))
+
+    @pytest.mark.parametrize("name", SLOPE_COMMANDS)
+    def test_weight_order_needs_r_or_xi(self, capsys, name):
+        assert invoke(capsys, name, "--n", "2") == (
+            1, "", "heckeb: error: need --r or --xi\n")
 
     def test_xi_consistency_enforced(self, capsys):
         code, _, err = invoke(capsys, "klbasis", "--n", "2", "--r", "1",

@@ -16,7 +16,8 @@ from heckeb.domino import (DominoTableau, SignedPermutation,
 from heckeb.errors import InvalidArgument, MalformedTableau
 
 from hook_lengths import bipartitions_of_shape_count
-from oracles import generator, qtilde_r, staircase_index
+from oracles import (generator, qtilde_r, shape_at, staircase_index,
+                     tableau_entries, validate_tableau)
 
 
 def bfs_group_elements(n):
@@ -43,8 +44,8 @@ def quotient_chain_qtilde_r(d):
     r = staircase_index(d.core)
     comps = [[], []]
     prev = q_r(d.core, r)
-    for k in d.entries:
-        cur = q_r(d.shape_at(k), r)
+    for k in tableau_entries(d):
+        cur = q_r(shape_at(d, k), r)
         grown = [(c, i) for c in (0, 1)
                  for i in range(1, len(cur.component(c).parts) + 1)
                  if cur.component(c).part(i) != prev.component(c).part(i)]
@@ -302,7 +303,7 @@ class TestInsertion:
         for n in range(1, 5):
             for w in group_elements(n):
                 p, _ = insert(w, r)
-                p.validate()
+                validate_tableau(p)
                 s = qtilde_r(p)
                 s.validate()
                 assert s == s_t_lambda(w, r)[0]
