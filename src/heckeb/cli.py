@@ -166,6 +166,8 @@ def _run_quotient(args) -> int:
                            parse_partition, q_r, q_r_inverse)
 
     if args.bipartition:
+        if args.partition:
+            raise ValueError("give --partition or --bipartition, not both")
         if args.r is None:
             raise ValueError("inverse quotient needs --bipartition and --r")
         b = parse_bipartition(args.bipartition)
@@ -209,6 +211,10 @@ def _run_order(args) -> int:
     if args.a or args.b:
         if not (args.a and args.b):
             raise ValueError("comparison needs both --a and --b")
+        if args.n is not None or args.bound is not None \
+                or args.format == "dot":
+            raise ValueError("a comparison takes no --n, --bound or "
+                             "--format dot")
         a, b = parse_bipartition(args.a), parse_bipartition(args.b)
         res = dominance_r(a, b, args.r)
         if args.format == "json":

@@ -57,14 +57,11 @@ class Partition(Frozen):
         """Part in row i (1-based); zero beyond the last row."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
-    def with_box(self, row: int) -> "Partition":
-        """Partition with one extra box in the given (1-based) row."""
-        parts = list(self.parts)
-        if row == len(parts) + 1:
-            parts.append(1)
-        else:
-            parts[row - 1] += 1
-        return Partition(tuple(parts))
+    def with_boxes(self, rows: tuple[int, ...]) -> "Partition":
+        """Partition with one extra box in each of the given (1-based)
+        rows."""
+        parts = [x + (r in rows) for r, x in enumerate(self.parts + (0,), 1)]
+        return Partition(tuple(parts) if parts[-1] else tuple(parts[:-1]))
 
     def without_box(self, row: int) -> "Partition":
         parts = list(self.parts)

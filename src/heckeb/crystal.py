@@ -19,20 +19,15 @@ import json
 from . import Value, check_e, check_n
 from .combinat import Bipartition, Partition, format_bipartition
 from .errors import ChargeOutOfRange
-from .fock import (Charge, Node, addable_nodes, removable_nodes, residue,
-                   node_key, _check_residue, _with_node, _without_node)
+from .fock import Charge, Node, i_nodes, residue, _with_node, _without_node
 
 
 def signature_word(bip: Bipartition, s: Charge, e: int, i: int) \
         -> list[tuple[str, Node]]:
-    """Addable/removable i-nodes in increasing order, tagged 'A' or 'R',
-    after cancelling each removable immediately left of an addable."""
-    _check_residue(i, e)
-    tagged = [("A", g) for g in addable_nodes(bip) if residue(g, s, e) == i]
-    tagged += [("R", g) for g in removable_nodes(bip) if residue(g, s, e) == i]
-    tagged.sort(key=lambda t: node_key(t[1], s))
+    """The i-nodes of bip (fock.i_nodes) after cancelling each removable
+    immediately left of an addable."""
     reduced: list[tuple[str, Node]] = []
-    for t in tagged:
+    for t in i_nodes(bip, s, e, i):
         if reduced and reduced[-1][0] == "R" and t[0] == "A":
             reduced.pop()
         else:

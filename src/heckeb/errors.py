@@ -43,10 +43,9 @@ class BadResidue(HeckebError):
 
 
 class NonIntegralDivision(HeckebError):
-    """Exact division of Laurent polynomials, or of a cyclotomic
-    polynomial's multiple by lower ones, left a remainder, or a cyclotomic
-    number shares a factor with its modulus; signals a convention bug
-    upstream."""
+    """Dividing x^m - 1 by the lower cyclotomic polynomials left a
+    remainder, or a cyclotomic number shares a factor with its modulus;
+    signals a convention bug upstream."""
 
 
 class NotUglov(HeckebError):

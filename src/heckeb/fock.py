@@ -6,16 +6,28 @@ set of all bipartitions; the Chevalley generator f_i acts by adding boxes
 of residue i, with v-power coefficients read off a total order on boxes (by
 content, ties broken towards the second component).  The tests check it
 against e_i, which removes boxes, through the commutator [e_i, f_j].
+
+The divided power f_i^{(a)} = f_i^a / [a]! is computed in closed form:
+
+    f_i^{(a)} |lambda> = sum_A v^{N(A)} |lambda + A>,
+    N(A) = sum_{g in A} n_g - a(a-1)/2,
+
+over the sets A of a addable i-nodes of lambda, where n_g is the number of
+addable minus removable i-nodes of lambda above g.  Adjacent nodes have
+different residues, so adding i-nodes changes no other node's being an
+addable or removable i-node; each pair in A is counted once too often in
+the sum, at its lower node.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from . import Value, check_e
 from .combinat import Bipartition, Partition, format_bipartition
 from .errors import BadResidue, IncompatibleCharges, InvalidArgument
-from .laurent import VPoly, V_ONE, gauss_factorial
+from .laurent import VPoly, V_ONE
 
 Charge = tuple[int, int]
 Node = tuple[int, int, int]  # (row, col, component), rows/cols 1-based
@@ -56,9 +68,20 @@ def removable_nodes(bip: Bipartition) -> list[Node]:
     return out
 
 
+def i_nodes(bip: Bipartition, s: Charge, e: int, i: int) \
+        -> list[tuple[str, Node]]:
+    """The addable and removable i-nodes of bip, tagged 'A' or 'R', in
+    increasing node order."""
+    _check_residue(i, e)
+    tagged = [("A", g) for g in addable_nodes(bip) if residue(g, s, e) == i]
+    tagged += [("R", g) for g in removable_nodes(bip) if residue(g, s, e) == i]
+    tagged.sort(key=lambda t: node_key(t[1], s))
+    return tagged
+
+
 def _with_node(bip: Bipartition, node: Node) -> Bipartition:
     r, _, c = node
-    return bip.with_component(c, bip.component(c).with_box(r))
+    return bip.with_component(c, bip.component(c).with_boxes((r,)))
 
 
 def _without_node(bip: Bipartition, node: Node) -> Bipartition:
@@ -148,33 +171,39 @@ class FockVector(Value):
 
 
 def f_action(i: int, vec: FockVector) -> FockVector:
-    """f_i: add one box of residue i in all ways, with exponent
-    (higher addable i-nodes of the source) - (higher removable i-nodes of
-    the target)."""
-    _check_residue(i, vec.e)
-    s, e = vec.s, vec.e
-    out: dict[Bipartition, VPoly] = {}
-    for bip, c in vec.terms.items():
-        add_i = [g for g in addable_nodes(bip) if residue(g, s, e) == i]
-        for g in add_i:
-            target = _with_node(bip, g)
-            d = sum(1 for h in add_i if node_key(h, s) > node_key(g, s)) \
-                - sum(1 for h in removable_nodes(target)
-                      if residue(h, s, e) == i and node_key(h, s) > node_key(g, s))
-            out[target] = out.get(target, VPoly()) + c * VPoly.monomial(d)
-    return FockVector(s, e, out)
+    """f_i: add one box of residue i in all ways."""
+    return divided_power_f(i, 1, vec)
 
 
 def divided_power_f(i: int, a: int, vec: FockVector) -> FockVector:
-    """f_i^{(a)} = f_i^a / [a]!; the division is exact on any vector."""
+    """f_i^{(a)}, by the closed form of the module docstring."""
+    _check_residue(i, vec.e)
     if a < 0:
         raise InvalidArgument(f"divided power a = {a} must be non-negative")
-    out = vec
-    for _ in range(a):
-        out = f_action(i, out)
-    fact = gauss_factorial(a)
-    return FockVector(vec.s, vec.e,
-                      {b: c.exact_div(fact) for b, c in out.terms.items()})
+    s, e = vec.s, vec.e
+    shift = a * (a - 1) // 2
+    out: dict[Bipartition, VPoly] = {}
+    for bip, c in vec.terms.items():
+        addable, n = [], 0  # (g, n_g), walking down from the highest node
+        for tag, g in reversed(i_nodes(bip, s, e, i)):
+            if tag == "A":
+                addable.append((g, n))
+                n += 1
+            else:
+                n -= 1
+        # each component is built once for each set of rows it grows in
+        built = {(k, ()): bip.component(k) for k in (0, 1)}
+        for subset in combinations(addable, a):
+            comps = []
+            for k in (0, 1):
+                rows = tuple(g[0] for g, _ in subset if g[2] == k)
+                if (k, rows) not in built:
+                    built[k, rows] = bip.component(k).with_boxes(rows)
+                comps.append(built[k, rows])
+            d = sum(n_g for _, n_g in subset) - shift
+            target = Bipartition(*comps)
+            out[target] = out.get(target, VPoly()) + c * VPoly.monomial(d)
+    return FockVector(s, e, out)
 
 
 def _check_residue(i: int, e: int):

@@ -16,8 +16,8 @@ Two rings live here, sharing the ring code of the base class Laurent:
   the pairs only while the beta of the sum stays in range; every exponent
   met in H_n lies within l(w_0) = n^2 (see hecke), far inside it.
 
-* VPoly -- Laurent polynomials in the crystal variable v, with Gaussian
-  integers and exact division for divided powers.
+* VPoly -- Laurent polynomials in the crystal variable v, the coefficients
+  of the Fock space.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 
-from . import Frozen, check_n
-from .errors import (InvalidArgument, InvalidSlope, IrrationalityViolation,
-                     NonIntegralDivision)
+from . import Frozen
+from .errors import InvalidArgument, InvalidSlope, IrrationalityViolation
 
 _SHIFT = 16
 _HALF = 1 << 15
@@ -239,46 +238,9 @@ class VPoly(Laurent):
     def at_one(self) -> int:
         return sum(self.terms.values())
 
-    def exact_div(self, other: "VPoly") -> "VPoly":
-        """Exact division; raises NonIntegralDivision on any remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError
-        rem = dict(self.terms)
-        top = max(other.terms)
-        lead = other.terms[top]
-        # any true quotient term is at least this low; going below means
-        # the division does not terminate
-        floor = (min(self.terms) - min(other.terms)) if self.terms else 0
-        out: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            if c % lead != 0 or e - top < floor:
-                raise NonIntegralDivision(f"{self} not divisible by {other}")
-            q, qe = c // lead, e - top
-            out[qe] = q
-            for oe, oc in other.terms.items():
-                ne = qe + oe
-                rem[ne] = rem.get(ne, 0) - q * oc
-                if rem[ne] == 0:
-                    del rem[ne]
-        return VPoly(out)
-
     def _monomial_text(self, exp: int) -> str:
         return "" if exp == 0 else "v" if exp == 1 else f"v^{exp}"
 
 
 V_ONE = VPoly.integer(1)
 
-
-def gauss_integer(n: int) -> VPoly:
-    """[n]_v = (v^n - v^{-n}) / (v - v^{-1})."""
-    check_n(n)
-    return VPoly({n - 1 - 2 * i: 1 for i in range(n)})
-
-
-def gauss_factorial(n: int) -> VPoly:
-    out = V_ONE
-    for i in range(1, n + 1):
-        out = out * gauss_integer(i)
-    return out

@@ -3,22 +3,26 @@
 Each one computes by the definition what the library reaches another way,
 and no command of the library runs it: the classical dominance order
 written out, the Chevalley generator e_i and the weight N_i of the Fock
-space, the bitableau of a domino tableau read off its 2-core, the shapes
-a domino tableau grows through, the generators of W_n as signed
-permutations, and the strictly negative truncation that solves
-x - bar(x) = f in the bar-solve KL basis.
+space, the divided power f_i^{(a)} as f_i^a divided by [a]!, with the
+Gaussian integers [n], their factorials [n]! and the exact division of
+Laurent polynomials in v that it takes, the bitableau of a domino tableau
+read off its 2-core, the shapes a domino tableau grows through, the
+generators of W_n as signed permutations, and the strictly negative
+truncation that solves x - bar(x) = f in the bar-solve KL basis.
 """
 
 from itertools import accumulate
 from operator import le
 
+from heckeb import check_n
 from heckeb.combinat import Partition, delta_core
 from heckeb.domino import DominoTableau, SignedPermutation, _place, _qtilde
 from heckeb.errors import (CoreMismatch, InvalidArgument, MalformedTableau,
-                           SizeMismatch)
+                           NonIntegralDivision, SizeMismatch)
 from heckeb.fock import (FockVector, _check_residue, _without_node,
-                         addable_nodes, node_key, removable_nodes, residue)
-from heckeb.laurent import ACoeff, VPoly, XiOrder
+                         addable_nodes, f_action, node_key, removable_nodes,
+                         residue)
+from heckeb.laurent import V_ONE, ACoeff, VPoly, XiOrder
 
 
 def dominance_inf_explicit(a, b):
@@ -62,6 +66,57 @@ def e_action(i, vec):
                       if residue(h, s, e) == i and node_key(h, s) < node_key(g, s))
             out[target] = out.get(target, VPoly()) + c * VPoly.monomial(d)
     return FockVector(s, e, out)
+
+
+def gauss_integer(n):
+    """[n]_v = (v^n - v^{-n}) / (v - v^{-1})."""
+    check_n(n)
+    return VPoly({n - 1 - 2 * i: 1 for i in range(n)})
+
+
+def gauss_factorial(n):
+    out = V_ONE
+    for i in range(1, n + 1):
+        out = out * gauss_integer(i)
+    return out
+
+
+def exact_div(p, q):
+    """p / q for Laurent polynomials in v; raises NonIntegralDivision on
+    any remainder."""
+    if q.is_zero():
+        raise ZeroDivisionError
+    rem = dict(p.terms)
+    top = max(q.terms)
+    lead = q.terms[top]
+    # any true quotient term is at least this low; going below means
+    # the division does not terminate
+    floor = (min(p.terms) - min(q.terms)) if p.terms else 0
+    out = {}
+    while rem:
+        e = max(rem)
+        c = rem[e]
+        if c % lead != 0 or e - top < floor:
+            raise NonIntegralDivision(f"{p} not divisible by {q}")
+        k, ke = c // lead, e - top
+        out[ke] = k
+        for qe, qc in q.terms.items():
+            ne = ke + qe
+            rem[ne] = rem.get(ne, 0) - k * qc
+            if rem[ne] == 0:
+                del rem[ne]
+    return VPoly(out)
+
+
+def raw_divided_power(i, a, vec):
+    """f_i^{(a)} as f_i applied a times, each coefficient then divided by
+    [a]!; the division is exact on any vector."""
+    out = vec
+    for _ in range(a):
+        out = f_action(i, out)
+    fact = gauss_factorial(a)
+    return FockVector(vec.s, vec.e,
+                      {b: exact_div(c, fact) for b, c in out.terms.items()})
 
 
 def staircase_index(core: Partition) -> int:

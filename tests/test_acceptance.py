@@ -15,12 +15,12 @@ from heckeb.domino import group_elements, insert, s_t_lambda
 from heckeb.fock import FockVector, f_action
 from heckeb.hecke import cells, cellularity_check, conjecture_a_report, \
     kl_basis
-from heckeb.laurent import XiOrder, gauss_integer
+from heckeb.laurent import XiOrder
 from heckeb.orders import dominance_r, hasse
 from heckeb.specht import theorem41_check
 
-from oracles import (dominance_inf_explicit, e_action, qtilde_r,
-                     validate_tableau, weight_ni)
+from oracles import (dominance_inf_explicit, e_action, gauss_integer,
+                     qtilde_r, validate_tableau, weight_ni)
 
 
 def B(text):

@@ -454,6 +454,28 @@ class TestChecksAndExitCodes:
         assert code == 1 and out == ""
         assert_one_error_line(err)
 
+    @pytest.mark.parametrize("argv", [
+        ("quotient", "--partition", "643", "--bipartition", "(2;1)",
+         "--r", "1"),
+        ("order", "--n", "3", "--a", "(1;1)", "--b", "(2;∅)", "--r", "0"),
+        ("order", "--a", "(1;1)", "--b", "(2;∅)", "--r", "0",
+         "--bound", "3"),
+        ("order", "--a", "(1;1)", "--b", "(2;∅)", "--r", "0",
+         "--format", "dot"),
+    ], ids=["quotient-both-ways", "compare-n", "compare-bound",
+            "compare-dot"])
+    def test_flags_the_mode_does_not_read_are_usage_errors(self, capsys,
+                                                            argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert len(err.splitlines()) == 1
+
+    def test_order_compare_json(self, capsys):
+        code, out, _ = invoke(capsys, "order", "--a", "(1;1)", "--b", "(2;∅)",
+                              "--r", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["le"] is True
+
     @pytest.mark.parametrize("name", [
         "bip", "quotient", "order", "insert", "klbasis", "cells", "crystal",
         "uglov", "canbasis", "decmat", "charge", "gamma", "specht"])

@@ -5,9 +5,10 @@ from heckeb.errors import (BadResidue, IncompatibleCharges, InvalidArgument,
                            NonIntegralDivision)
 from heckeb.fock import (FockVector, addable_nodes, divided_power_f, f_action,
                          fock_modules_isomorphic, removable_nodes)
-from heckeb.laurent import VPoly, gauss_integer
+from heckeb.laurent import VPoly
 
-from oracles import e_action, weight_ni
+from oracles import (e_action, exact_div, gauss_integer, raw_divided_power,
+                     weight_ni)
 
 
 def B(a, b):
@@ -81,14 +82,35 @@ class TestDividedPowers:
         assert out.terms == {B([1], [1]): VPoly.integer(1)}
 
     def test_a_one_is_f(self):
+        # the 1-nodes of (1;∅) are (2,1,0) below (1,2,0), both addable
         x = FockVector.basis(B([1], []), (0, 0), 2)
-        assert divided_power_f(1, 1, x) == f_action(1, x)
+        assert divided_power_f(1, 1, x).terms == {
+            B([2], []): VPoly.integer(1), B([1, 1], []): VPoly.monomial(1)}
 
     def test_non_integral_guard(self):
         # dividing a plain basis vector by [2]! must fail
         with pytest.raises(NonIntegralDivision):
-            FockVector.vacuum((0, 0), 2).terms  # setup only
-            VPoly.integer(1).exact_div(gauss_integer(2))
+            exact_div(VPoly.integer(1), gauss_integer(2))
+
+    @pytest.mark.parametrize("s", [(0, 0), (1, 0), (2, 0), (-1, 0), (0, 3)])
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_closed_form_matches_division(self, s, e):
+        # f_i^{(a)} in closed form against f_i^a / [a]!
+        for n in range(5):
+            for b in enumerate_bipartitions(n):
+                x = FockVector.basis(b, s, e)
+                for i in range(e):
+                    for a in range(4):
+                        assert divided_power_f(i, a, x) == \
+                            raw_divided_power(i, a, x), (b, i, a)
+
+    @pytest.mark.parametrize("vec", [FockVector.vacuum((0, 0), 2),
+                                     FockVector((0, 0), 2)],
+                             ids=["vacuum", "zero"])
+    @pytest.mark.parametrize("a", [0, 1, -1])
+    def test_residue_checked_first(self, vec, a):
+        with pytest.raises(BadResidue):
+            divided_power_f(5, a, vec)
 
 
 class TestCharges:

@@ -34,6 +34,8 @@ NOT_RUN = {
                             "at larger sizes are to be run through it",
     "cli.main": "the entry point, which only a subprocess test runs",
     "domino.reduced_word": _PERFBENCH,
+    "fock.f_action": "a perfbench metric reads it (ROADMAP item 12), and "
+                     "the tests' [e_i, f_j] oracle calls it",
     "hecke.bar": _ALGEBRA,
     "hecke.HeckeElement.coeff": _ALGEBRA,
     "hecke.HeckeElement.is_zero": _ALGEBRA,
