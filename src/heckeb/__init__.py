@@ -90,9 +90,10 @@ def bits(x: int):
 
 def resolve_r(r, n: int) -> int:
     """The staircase index r of rank n as an integer: r = inf stands for
-    n - 1, the least r from which all the r-orders on Bip(n) agree."""
+    n - 1, the least r from which all the r-orders on Bip(n) agree.  Only
+    then is n read, so only then is it checked."""
     if r == INFINITY:
-        return max(n - 1, 0)
+        return max(check_n(n) - 1, 0)
     if not isinstance(r, int) or r < 0:
         raise InvalidArgument(f"r = {r} must be a non-negative integer or inf")
     return r

@@ -184,11 +184,12 @@ def _run_quotient(args) -> int:
         raise ValueError("need --partition or --bipartition")
     p = parse_partition(args.partition)
     core, quot = core_and_quotient(p)
+    quotient = Bipartition(*quot)
     out = {"schema": "1", "partition": format_partition(p),
            "core": format_partition(core),
-           "quotient": format_bipartition(Bipartition(*quot))}
+           "quotient": format_bipartition(quotient)}
     if args.r is not None:
-        r = resolve_r(args.r, p.size // 2)
+        r = resolve_r(args.r, quotient.size)
         out["r"] = r
         out["q_r"] = format_bipartition(q_r(p, r))
     if args.format == "json":

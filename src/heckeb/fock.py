@@ -182,7 +182,7 @@ def divided_power_f(i: int, a: int, vec: FockVector) -> FockVector:
         raise InvalidArgument(f"divided power a = {a} must be non-negative")
     s, e = vec.s, vec.e
     shift = a * (a - 1) // 2
-    out: dict[Bipartition, VPoly] = {}
+    out: dict[Bipartition, dict[int, int]] = {}
     for bip, c in vec.terms.items():
         addable, n = [], 0  # (g, n_g), walking down from the highest node
         for tag, g in reversed(i_nodes(bip, s, e, i)):
@@ -201,9 +201,10 @@ def divided_power_f(i: int, a: int, vec: FockVector) -> FockVector:
                     built[k, rows] = bip.component(k).with_boxes(rows)
                 comps.append(built[k, rows])
             d = sum(n_g for _, n_g in subset) - shift
-            target = Bipartition(*comps)
-            out[target] = out.get(target, VPoly()) + c * VPoly.monomial(d)
-    return FockVector(s, e, out)
+            acc = out.setdefault(Bipartition(*comps), {})
+            for exp, x in c.terms.items():
+                acc[exp + d] = acc.get(exp + d, 0) + x
+    return FockVector(s, e, {b: VPoly(t) for b, t in out.items()})
 
 
 def _check_residue(i: int, e: int):

@@ -38,7 +38,7 @@ The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
 the preorders are bitsets closed along successor lists, whose cells are
 compared with the insertion fibers as bitsets too.  Signed permutations
-appear only at the public boundary (HeckeElement, kl_basis, cells, w_of).
+appear only at the public boundary (HeckeElement, kl_basis, cells).
 
 An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
 it while |beta| < 2^15.  Every exponent met in H_n stays within
@@ -717,21 +717,19 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 
 class CellDatum(Value):
     """Graham-Lehrer style quadruple, an index over the KL sweep it was
-    built from: C_{S,T} = dagger(C_w) for w = w_of[(S, T)], and sweep the
-    (basis, wgraph, coeffs) of _kl_sweep at (n, order)."""
+    built from: sbt the standard bitableaux of each shape, shapes sorted;
+    C_{S,T} = dagger(C_w) at the kernel position w = w_of[(S, T)]; and
+    sweep the (basis, wgraph, coeffs) of _kl_sweep at (n, order)."""
 
-    _fields = ("n", "order", "r", "shapes", "sbt", "w_of", "sweep")
+    _fields = ("n", "order", "sbt", "w_of", "sweep")
 
     def __init__(
-            self, n: int, order: XiOrder, r: int, shapes: list[Bipartition],
+            self, n: int, order: XiOrder,
             sbt: dict[Bipartition, list[StandardBitableau]],
-            w_of: dict[tuple[StandardBitableau, StandardBitableau],
-                       SignedPermutation],
+            w_of: dict[tuple[StandardBitableau, StandardBitableau], int],
             sweep: tuple):
         self.n = n
         self.order = order
-        self.r = r
-        self.shapes = shapes
         self.sbt = sbt
         self.w_of = w_of
         self.sweep = sweep
@@ -750,27 +748,27 @@ def cell_datum(n: int, order: XiOrder) -> CellDatum:
     if not all(c["ok"] for c in _cell_clauses(n, order)[0].values()):
         raise ConjectureAViolation(json.dumps(
             conjecture_a_report(n, order, n)))
-    r = order.r
-    index, table = kernel(n).index, insertion_table(n, r)
+    index, table = kernel(n).index, insertion_table(n, order.r)
     w_of = {}
-    sbt: dict[Bipartition, list] = {}
+    by_shape: dict[Bipartition, list] = {}
     for w in group_elements(n):
-        s, t, lam = table[index[w]]
-        w_of[(s, t)] = w
-        if s not in sbt.setdefault(lam, []):
-            sbt[lam].append(s)
-    for lam in sbt:
-        sbt[lam].sort(key=lambda x: (x.first, x.second))
-    shape_list = sorted(sbt)
-    return CellDatum(n, order, r, shape_list, sbt, w_of, _kl_sweep(n, order))
+        v = index[w]
+        s, t, lam = table[v]
+        w_of[(s, t)] = v
+        # insertion is onto the same-shape pairs, so each S meets (S, S) once
+        if s == t:
+            by_shape.setdefault(lam, []).append(s)
+    sbt = {lam: sorted(by_shape[lam], key=lambda x: (x.first, x.second))
+           for lam in sorted(by_shape)}
+    return CellDatum(n, order, sbt, w_of, _kl_sweep(n, order))
 
 
 def _generator_action(datum: CellDatum, i: int, st: tuple) -> dict:
     """T_s C_{S,T} as (S', T') -> coefficient, for generator s of index i
     and st = (S, T), read off the W-graph as structure_coefficients says."""
     kern = kernel(datum.n)
-    inverse, table = kern.inverse, insertion_table(datum.n, datum.r)
-    w = kern.index[datum.w_of[st]]
+    inverse, table = kern.inverse, insertion_table(datum.n, datum.order.r)
+    w = datum.w_of[st]
     sw, g = kern.left[i][w], generator_gamma(i)
     if sw < w:
         return {st: ACoeff._of({-g: -1})}
@@ -793,18 +791,17 @@ def _is_action(datum: CellDatum, expanded: list, i: int, st: tuple,
     C_{w(S',T')}, w = w(S, T), which is compared on one exponent dict per
     kernel position: (v_s - v_s^{-1} - T_s) T_y is -T_{sy}, plus (v_s -
     v_s^{-1}) T_y if sy > y."""
-    kern = kernel(datum.n)
-    table, index = kern.left[i], kern.index
+    table = kernel(datum.n).left[i]
     terms = datum.sweep[2].terms
     one, quad = A_ONE.terms.items(), _quad(i).terms.items()
     acc: dict[int, dict[int, int]] = {}
-    for y, c in zip(*expanded[index[datum.w_of[st]]]):
+    for y, c in zip(*expanded[datum.w_of[st]]):
         sy = table[y]
         add_product(acc.setdefault(sy, {}), terms[c], one, -1)
         if sy > y:
             add_product(acc.setdefault(y, {}), terms[c], quad)
     for key, c in expansion.items():
-        for y, x in zip(*expanded[index[datum.w_of[key]]]):
+        for y, x in zip(*expanded[datum.w_of[key]]):
             add_product(acc.setdefault(y, {}), c.terms.items(), terms[x], -1)
     return not any(any(x.values()) for x in acc.values())
 
@@ -834,19 +831,18 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     index, below = order_table(n, r)
     failures = []
     star_ok = True
-    for (s, t), w in datum.w_of.items():
-        v = kern.index[w]
+    for (s, t), v in datum.w_of.items():
         mirrored = {inverse[y]: c for y, c in zip(*expanded[v])}
-        if kern.index[datum.w_of[(t, s)]] != inverse[v] \
+        if datum.w_of[(t, s)] != inverse[v] \
                 or dict(zip(*expanded[inverse[v]])) != mirrored:
             star_ok = False
             failures.append(f"star(C[{s.to_text()},{t.to_text()}]) != C[T,S]")
     for i in range(n):
-        for lam in datum.shapes:
+        for lam, sbt in datum.sbt.items():
             lower = below[index[lam]]
-            for s in datum.sbt[lam]:
+            for s in sbt:
                 maps = []
-                for t in datum.sbt[lam]:
+                for t in sbt:
                     name = f"C[{s.to_text()},{t.to_text()}]"
                     expansion = _generator_action(datum, i, (s, t))
                     if not _is_action(datum, expanded, i, (s, t),
@@ -872,9 +868,12 @@ def cellularity_check(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
 
 
 def structure_coefficients(datum: CellDatum, i: int, lam: Bipartition) \
-        -> dict[tuple[StandardBitableau, StandardBitableau], ACoeff]:
-    """r(S', S, h) for generator i acting on the cell module of shape lam,
-    read off the W-graph with T fixed to the first bitableau T0.
+        -> list[list[ACoeff]]:
+    """M_s, the matrix of T_s on the cell module of shape lam for generator
+    s of index i, read off the W-graph with T fixed to the first bitableau
+    T0: rows U and columns S over sbt[lam], entry [U][S] the coefficient
+    r(U, S, T_s) of C_{U,T0} in T_s C_{S,T0}, or an ACoeff zero if there is
+    none.
 
     Let C'_w = dagger(C_w) = C_{S,T}, w = w(S, T).  dagger is an A-linear
     involution of the algebra with dagger(T_s) = -T_s^{-1} = -T_s + v_s -
@@ -886,19 +885,20 @@ def structure_coefficients(datum: CellDatum, i: int, lam: Bipartition) \
     C_s C_w into C_{w^{-1}} C_s, so the left mu at (y, w) is the right mu
     of the sweep at (y^{-1}, w^{-1}).
     """
-    t0 = datum.sbt[lam][0]
-    out = {}
-    for s in datum.sbt[lam]:
+    sbt = datum.sbt[lam]
+    t0, at, zero = sbt[0], {s: k for k, s in enumerate(sbt)}, ACoeff()
+    out = [[zero for _ in sbt] for _ in sbt]
+    for k, s in enumerate(sbt):
         for (u, vv), c in _generator_action(datum, i, (s, t0)).items():
             if u.shape == lam and vv == t0:
-                out[(u, s)] = c
+                out[at[u]][k] = c
     return out
 
 
 def gram_form(datum: CellDatum, lam: Bipartition, gens: list) \
         -> list[list[ACoeff]]:
     """The Gram form of the cell module of shape lam, rows S and columns T
-    over sbt[lam]; gens[i] is M_s, as in _generic_data.
+    over sbt[lam]; gens[i] is M_s, as structure_coefficients gives it.
 
     phi(S, T) is defined by C_{T0,S} C_{T,T0} = phi(S, T) C_{T0,T0} modulo
     shapes strictly below (Graham-Lehrer, Cellular algebras, section 2), so
@@ -936,7 +936,6 @@ def gram_form(datum: CellDatum, lam: Bipartition, gens: list) \
                             c.items(), -1)
         rows.append({u: d for u, c in acc.items()
                      if (d := {e: a for e, a in c.items() if a})})
-    index, t0 = kern.index, sbt[0]
     return [[ACoeff._of(c) if (c := row.get(k)) else ACoeff()
              for k in range(len(sbt))]
-            for row in (rows[index[datum.w_of[(t0, s)]]] for s in sbt)]
+            for row in (rows[datum.w_of[(sbt[0], s)]] for s in sbt)]

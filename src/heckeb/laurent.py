@@ -214,8 +214,8 @@ class VPoly(Laurent):
     __slots__ = ()
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "VPoly":
-        return cls({exp: coeff})
+    def monomial(cls, exp: int) -> "VPoly":
+        return cls({exp: 1})
 
     @classmethod
     def integer(cls, c: int) -> "VPoly":

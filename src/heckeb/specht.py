@@ -33,7 +33,7 @@ from .cyclo import CycloNumber, Specialization
 from .domino import kernel
 from .errors import NonIntegralMultiplicity, RankDeficiency
 from .hecke import cell_datum, gram_form, structure_coefficients
-from .laurent import ACoeff, XiOrder
+from .laurent import XiOrder
 
 Matrix = list[list[CycloNumber]]
 
@@ -106,25 +106,16 @@ def _solve_full_column_rank(a: Matrix, bs: list[list[CycloNumber]]) \
 def _generic_data(n: int, r: int):
     """Generator-action and Gram matrices over the generic ring, per shape.
 
-    Returns {shape: (sbt, gens, gram)} with matrix entries ACoeff;
-    gens[i][U][S] is the coefficient of C_{U,T0} in T_{s_i} C_{S,T0}.  Both
-    are read off the W-graph (structure_coefficients, gram_form).  The datum
-    is not kept: cell_datum's cache bounds it.
+    Returns {shape: (sbt, gens, gram)} with matrix entries ACoeff; gens[i]
+    is the matrix of T_{s_i} that structure_coefficients reads off the
+    W-graph, and gram the form gram_form reads off it.  The datum is not
+    kept: cell_datum's cache bounds it.
     """
     # the public entries have checked n against their bound
     datum = cell_datum(n, XiOrder.for_r(r))
-    zero = ACoeff()
     modules = {}
-    for lam in datum.shapes:
-        sbt = datum.sbt[lam]
-        idx = {s: k for k, s in enumerate(sbt)}
-        gens = []
-        for i in range(n):
-            coeffs = structure_coefficients(datum, i, lam)
-            mat = [[zero for _ in sbt] for _ in sbt]
-            for (u, s), c in coeffs.items():
-                mat[idx[u]][idx[s]] = c
-            gens.append(mat)
+    for lam, sbt in datum.sbt.items():
+        gens = [structure_coefficients(datum, i, lam) for i in range(n)]
         modules[lam] = (sbt, gens, gram_form(datum, lam, gens))
     return modules
 

@@ -54,8 +54,8 @@ def dagger_bar_fixed(h):
 def cellular_basis(n, order):
     """The reference C_{S,T} = dagger(C_w) of cell_datum(n, order) as
     HeckeElements, keyed by (S, T)."""
-    klb = kl_basis(n, order)
-    return {st: dagger_bar_fixed(klb[w])
+    klb, elements = kl_basis(n, order), kernel(n).elements
+    return {st: dagger_bar_fixed(klb[elements[w]])
             for st, w in cell_datum(n, order).w_of.items()}
 
 
@@ -63,6 +63,7 @@ def expand_in_cellular(datum, h):
     """Coefficients of h in the reference C_{S,T} basis of a CellDatum,
     keyed by (S, T).  C_{S,T} = dagger(C_w) is T_w times (-1)^{l(w)} plus
     shorter terms, w = w(S, T)."""
-    leading = {w: st for st, w in datum.w_of.items()}
+    elements = kernel(datum.n).elements
+    leading = {elements[w]: st for st, w in datum.w_of.items()}
     return back_substitute(h, cellular_basis(datum.n, datum.order),
                            lambda y: (leading[y], (-1) ** length(y)))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from heckeb.cli import run
+from heckeb.combinat import enumerate_bipartitions, format_bipartition
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -40,6 +41,8 @@ MALFORMED = {
     "negative-n-klbasis": ("klbasis", "--n", "-1", "--r", "0"),
     "negative-n-conj-a": ("check-conj-a", "--n", "-1", "--r", "0"),
     "negative-n-bip": ("bip", "--n", "-1"),
+    "negative-n-charge-inf": ("charge", "--r", "inf", "--d", "0", "--e", "2",
+                              "--n", "-3"),
     "negative-n-specht": ("specht", "--n", "-1", "--e", "2", "--d", "0",
                           "--r", "0"),
     **{f"xi-zero-denominator-{name}": (name, "--n", "2", "--r", "0",
@@ -318,6 +321,19 @@ class TestBasics:
         code2, out2, _ = invoke(capsys, "quotient", "--bipartition", bip,
                                 "--r", "1")
         assert code2 == 0 and out2.strip() == "643"
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_quotient_roundtrip_at_inf(self, capsys, n):
+        # r = inf is resolved by the size of the 2-quotient, which is
+        # |P| // 2 only when the 2-core is empty or (1)
+        for b in enumerate_bipartitions(n):
+            bip = format_bipartition(b)
+            code, out, _ = invoke(capsys, "quotient", "--bipartition", bip,
+                                  "--r", "inf")
+            assert code == 0
+            code, out, _ = invoke(capsys, "quotient", "--partition",
+                                  out.strip(), "--r", "inf", "--format", "json")
+            assert code == 0 and json.loads(out)["q_r"] == bip
 
     def test_charge(self, capsys):
         code, out, _ = invoke(capsys, "charge", "--r", "2", "--d", "0",

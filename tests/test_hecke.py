@@ -891,10 +891,10 @@ class TestCellularity:
         order = XiOrder.for_r(r)
         for n in (1, 2, 3):
             datum = cell_datum(n, order)
-            klb = kl_basis(n, order)
+            klb, elements = kl_basis(n, order), kernel(n).elements
             basis = cellular_basis(n, order)
             for st, w in datum.w_of.items():
-                assert basis[st] == dagger(klb[w])
+                assert basis[st] == dagger(klb[elements[w]])
 
     def test_dagger_closed_form_rank4_sample(self):
         klb = kl_basis(4, XiOrder.for_r(1))
@@ -927,8 +927,7 @@ def test_action_matches_back_substitution(n, r):
 
 def over_sweep(datum, sweep):
     """A datum with the index of datum over another sweep."""
-    return CellDatum(datum.n, datum.order, datum.r, datum.shapes, datum.sbt,
-                     datum.w_of, sweep)
+    return CellDatum(datum.n, datum.order, datum.sbt, datum.w_of, sweep)
 
 
 def mutated_sweep(sweep, mutation):
@@ -1041,7 +1040,7 @@ def test_generic_data_expands_nothing(monkeypatch):
 
 def test_datum_keeps_no_expansion():
     # cellularity_check expands every C_w and keeps the expansions only
-    # while it runs: the datum holds its seven fields and nothing else
+    # while it runs: the datum holds its five fields and nothing else
     order = XiOrder.for_r(1)
     datum = cell_datum(3, order)
     assert cellularity_check(3, order)["ok"]

@@ -32,6 +32,16 @@ THEOREM41_DIGESTS = {
         (ROOT / "perfbench" / "references.json").read_text("utf-8")).items()
     if label.startswith("theorem41 --n 3 ")}
 
+# The SHA-256 of generic_text(4, r): the sbt, generator matrices and Grams
+# of the rank-4 cell modules, independent of row_gram, which reads the
+# same generator matrices.
+RANK4_GENERIC_DIGESTS = {
+    0: "6e3ec3a761e0df599389075009eb8c5f10e9e14e064b9a070ebde2941d96a97c",
+    1: "b8d2010ceec9ef07f909797a9ba6b17af1d2d2738167fc56d1d739175703d726",
+    2: "f97408b4079941b79ca54fa645fea93e699e76425dd7a09138a0d736dc3084ac",
+    3: "6ce3bb8d393c79a4884f5916842f41266dc14e5b2437f764dc6c56f66d052004",
+}
+
 
 def B(text):
     return parse_bipartition(text)
@@ -69,6 +79,16 @@ def cell_module(n, e, d, r, lam):
     return specialize(lam, specht._generic_data(n, r)[lam], e, d)
 
 
+def generic_text(n, r):
+    """_generic_data(n, r) as text, one line per shape: the shape, its
+    bitableaux, its generator matrices and its Gram."""
+    return "\n".join(
+        f"{lam}|{[s.to_text() for s in sbt]}|"
+        f"{[[[str(c) for c in row] for row in g] for g in gens]}|"
+        f"{[[str(c) for c in row] for row in gram]}"
+        for lam, (sbt, gens, gram) in specht._generic_data(n, r).items())
+
+
 def product_gram(n, r):
     """The Gram matrices by definition: phi(S, T) is the coefficient of
     C_{T0,T0} in the product C_{T0,S} C_{T,T0}, expanded in the cellular
@@ -76,8 +96,7 @@ def product_gram(n, r):
     datum = cell_datum(n, XiOrder.for_r(r))
     basis = cellular_basis(n, datum.order)
     out = {}
-    for lam in datum.shapes:
-        sbt = datum.sbt[lam]
+    for lam, sbt in datum.sbt.items():
         t0 = sbt[0]
         out[lam] = [[expand_in_cellular(
                          datum, basis[(t0, s)] * basis[(t, t0)])
@@ -274,6 +293,11 @@ class TestCellModules:
         assert set(generic) == set(want)
         for lam, (_, _, gram) in generic.items():
             assert gram == want[lam], format_bipartition(lam)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_generic_data_rank4_pinned(self, r):
+        digest = hashlib.sha256(generic_text(4, r).encode()).hexdigest()
+        assert digest == RANK4_GENERIC_DIGESTS[r]
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_gram_matches_rows_rank4(self, r):

@@ -87,7 +87,7 @@ FROZEN = {
 MUTABLE = {
     "HasseDiagram": ("vertices", "edges"),
     "CrystalGraph": ("s", "e", "nmax", "vertices", "edges"),
-    "CellDatum": ("n", "order", "r", "shapes", "sbt", "w_of", "sweep"),
+    "CellDatum": ("n", "order", "sbt", "w_of", "sweep"),
     "HeckeElement": ("n", "terms"),
     "FockVector": ("s", "e", "terms"),
 }
@@ -235,11 +235,10 @@ class TestMutable:
         first, second = f"({SBT_FIRST}, {SBT_FIRST})", \
             f"({SBT_SECOND}, {SBT_SECOND})"
         assert repr(values["CellDatum"]) == (
-            "CellDatum(n=1, order=XiOrder(xi=Fraction(1, 101)), r=0, "
-            f"shapes=[{B_EMPTY_ONE}, {B_ONE_EMPTY}], "
-            f"sbt={{{B_ONE_EMPTY}: [{SBT_FIRST}], "
-            f"{B_EMPTY_ONE}: [{SBT_SECOND}]}}, "
-            f"w_of={{{first}: {W_PLUS}, {second}: {W_MINUS}}}, "
+            "CellDatum(n=1, order=XiOrder(xi=Fraction(1, 101)), "
+            f"sbt={{{B_EMPTY_ONE}: [{SBT_SECOND}], "
+            f"{B_ONE_EMPTY}: [{SBT_FIRST}]}}, "
+            f"w_of={{{first}: 0, {second}: 1}}, "
             "sweep=([(array('I', [0]), array('I', [1])), "
             "(array('I', [1]), array('I', [1]))], "
             "[(array('I', [0, 0, 0]), array('I'), array('I'))], "
