@@ -27,16 +27,14 @@ def default_r(s: Charge) -> int:
     return max(s[0] - s[1], 0)
 
 
-def peeling_path(mu: Bipartition, s: Charge, e: int,
-                 policy: str = "min") -> list[tuple[int, int]]:
+def peeling_path(mu: Bipartition, s: Charge, e: int) \
+        -> list[tuple[int, int]]:
     """Strings (i, a) reducing mu to the empty bipartition, taking at each
-    step the full i-string for the least (policy 'min') or greatest
-    (policy 'max') residue i with epsilon_i > 0."""
-    residues = range(e) if policy == "min" else range(e - 1, -1, -1)
+    step the full i-string for the least residue i with epsilon_i > 0."""
     path = []
     cur = mu
     while cur.size > 0:
-        for i in residues:
+        for i in range(e):
             a = epsilon(cur, s, e, i)
             if a > 0:
                 for _ in range(a):
@@ -49,19 +47,18 @@ def peeling_path(mu: Bipartition, s: Charge, e: int,
     return path
 
 
-def principal_monomial(mu: Bipartition, s: Charge, e: int,
-                       policy: str = "min") -> FockVector:
+def principal_monomial(mu: Bipartition, s: Charge, e: int) -> FockVector:
     """A(mu): divided powers of the peeling path applied to the vacuum,
     first-peeled string applied last."""
     vec = FockVector.vacuum(s, e)
-    for i, a in reversed(peeling_path(mu, s, e, policy)):
+    for i, a in reversed(peeling_path(mu, s, e)):
         vec = divided_power_f(i, a, vec)
     return vec
 
 
 @functools.lru_cache(maxsize=None)
-def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
-                    policy: str = "min") -> dict[Bipartition, FockVector]:
+def canonical_basis(n: int, s: Charge, e: int, r: int | None = None) \
+        -> dict[Bipartition, FockVector]:
     """G(mu) for every rank-n crystal vertex mu of F(s).
 
     Vertices go ascending in order_key, a linear extension of ⊴_r, and
@@ -94,7 +91,7 @@ def canonical_basis(n: int, s: Charge, e: int, r: int | None = None,
             raise ConventionViolation(
                 f"cyclic correction at {format_bipartition(mu)}")
         in_progress.add(mu)
-        g = principal_monomial(mu, s, e, policy)
+        g = principal_monomial(mu, s, e)
         last = None
         while offenders := [nu for nu, c in g.terms.items()
                             if nu != mu and not c.in_v_zv()]:

@@ -410,8 +410,14 @@ def s_t_lambda(w: SignedPermutation, r) -> tuple[StandardBitableau,
 
 
 def insertion_table(n: int, r) -> tuple[tuple, ...]:
-    """s_t_lambda(w, r) of each element w of kernel(n), by position."""
-    return _insertion_table(check_n(n), resolve_r(r, n))
+    """s_t_lambda(w, r) of each element w of kernel(n), by position.
+
+    The table of every r >= n - 1 equals that of r = n - 1, the r that
+    r = inf resolves to, and the tables below it all differ (compared for
+    n <= 5 and r <= n + 3), so it is cached under min(r, n - 1): at most n
+    entries per rank."""
+    n = check_n(n)
+    return _insertion_table(n, min(resolve_r(r, n), max(n - 1, 0)))
 
 
 @functools.lru_cache(maxsize=None)

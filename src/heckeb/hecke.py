@@ -30,9 +30,10 @@ dagger(C_w) (_generator_action) and the Gram forms (gram_form) are read off
 its W-graph, with no expanded C_w and no product in the algebra.
 
 Whatever is built from a sweep is cached for two slopes, as the sweep is:
-kl_basis and cell_datum keep two entries, cell_datum keyed by (n, order)
-alone as the sweep is, and _reach and cells six (two slopes, three sides);
-tables keyed by rank and r alone are kept for good.
+kl_basis, cell_datum and _preorders keep two entries, the last two keyed
+by (n, order) alone as the sweep is (_preorders closes all three sides in
+one pass), and cells six (two slopes, three sides); tables keyed by rank
+and r alone are kept for good.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
@@ -225,9 +226,7 @@ class _Coefficients:
 
     def intern(self, terms: dict[int, int]) -> int:
         """The id of the value of terms, zeros dropped; 0 if all cancel."""
-        if 0 in terms.values():
-            terms = {k: x for k, x in terms.items() if x}
-        c = tuple(sorted(terms.items()))
+        c = tuple(sorted(kx for kx in terms.items() if kx[1]))
         out = self.ids.get(c)
         if out is None:
             out = self.ids[c] = len(self.terms)
@@ -595,12 +594,15 @@ def _scc_partition(reach: list[int]) -> list[list[int]]:
     return list(classes.values())
 
 
-def _adjacency(n: int, order: XiOrder, side: str) -> list[int]:
-    """Preorder edges as successor bitsets by kernel position: the right
-    edges w -> y, y in the C-expansion of some C_w T_s, read off the
-    W-graph: w -> w always, and w -> ws and w -> y for each mu^s_{y,w} at an
-    ascent ws > w (Lusztig, Thm 6.6); the left ones are their star images,
-    as star(C_w) = C_{w^{-1}}; the two-sided ones are the union of both."""
+@functools.lru_cache(maxsize=2)
+def _preorders(n: int, order: XiOrder) -> dict[str, list[int]]:
+    """The left, right and two-sided preorders by kernel position, as side
+    -> closure: y is below w iff bit y of preorder[side][w] is set.  The
+    right edges w -> y, y in the C-expansion of some C_w T_s, are read off
+    the W-graph once: w -> w always, and w -> ws and w -> y for each
+    mu^s_{y,w} at an ascent ws > w (Lusztig, Thm 6.6); the left ones are
+    their star images, as star(C_w) = C_{w^{-1}}; the two-sided ones are
+    the union of both."""
     kern = kernel(n)
     inverse = kern.inverse
     right = [1 << w for w in range(len(inverse))]
@@ -609,19 +611,11 @@ def _adjacency(n: int, order: XiOrder, side: str) -> list[int]:
             if ws > w:
                 right[w] |= sum((1 << y for y in ys[starts[w]:starts[w + 1]]),
                                 1 << ws)
-    adjacency = [0] * len(right)
+    left = [0] * len(right)
     for w, below in enumerate(right):
-        if side in ("R", "LR"):
-            adjacency[w] |= below
-        if side in ("L", "LR"):
-            adjacency[inverse[w]] |= sum(1 << inverse[y] for y in bits(below))
-    return adjacency
-
-
-@functools.lru_cache(maxsize=6)
-def _reach(n: int, order: XiOrder, side: str) -> list[int]:
-    """The closure of _adjacency: y is below w iff bit y of reach[w] is set."""
-    return _closure(_adjacency(n, order, side))
+        left[inverse[w]] = sum(1 << inverse[y] for y in bits(below))
+    return {"R": _closure(right), "L": _closure(left),
+            "LR": _closure([a | b for a, b in zip(right, left)])}
 
 
 @functools.lru_cache(maxsize=6)
@@ -631,14 +625,15 @@ def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND) \
 
     Cells are the strongly connected components of the left, right or
     two-sided multiplication graph of the C-basis (Lusztig, Thm 6.6, via
-    the sweep that builds the basis); the preorder itself is _reach.
+    the sweep that builds the basis); the preorder itself is
+    _preorders(n, order)[side].
     """
     if side not in ("L", "R", "LR"):
         raise InvalidArgument(f"side {side!r} must be 'L', 'R' or 'LR'")
     check_bound(n, bound)
     elements = kernel(n).elements
     return [{elements[v] for v in block}
-            for block in _scc_partition(_reach(n, order, side))]
+            for block in _scc_partition(_preorders(n, order)[side])]
 
 
 def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
@@ -670,7 +665,7 @@ def _cell_clauses(n: int, order: XiOrder) -> tuple[dict, dict]:
     for clause, side, fiber in (("a_left_vs_T", "L", fibers[1]),
                                 ("b_right_vs_S", "R", fibers[0]),
                                 ("c_twosided_vs_shape", "LR", fibers[2])):
-        part = _scc_partition(_reach(n, order, side))
+        part = _scc_partition(_preorders(n, order)[side])
         ok, why = set(fiber.values()) == {sum(1 << v for v in block)
                                           for block in part}, None
         if not ok:
@@ -694,7 +689,7 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     # preorder must be the union of the fibers of the shapes below its
     # shape; only a mismatch is located by the pair scan, in group_elements
     # order.
-    reach = _reach(n, order, "LR")
+    reach = _preorders(n, order)["LR"]
     index, below = order_table(n, r)
     shapes, shape_at = list(index), [index[lam] for _, _, lam in table]
     union = [sum(shape_fibers[shapes[j]] for j in bits(row))

@@ -8,7 +8,8 @@ Gaussian integers [n], their factorials [n]! and the exact division of
 Laurent polynomials in v that it takes, the bitableau of a domino tableau
 read off its 2-core, the shapes a domino tableau grows through, the
 generators of W_n as signed permutations, and the strictly negative
-truncation that solves x - bar(x) = f in the bar-solve KL basis.
+truncation that solves x - bar(x) = f in the bar-solve KL basis, and a
+peeling path of a crystal vertex that takes the greatest residue first.
 """
 
 from itertools import accumulate
@@ -16,6 +17,7 @@ from operator import le
 
 from heckeb import check_n
 from heckeb.combinat import Partition, delta_core
+from heckeb.crystal import crystal_e, epsilon
 from heckeb.domino import DominoTableau, SignedPermutation, _place, _qtilde
 from heckeb.errors import (CoreMismatch, InvalidArgument, MalformedTableau,
                            NonIntegralDivision, SizeMismatch)
@@ -187,3 +189,18 @@ def antisymmetric_solution(order: XiOrder, f: ACoeff) -> ACoeff:
     if f.bar() != -f:
         raise InvalidArgument(f"{f} is not antisymmetric")
     return ACoeff({g: c for g, c in f.terms.items() if order.sign(g) < 0})
+
+
+def greatest_residue_path(mu, s, e):
+    """Strings (i, a) reducing the crystal vertex mu to the empty
+    bipartition, taking at each step the full i-string for the greatest
+    residue i with epsilon_i > 0, where canonical.peeling_path takes the
+    least."""
+    path = []
+    while mu.size > 0:
+        i = max(j for j in range(e) if epsilon(mu, s, e, j) > 0)
+        a = epsilon(mu, s, e, i)
+        for _ in range(a):
+            mu = crystal_e(mu, s, e, i)
+        path.append((i, a))
+    return path

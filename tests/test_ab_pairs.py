@@ -1,4 +1,5 @@
-"""tools/ab_pairs.py flags every run whose result cannot be used."""
+"""tools/ab_pairs.py flags every run whose result cannot be used, and gives
+each end-to-end metric a verdict."""
 
 import importlib.util
 import json
@@ -11,6 +12,7 @@ _spec = importlib.util.spec_from_file_location(
     "ab_pairs", ROOT / "tools" / "ab_pairs.py")
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
+METRICS = ab_pairs.end_to_end(ROOT)
 
 
 def result(wall, correct=True):
@@ -35,7 +37,7 @@ def good_pairs(count):
 
 
 def test_good_runs():
-    entry = ab_pairs.summarize(good_pairs(4))["cli-readme seed 0"]
+    entry = ab_pairs.summarize(good_pairs(4), METRICS)["cli-readme seed 0"]
     assert entry["all_correct"] is True and entry["problems"] == []
     assert entry["wall_s"]["pairs"] == 4
     assert entry["wall_s"]["change_wins"] == 4
@@ -54,12 +56,22 @@ def test_good_runs():
         "traced-no-result", "traced-empty-metrics"])
 def test_malformed_run_is_named(bad, why):
     partner = run(9, "parent", result(2.0))
-    entry = ab_pairs.summarize(good_pairs(3) + [partner, bad])[
+    entry = ab_pairs.summarize(good_pairs(3) + [partner, bad], METRICS)[
         "cli-readme seed 0"]
     assert entry["all_correct"] is False
     assert entry["problems"] == [f"{ab_pairs.run_name(bad)}: {why}"]
     # pair 9 has no usable change run; the other pairs still count
     assert entry["wall_s"]["pairs"] == 3
+
+
+def checkouts(tmp_path):
+    """--parent and --change arguments for two checkouts under tmp_path, the
+    change holding this repository's BENCHMARK.json."""
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    return ["--parent", str(tmp_path / "parent"), "--change", str(change)]
 
 
 def test_main_exits_one_and_names_the_run(tmp_path, monkeypatch, capsys):
@@ -71,8 +83,7 @@ def test_main_exits_one_and_names_the_run(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
-    code = ab_pairs.main(["--parent", str(tmp_path / "parent"),
-                          "--change", str(tmp_path / "change"),
+    code = ab_pairs.main([*checkouts(tmp_path),
                           "--workload", "cli-readme", "--pairs", "2",
                           "--traced", "--out", str(out)])
     err = capsys.readouterr().err
@@ -101,7 +112,7 @@ def test_cpu_metrics_are_summarized():
         r["cpu_s"] = (3.0 if r["side"] == "parent" else 2.0) + k / 100
         r["cpu_per_op_s"] = r["cpu_s"] / 2
     runs[-1]["cpu_per_op_s"] = None
-    entry = ab_pairs.summarize(runs)["cli-readme seed 0"]
+    entry = ab_pairs.summarize(runs, METRICS)["cli-readme seed 0"]
     for metric, pairs in (("cpu_s", 4), ("cpu_per_op_s", 3)):
         assert entry[metric]["label"] == ab_pairs.NOT_BENCHMARK
         assert entry[metric]["pairs"] == pairs
@@ -111,7 +122,7 @@ def test_cpu_metrics_are_summarized():
 
 
 def test_older_runs_without_cpu_are_skipped():
-    entry = ab_pairs.summarize(good_pairs(2))["cli-readme seed 0"]
+    entry = ab_pairs.summarize(good_pairs(2), METRICS)["cli-readme seed 0"]
     assert "cpu_s" not in entry and "cpu_per_op_s" not in entry
 
 
@@ -137,8 +148,7 @@ def test_main_records_cpu_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(ab_pairs, "run_once",
                         lambda root, *args: (0, result(1.0)))
     out = tmp_path / "BENCH.json"
-    assert ab_pairs.main(["--parent", str(tmp_path / "parent"),
-                          "--change", str(tmp_path / "change"),
+    assert ab_pairs.main([*checkouts(tmp_path),
                           "--workload", "cli-readme", "--pairs", "2",
                           "--traced", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -146,3 +156,53 @@ def test_main_records_cpu_per_run(tmp_path, monkeypatch):
         assert run["cpu_s"] >= 0
         assert run["cpu_per_op_s"] == pytest.approx(run["cpu_s"], abs=1e-4)
     assert doc["summary"]["cli-readme seed 0"]["cpu_s"]["pairs"] == 2
+
+
+def walls(parent, change):
+    """Pairs of runs with the given wall_s values per side, in pair order."""
+    return [run(k, side, result(wall)) for k, pair in enumerate(
+        zip(parent, change)) for side, wall in zip(ab_pairs.SIDES, pair)]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([x - 0.10 for x in PARENT], "gain"),
+    # 9 wins in 10 pairs, far beyond the parent's quartile distance
+    ([x - 0.10 for x in PARENT[:9]] + [1.50], "gain"),
+    # 8 wins in 10
+    ([x - 0.10 for x in PARENT[:8]] + [1.50, 1.50], "unresolved"),
+    # every pair won, by less than the parent's quartile distance
+    ([x - 0.01 for x in PARENT], "unresolved"),
+    # worse by 10%, inside the 24% bound of wall_s
+    ([x * 1.10 for x in PARENT], "unresolved"),
+    # worse by 30%
+    ([x * 1.30 for x in PARENT], "regression"),
+], ids=["all-wins", "nine-wins", "eight-wins", "within-spread",
+        "within-bound", "beyond-bound"])
+def test_verdict(change, expected):
+    entry = ab_pairs.summarize(walls(PARENT, change), METRICS)[
+        "cli-readme seed 0"]
+    assert entry["wall_s"]["verdict"] == expected
+
+
+def test_verdict_follows_the_direction_and_bound():
+    # higher is better, bound 10%: a median 20% lower is a regression, one
+    # 5% lower is not, and one higher on every pair is a gain
+    stats = {"pairs": 10, "change_wins": 0, "parent_median": 100.0,
+             "parent_quartiles": [99.0, 101.0], "change_median": 80.0}
+    assert ab_pairs.verdict(stats, False, 0.1) == "regression"
+    assert ab_pairs.verdict({**stats, "change_median": 95.0}, False,
+                            0.1) == "unresolved"
+    assert ab_pairs.verdict({**stats, "change_median": 110.0,
+                             "change_wins": 10}, False, 0.1) == "gain"
+
+
+def test_cpu_metrics_get_no_verdict():
+    runs = good_pairs(4)
+    for r in runs:
+        r["cpu_s"] = 1.0
+    entry = ab_pairs.summarize(runs, METRICS)["cli-readme seed 0"]
+    assert entry["wall_s"]["verdict"] == "gain"
+    assert "verdict" not in entry["cpu_s"]

@@ -25,8 +25,9 @@ UNBOUNDED = {
                      "specializes at",
     "domino.group_elements": _PER_RANK,
     "domino.kernel": _PER_RANK,
-    "domino._insertion_table": "one entry per (rank, r) a run asks for; "
-                               "the checks ask for r < n",
+    "domino._insertion_table": "one entry per (rank, r) a run asks for, "
+                               "r cut to min(r, n - 1) before the cache, "
+                               "so at most n entries per rank",
     "hecke._bar_t": _PER_RANK + "; only the tests and perfbench reach it "
                                 "(ROADMAP item 22)",
 }

@@ -1,5 +1,6 @@
 import pytest
 
+from heckeb import canonical
 from heckeb.canonical import (canonical_basis, charge_from,
                               decomposition_matrix, default_r, gamma,
                               peeling_path, principal_monomial)
@@ -9,6 +10,8 @@ from heckeb.errors import ConventionViolation, IncompatibleCharges, NotUglov
 from heckeb.fock import FockVector
 from heckeb.laurent import VPoly, V_ONE
 from heckeb.orders import dominance_r, order_key
+
+from oracles import greatest_residue_path
 
 
 def B(text):
@@ -62,10 +65,19 @@ class TestCanonicalBasis:
                         assert c.in_v_zv()
                         assert dominance_r(lam, mu, r) and lam != mu
 
-    def test_policy_independence(self):
-        for n in range(5):
-            assert canonical_basis(n, (0, 0), 2, 0, "min") == \
-                canonical_basis(n, (0, 0), 2, 0, "max")
+    def test_policy_independence(self, monkeypatch):
+        # the basis built from the greatest-residue peeling, uncached,
+        # equals the one built from the least-residue peeling; at e = 2 and
+        # charge (0, 0) the two paths agree up to n = 4, at e = 3 they do not
+        cases = [((0, 0), 2), ((0, 0), 3), ((1, 0), 3)]
+        least = {(s, e, n): canonical_basis(n, s, e)
+                 for s, e in cases for n in range(5)}
+        for s, e in cases[1:]:
+            assert any(greatest_residue_path(mu, s, e)
+                       != peeling_path(mu, s, e) for mu in least[s, e, 4])
+        monkeypatch.setattr(canonical, "peeling_path", greatest_residue_path)
+        for (s, e, n), basis in least.items():
+            assert canonical_basis.__wrapped__(n, s, e) == basis
 
     @pytest.mark.parametrize("e", [2, 3])
     @pytest.mark.parametrize("s", [(0, 0), (1, 0), (2, 0), (-2, 0), (0, 2)])

@@ -373,6 +373,19 @@ def test_insertion_table_resolves_r_before_the_cache(n):
     assert insertion_table(n, INFINITY) is insertion_table(n, max(n - 1, 0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_insertion_table_keeps_one_entry_from_n_minus_1(n):
+    # every r >= n - 1 shares the table of r = n - 1, which equals the
+    # table built at that r
+    domino._insertion_table.cache_clear()
+    rs = range(n - 1, n + 4)
+    tables = [insertion_table(n, r) for r in rs]
+    assert domino._insertion_table.cache_info().currsize == 1
+    assert all(table is tables[0] for table in tables)
+    assert all(tables[0] == domino._insertion_table.__wrapped__(n, r)
+               for r in rs)
+
+
 def test_insertion_table_inserts_each_prefix_once(monkeypatch):
     # the windows share their prefixes: one letter per prefix of length
     # k = 1..4, 2^k 4!/(4 - k)! of them, against 4 |W_4| = 1,536 letters

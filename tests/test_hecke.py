@@ -364,7 +364,7 @@ class TestAgainstOracles:
         elements = kernel(n).elements
         for side in ("L", "R", "LR"):
             reach = {elements[v]: {elements[y] for y in bits(x)}
-                     for v, x in enumerate(hecke._reach(n, order, side))}
+                     for v, x in enumerate(hecke._preorders(n, order)[side])}
             assert reach == product_reach(n, order, side)
 
     def test_sweep_matches_full_sweep(self, n, r, offset):
@@ -647,8 +647,9 @@ def test_sweep_retained_memory():
 
 
 def test_sweep_cache_is_bounded():
-    # the cache keeps the last two sweeps; the cells of an evicted slope
-    # are still read off _reach without a new sweep
+    # the cache keeps the last two sweeps, as _preorders does; the cells of
+    # a kept slope at another bound are read off _preorders without a new
+    # sweep
     orders = [XiOrder(r + Fraction(1, 5)) for r in range(3)]
     misses = hecke._kl_sweep.cache_info().misses
     for order in orders:
@@ -656,10 +657,23 @@ def test_sweep_cache_is_bounded():
     info = hecke._kl_sweep.cache_info()
     assert info.currsize == 2
     assert info.misses == misses + 3
-    reached = hecke._reach.cache_info().hits
-    assert cells(3, orders[0], "LR", 3) == cells(3, orders[0])
+    reached = hecke._preorders.cache_info().hits
+    assert cells(3, orders[2], "LR", 3) == cells(3, orders[2])
     assert hecke._kl_sweep.cache_info().misses == misses + 3
-    assert hecke._reach.cache_info().hits == reached + 1
+    assert hecke._preorders.cache_info().hits == reached + 1
+
+
+def test_one_preorder_pass_per_slope():
+    # the report, the datum and the cells of every side share one pass
+    # over the W-graph
+    for cached in (hecke._preorders, hecke.cells, hecke.cell_datum):
+        cached.cache_clear()
+    order = XiOrder.for_r(1)
+    assert conjecture_a_report(3, order)["ok"]
+    cell_datum(3, order)
+    for side in ("L", "R", "LR"):
+        cells(3, order, side)
+    assert hecke._preorders.cache_info().misses == 1
 
 
 # Successor bitsets of small graphs, and their closures by hand.
@@ -675,6 +689,14 @@ CHAMBERS = [XiOrder.for_r(r) for r in range(4)] + [
     XiOrder(Fraction(3, 4)), XiOrder(Fraction(7, 4))]
 
 
+def preorder_edges(n, order):
+    """The successor bitsets _preorders closes, by side: _preorders run
+    uncached with _closure swapped for list, which returns them unclosed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hecke, "_closure", list)
+        return hecke._preorders.__wrapped__(n, order)
+
+
 def xi_id(order):
     return f"xi{order.xi.numerator}_{order.xi.denominator}"
 
@@ -688,22 +710,23 @@ class TestClosure:
 
     @pytest.mark.parametrize("order", CHAMBERS, ids=xi_id)
     def test_rank4_matches_warshall(self, order):
+        edges = preorder_edges(4, order)
         for side in ("L", "R", "LR"):
-            assert hecke._reach(4, order, side) == warshall_closure(
-                hecke._adjacency(4, order, side))
+            assert hecke._preorders(4, order)[side] == warshall_closure(
+                edges[side])
 
     @pytest.mark.parametrize("order", CHAMBERS, ids=xi_id)
     def test_w0_duality(self, order):
         for n in (1, 2, 3, 4):
             for side in ("L", "R", "LR"):
                 assert w0_duality_violations(
-                    n, hecke._reach(n, order, side)) == []
+                    n, hecke._preorders(n, order)[side]) == []
 
     @pytest.mark.parametrize("side", ["L", "R", "LR"])
     def test_w0_duality_catches_a_reversed_edge(self, side):
         order = XiOrder.for_r(1)
-        adjacency = hecke._adjacency(3, order, side)
-        reach = hecke._reach(3, order, side)
+        adjacency = preorder_edges(3, order)[side]
+        reach = hecke._preorders(3, order)[side]
         # the first edge u -> v between two different cells
         u, v = next((u, v) for u, row in enumerate(adjacency)
                     for v in bits(row) if not reach[v] >> u & 1)
@@ -794,6 +817,15 @@ def merged_reach(reach, a, b):
             for v, x in enumerate(reach)]
 
 
+def merge_cells(monkeypatch, side, a, b):
+    """Make _preorders return the preorder of side with blocks a and b of
+    its cell partition merged, leaving the cached closures as they are."""
+    preorders = hecke._preorders
+    monkeypatch.setattr(hecke, "_preorders", lambda n, order: {
+        **preorders(n, order),
+        side: merged_reach(preorders(n, order)[side], a, b)})
+
+
 # The detail of each failing clause at r = 1 when the cells of one side
 # have two of their blocks merged: (n, side, a, b) -> {clause: detail}.
 # Captured while the report still compared sets of signed permutations.
@@ -863,9 +895,7 @@ MERGED_DETAILS = {
 
 @pytest.mark.parametrize("n, side, a, b", sorted(MERGED_DETAILS))
 def test_mismatch_details(n, side, a, b, monkeypatch):
-    reach = hecke._reach
-    monkeypatch.setattr(hecke, "_reach", lambda n, order, s: merged_reach(
-        reach(n, order, s), a, b) if s == side else reach(n, order, s))
+    merge_cells(monkeypatch, side, a, b)
     report = conjecture_a_report(n, XiOrder.for_r(1))
     assert {clause: c["detail"] for clause, c in report["clauses"].items()
             if not c["ok"]} == MERGED_DETAILS[n, side, a, b]
@@ -1062,9 +1092,7 @@ def test_datum_needs_no_c_plus(monkeypatch):
 def test_datum_violation_carries_the_whole_report(side, monkeypatch):
     # merged cells on one side fail a clause of (a), (b) or (c); the error
     # holds the report of conjecture_a_report at bound n, (c+) included
-    reach = hecke._reach
-    monkeypatch.setattr(hecke, "_reach", lambda n, order, s: merged_reach(
-        reach(n, order, s), 0, 1) if s == side else reach(n, order, s))
+    merge_cells(monkeypatch, side, 0, 1)
     order = XiOrder.for_r(1)
     with pytest.raises(ConjectureAViolation) as info:
         cell_datum.__wrapped__(3, order)
@@ -1125,7 +1153,7 @@ def test_cellularity_check_keeps_two_slopes():
 def test_checks_build_no_hecke_element(monkeypatch):
     # from cold caches, the cellularity and Theorem 4.1 checks run on the
     # sweep's arrays and on exponent dicts alone
-    for cached in (hecke._kl_sweep, hecke._reach, hecke.cells,
+    for cached in (hecke._kl_sweep, hecke._preorders, hecke.cells,
                    hecke.kl_basis, hecke.cell_datum, specht._generic_data,
                    specht.decomposition_numbers):
         cached.cache_clear()

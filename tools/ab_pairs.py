@@ -3,9 +3,14 @@
 Runs ``perfbench/run.py`` unchanged from the root of each checkout, one run
 at a time, alternating which side goes first in each pair.  Every run's
 last stdout line is kept as parsed JSON (``null`` if it does not parse), and
-the summary per workload and seed gives, for every end-to-end metric, the
-medians, the quartiles, how many pairs the change won and the ratio of the
-medians.  Each run also records ``cpu_s``, the user plus system CPU of
+the summary per workload and seed gives, for every end-to-end metric of
+the change checkout's ``BENCHMARK.json``, the medians, the quartiles, how
+many pairs the change won, the ratio of the medians and a verdict: ``gain``
+when the change won at least 9 in 10 pairs and its median is better than
+the parent's by more than the distance between the parent's quartiles,
+``regression`` when its median is worse than the parent's by more than the
+metric's bound (a share of the parent's median), ``unresolved`` otherwise.
+Each run also records ``cpu_s``, the user plus system CPU of
 ``run.py`` and every child it waited for, and ``cpu_per_op_s``, that over
 the operations the run attempted; the summary gives the same figures for
 both, labelled as not a benchmark metric.  An existing output file is
@@ -34,11 +39,17 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# metric -> whether lower is better; the end-to-end metrics of BENCHMARK.json
-METRICS = {"wall_s": True, "setup_s": True, "peak_rss_mb": True}
 # the CPU each run records beside its result, lower better
 CPU_METRICS = ("cpu_s", "cpu_per_op_s")
 NOT_BENCHMARK = "not a benchmark metric: CPU of run.py and its children"
+
+
+def end_to_end(root: Path) -> dict[str, tuple[bool, float]]:
+    """Metric -> (whether lower is better, bound) for every end-to-end
+    metric in the BENCHMARK.json of a checkout."""
+    doc = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"] == "lower", m["bound"])
+            for m in doc["end_to_end"]}
 
 
 def machine() -> dict:
@@ -111,6 +122,20 @@ def compare(values: dict[str, list[float]], lower: bool) -> dict:
     return out
 
 
+def verdict(stats: dict, lower: bool, bound: float) -> str:
+    """'gain', 'regression' or 'unresolved' for the summary of compare, as
+    the module docstring says."""
+    q1, q3 = stats["parent_quartiles"]
+    better = stats["parent_median"] - stats["change_median"]
+    if not lower:
+        better = -better
+    if 10 * stats["change_wins"] >= 9 * stats["pairs"] and better > q3 - q1:
+        return "gain"
+    if -better > bound * stats["parent_median"]:
+        return "regression"
+    return "unresolved"
+
+
 def run_name(run: dict) -> str:
     """'cli-readme seed 0 pair 3 change', or '... traced parent'."""
     kind = "traced" if run["trace"] else f"pair {run['pair']}"
@@ -131,11 +156,13 @@ def run_problem(run: dict) -> str | None:
     return None
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per workload and seed: medians, quartiles, wins and ratio of every
-    end-to-end metric over the untraced pairs whose two runs are both
-    usable, and the problem of each run, traced or not, that is not; the
-    group is all_correct when there is none."""
+def summarize(runs: list[dict],
+              metrics: dict[str, tuple[bool, float]]) -> dict:
+    """Per workload and seed: medians, quartiles, wins, ratio and verdict
+    of every end-to-end metric, given as end_to_end returns them, over the
+    untraced pairs whose two runs are both usable, and the problem of each
+    run, traced or not, that is not; the group is all_correct when there is
+    none."""
     groups: dict[str, list[dict]] = {}
     for run in runs:
         groups.setdefault(f"{run['workload']} seed {run['seed']}",
@@ -150,14 +177,15 @@ def summarize(runs: list[dict]) -> dict:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run
         complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
         entry: dict = {}
-        for metric, lower in METRICS.items():
+        for metric, (lower, bound) in metrics.items():
             both = [p for p in complete
                     if all(metric in p[side]["final_line"]["metrics"]
                            for side in SIDES)]
             if both:
-                entry[metric] = compare(
+                stats = entry[metric] = compare(
                     {side: [p[side]["final_line"]["metrics"][metric]["value"]
                             for p in both] for side in SIDES}, lower)
+                stats["verdict"] = verdict(stats, lower, bound)
         for metric in CPU_METRICS:
             both = [p for p in complete
                     if all(p[side].get(metric) is not None for side in SIDES)]
@@ -187,6 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = end_to_end(roots["change"])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W "
                    "--seed S --seconds T --trace 0 (traced runs: --trace 1)")
@@ -219,7 +248,7 @@ def main(argv=None) -> int:
                                "side": side, "trace": 1,
                                **timed_run(roots[side], args.workload, seed,
                                            args.seconds, 1)})
-        doc["summary"] = summarize(runs + traced)
+        doc["summary"] = summarize(runs + traced, metrics)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     problems = [why for s in doc["summary"].values() for why in s["problems"]]
     for why in problems:
