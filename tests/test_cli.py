@@ -12,6 +12,8 @@ import pytest
 from heckeb.cli import run
 from heckeb.combinat import enumerate_bipartitions, format_bipartition
 
+from test_surface import command_argvs
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
@@ -57,6 +59,88 @@ README_DIGESTS = {
     for label, digest in json.loads(
         (ROOT / "perfbench" / "references.json").read_text("utf-8")).items()
     if label.startswith("heckeb ")}
+
+# decmat --v1, which no sample of test_surface reaches, in each format.
+V1_ARGVS = [["decmat", "--charge", "0,1", "--e", "3", "--n", "3", "--v1",
+             "--format", fmt] for fmt in ("text", "json", "tsv")]
+
+# The SHA-256 of b"exit <code>\n" + stdout of each line of
+# test_surface.command_argvs() that is not a README command (every
+# subcommand with each format it renders), and of V1_ARGVS.
+RENDERED_DIGESTS = {
+    "bip --n 3 --format text":
+        "932d1ce1d539458daf463240215b5bc954ce54c5d3e3a23e5a96782aab4df00e",
+    "bip --n 3 --format json":
+        "b3d2e824ba3ff88cf4045fbe13782b98c26631f598b1390256870289f4ff9272",
+    "quotient --bipartition '(2;1)' --r 1 --format text":
+        "7c5c0083d2c01c0fe12621b647e774f555a82ff8507d52921a66da71ac48d898",
+    "quotient --bipartition '(2;1)' --r 1 --format json":
+        "768d748fcfa06e41079939cfafc04b23ce428f449230f2acd22baeb147eb7695",
+    "order --n 3 --r 1 --format text":
+        "84b1cb697ed4399983bef94ffba1e8c939dd91b72bb428775a6bf9ac39e069d9",
+    "order --n 3 --r 1 --format json":
+        "311a4aeac7d1c70d6d91d807343bbb749ce779b014a9128928f79dbec2ee84a0",
+    "order --n 3 --r 1 --format dot":
+        "0446bb7666f1e7099484e2ccf22f6e0f9e9da0c74f2db812870a88ef0e9dfb3a",
+    "insert --w '-1 3 2' --r 1 --format text":
+        "2f1bad9f22ee8420bcd8561072f62c9676c63cd9286ea53f67161a7d060cc799",
+    "insert --w '-1 3 2' --r 1 --format json":
+        "7c2ad4fe25aecd94408cda591a60d83535bdc8be150f7348c87e41c37e352d86",
+    "klbasis --n 3 --r 1 --format text":
+        "c53d965f6ac4430d7451f3f86f3c8ee7af1f94e6e0a5e83570361d93968f5443",
+    "klbasis --n 3 --r 1 --format json":
+        "d2333ed82ba75feab2336adc297ec945d8655fc62bdc3f02302cefd39130fade",
+    "cells --n 3 --xi 3/2 --side L --format text":
+        "2a9752e98018132a9c22fdeb1fe6ee3736841c76164f6402320d858e68f8a172",
+    "cells --n 3 --xi 3/2 --side L --format json":
+        "5b33d9d35291e340cdea471f6351edd965cc2dbfa3844d3233dff42dc272a03f",
+    "check-conj-a --n 3 --r 0":
+        "a94de794cb46042bcead8ca405b66e2f1fe6d9dbda5c626e02dc1016d53c8e11",
+    "check-cellular --n 3 --r 0":
+        "3f66964d72d43646ebbb4826edccaf576af3f7623845c1a6e38608d7228b2f16",
+    "crystal --charge 0,1 --e 3 --n 3 --format text":
+        "7e3e939d23f26857b4bb5c2b1fbd265652b535ff7b01677029c122eedb31924c",
+    "crystal --charge 0,1 --e 3 --n 3 --format json":
+        "8d5011ac2dbfa6c2ee988df2dc6825df2e0b7a89685414282958cb2d220bbe59",
+    "crystal --charge 0,1 --e 3 --n 3 --format dot":
+        "2cde52bb48021791dcd8be5c6bcfcc26774afd3b5937a3c13e4d8971bc84d879",
+    "uglov --charge 0,1 --e 3 --n 3 --format text":
+        "31e63805818b8845c4413f94e983e4c55fd2ec4a1c865acfe2f50a82ab1f98b5",
+    "uglov --charge 0,1 --e 3 --n 3 --format json":
+        "47ed699bd070f8127bdef46b7c2427527bb20e5a4b1469f2cbc16ebed443f22d",
+    "canbasis --charge 0,1 --e 3 --n 3 --format text":
+        "77aea79cdaa118d771910d29655af501090217027b1004df25d1d03213d78d70",
+    "canbasis --charge 0,1 --e 3 --n 3 --format json":
+        "7ba75aee9f8733610be27f8ed1122110b173de054d3678a23486200385545559",
+    "decmat --charge 0,1 --e 3 --n 3 --format text":
+        "7ac308d0e303015b0dc25189dd3bed5b12158a689ad1bc0e63fc8dd937ceb43e",
+    "decmat --charge 0,1 --e 3 --n 3 --format json":
+        "a59171d341a5c3009854951b27328030004323a00c8098e36686315117f09617",
+    "decmat --charge 0,1 --e 3 --n 3 --format tsv":
+        "7ac308d0e303015b0dc25189dd3bed5b12158a689ad1bc0e63fc8dd937ceb43e",
+    "charge --r inf --d 1 --e 3 --n 3 --format text":
+        "91d652e233dfc65d90835eee7481acc1a97bdaeb076fb40c8c4f7c1e7a3df970",
+    "charge --r inf --d 1 --e 3 --n 3 --format json":
+        "7148fa1b43be212262f0747fc67fb5e070d6254cb5fdad69e148ceab682330b2",
+    "gamma --mu '(1;2)' --charge1 0,1 --charge2 1,0 --e 3 --format text":
+        "cee004bd91d28eeaa2a0229438c6f1b8268c5dd246b59912bc0a44d5976b7b84",
+    "gamma --mu '(1;2)' --charge1 0,1 --charge2 1,0 --e 3 --format json":
+        "db2cfa9e5a95d9e12d607d6341dac44854a7cd8339231ca2a732a449a1bb017a",
+    "theorem41 --n 3 --e 3 --d 1 --r 0":
+        "77fa762012dcdcaa32a504e6f2620fba75f8ff092fba17fe1c28117861b3e3cc",
+    "specht --n 3 --e 3 --d 1 --r 0 --format text":
+        "c28646158a49498afb2635ca2c6d9282efe08ed7297928268af6f48e4c899e8c",
+    "specht --n 3 --e 3 --d 1 --r 0 --format json":
+        "1e937307729b55a5ae709597e34ee7acf522596143712259df5427154756d1f6",
+    "specht --n 3 --e 3 --d 1 --r 0 --format tsv":
+        "c28646158a49498afb2635ca2c6d9282efe08ed7297928268af6f48e4c899e8c",
+    "decmat --charge 0,1 --e 3 --n 3 --v1 --format text":
+        "65593f35a804f931ad9cfae8f7b35c917a2d5a71b5ccf23f77faca6cffc8fd37",
+    "decmat --charge 0,1 --e 3 --n 3 --v1 --format json":
+        "ecb3e1f1247e28638e93615637a792e29ea4d9bfbfb6377033037c9fdcad3156",
+    "decmat --charge 0,1 --e 3 --n 3 --v1 --format tsv":
+        "65593f35a804f931ad9cfae8f7b35c917a2d5a71b5ccf23f77faca6cffc8fd37",
+}
 
 
 SUBCOMMANDS = ("{bip,quotient,order,insert,klbasis,cells,check-conj-a,"
@@ -393,6 +477,20 @@ class TestGoldenOutputs:
             code, out, _ = invoke(capsys, *argv)
             got = hashlib.sha256(b"exit %d\n" % code + out.encode("utf-8"))
             if got.hexdigest() != digest:
+                wrong.append(shlex.join(argv))
+        assert wrong == []
+
+    def test_every_rendered_output_byte_identical(self, capsys):
+        expected = {**RENDERED_DIGESTS, **{shlex.join(argv): digest
+                                           for argv, digest
+                                           in README_DIGESTS.items()}}
+        argvs = command_argvs() + V1_ARGVS
+        assert sorted(shlex.join(argv) for argv in argvs) == sorted(expected)
+        wrong = []
+        for argv in argvs:
+            code, out, _ = invoke(capsys, *argv)
+            got = hashlib.sha256(b"exit %d\n" % code + out.encode("utf-8"))
+            if got.hexdigest() != expected[shlex.join(argv)]:
                 wrong.append(shlex.join(argv))
         assert wrong == []
 
