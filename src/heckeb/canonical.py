@@ -14,7 +14,7 @@ import json
 
 from . import check_e
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
-                       format_bipartition)
+                       format_bipartition, render_tsv)
 from .crystal import crystal_e, crystal_f, epsilon, uglov_bipartitions
 from .errors import ConventionViolation, IncompatibleCharges, NotUglov
 from .fock import Charge, FockVector, divided_power_f, fock_modules_isomorphic
@@ -145,12 +145,8 @@ class DecompositionMatrix:
         return str(p.at_one()) if self.v1 else str(p)
 
     def to_tsv(self) -> str:
-        head = "\t".join([""] + [format_bipartition(m) for m in self.cols])
-        lines = [head]
-        for lam in self.rows:
-            cells = [self._fmt(self.entry(lam, mu)) for mu in self.cols]
-            lines.append("\t".join([format_bipartition(lam)] + cells))
-        return "\n".join(lines)
+        return render_tsv(self.rows, self.cols,
+                          lambda lam, mu: self._fmt(self.entry(lam, mu)))
 
     def to_json(self) -> str:
         return json.dumps({

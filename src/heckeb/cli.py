@@ -14,6 +14,9 @@ so this module imports nothing of the library at the top but `heckeb` and
 `heckeb.errors`, each `_run_*` imports the library names it calls, and
 `run` builds only the parser of the subcommand named by its first argument.
 Each subcommand is declared once, by the `_command` decorator on its runner.
+
+A subcommand that prints a value calls its `to_<format>` for --format, so
+the formats it declares are the value's own `to_<format>` methods.
 """
 
 from __future__ import annotations
@@ -229,8 +232,7 @@ def _run_order(args) -> int:
     if args.n is None:
         raise ValueError("need --n for a Hasse diagram or --a/--b to compare")
     diagram = hasse(args.n, args.r, **_bound(args))
-    _emit({"json": diagram.to_json, "dot": diagram.to_dot}
-          .get(args.format, diagram.to_text)())
+    _emit(getattr(diagram, f"to_{args.format}")())
     return 0
 
 
@@ -319,8 +321,7 @@ def _run_crystal(args) -> int:
     from .crystal import crystal_graph
 
     graph = crystal_graph(tuple(args.charge), args.e, args.n)
-    _emit({"json": graph.to_json, "dot": graph.to_dot}
-          .get(args.format, graph.to_text)())
+    _emit(getattr(graph, f"to_{args.format}")())
     return 0
 
 
@@ -371,7 +372,7 @@ def _run_decmat(args) -> int:
     r = None if args.r is None else resolve_r(args.r, args.n)
     dm = decomposition_matrix(args.n, tuple(args.charge), args.e, r,
                               specialize_v1=args.v1)
-    _emit(dm.to_json() if args.format == "json" else dm.to_tsv())
+    _emit(getattr(dm, f"to_{args.format}")())
     return 0
 
 
@@ -428,7 +429,7 @@ def _run_theorem41(args) -> int:
 @_command("specht", "simple labels and decomposition numbers", *_CASE,
           formats=("tsv",), bounded=True)
 def _run_specht(args) -> int:
-    from .combinat import format_bipartition
+    from .combinat import format_bipartition, render_tsv
     from .specht import decomposition_numbers
 
     r = resolve_r(args.r, args.n)
@@ -447,13 +448,8 @@ def _run_specht(args) -> int:
                                             format_bipartition(kv[0][1])))],
         })
     else:
-        head = "\t".join([""] + [format_bipartition(m) for m in cols])
-        lines = [head]
-        for lam in rows:
-            lines.append("\t".join(
-                [format_bipartition(lam)]
-                + [str(entries.get((lam, mu), 0)) for mu in cols]))
-        _emit("\n".join(lines))
+        _emit(render_tsv(rows, cols,
+                         lambda lam, mu: entries.get((lam, mu), 0)))
     return 0
 
 

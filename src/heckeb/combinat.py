@@ -239,6 +239,9 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
 
 
 # --- text rendering, paper style: "(21;∅)", "(1;11)" -------------------
+# Each text form is written by one function, for every value that prints
+# it: a (bi)partition here, a digraph in dot by render_dot, a matrix in TSV
+# by render_tsv, and a sum of monomials by laurent.render_sum.
 
 def format_partition(p: Partition) -> str:
     if not p.parts:
@@ -252,25 +255,45 @@ def format_bipartition(b: Bipartition) -> str:
     return f"({format_partition(b.first)};{format_partition(b.second)})"
 
 
+def render_dot(name: str, vertices, edges) -> str:
+    """The digraph name in dot: a node per vertex, then an arrow per edge
+    (a, b), or (a, b, label) for a labelled arrow; nodes are named by str."""
+    lines = [f"digraph {name} {{", *(f'  "{v}";' for v in vertices)]
+    for a, b, *label in edges:
+        lines.append(f'  "{a}" -> "{b}"'
+                     + "".join(f' [label="{x}"]' for x in label) + ";")
+    return "\n".join(lines + ["}"])
+
+
+def render_tsv(rows, cols, entry) -> str:
+    """The matrix entry(row, col) in TSV: a header of the columns, then
+    each row led by its label; labels and entries are written by str."""
+    lines = ["\t".join(["", *map(str, cols)])]
+    lines += ["\t".join([str(row), *(str(entry(row, col)) for col in cols)])
+              for row in rows]
+    return "\n".join(lines)
+
+
 def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if text in EMPTY_CHARS:
+    body = text.strip()
+    if body in EMPTY_CHARS:
         return Partition()
-    if "." in text:
-        parts = tuple(int(x) for x in text.split("."))
-    elif "," in text:
-        parts = tuple(int(x) for x in text.split(","))
-    else:
-        parts = tuple(int(ch) for ch in text)
-    return Partition(parts)
+    sep = "." if "." in body else "," if "," in body else None
+    try:
+        return Partition(tuple(map(int, body.split(sep) if sep else body)))
+    except ValueError:
+        raise InvalidArgument(f"partition {text!r} has a part that is not "
+                              "an integer") from None
 
 
 def parse_bipartition(text: str) -> Bipartition:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    left, _, right = text.partition(";")
-    if not _:
-        raise ValueError(f"no ';' separator in bipartition {text!r}")
-    return Bipartition(parse_partition(left), parse_partition(right))
-
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    halves = body.split(";")
+    if len(halves) != 2:
+        raise InvalidArgument(f"bipartition {text!r} needs exactly one ';'")
+    try:
+        return Bipartition(*map(parse_partition, halves))
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"bipartition {text!r}: {exc}") from None

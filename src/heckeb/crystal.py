@@ -17,7 +17,7 @@ import functools
 import json
 
 from . import Value, check_e, check_n
-from .combinat import Bipartition, Partition, format_bipartition
+from .combinat import Bipartition, Partition, format_bipartition, render_dot
 from .errors import ChargeOutOfRange
 from .fock import Charge, Node, i_nodes, residue, _with_node, _without_node
 
@@ -90,14 +90,8 @@ class CrystalGraph(Value):
         }, ensure_ascii=False, indent=2)
 
     def to_dot(self) -> str:
-        lines = ["digraph crystal {"]
-        for v in self.vertices:
-            lines.append(f'  "{format_bipartition(v)}";')
-        for a, i, b in self.edges:
-            lines.append(f'  "{format_bipartition(a)}" -> '
-                         f'"{format_bipartition(b)}" [label="{i}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return render_dot("crystal", self.vertices,
+                          [(a, b, i) for a, i, b in self.edges])
 
     def to_text(self) -> str:
         return "\n".join(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import Frozen, check_e
 from .errors import InvalidArgument, NonIntegralDivision
-from .laurent import ACoeff, unpack
+from .laurent import ACoeff, render_sum, unpack
 
 Poly = list[Fraction]  # dense, index = degree
 
@@ -121,8 +121,8 @@ class CycloNumber:
     """Element of Q(zeta_m), reduced modulo the m-th cyclotomic polynomial.
 
     coeffs has length deg Phi_m; each entry is an int, or a Fraction when
-    it is not integral, so equality, hashing and rendering do not depend
-    on how a value was reached."""
+    it is not integral: a Fraction equal to an int has its hash and str,
+    but int arithmetic is about a hundred times cheaper (Python 3.11)."""
 
     __slots__ = ("m", "coeffs")
 
@@ -208,17 +208,9 @@ class CycloNumber:
         return CycloNumber(self.m, [c * inv_lead for c in s0])
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "1" if k == 0 else (f"z^{k}" if k > 1 else "z")
-            bits.append(mono if c == 1 and k > 0 else
-                        (f"-{mono}" if c == -1 and k > 0 else
-                         (f"{c}" if k == 0 else f"{c}*{mono}")))
-        return " + ".join(bits).replace("+ -", "- ")
+        return render_sum(((k, c) for k, c in enumerate(self.coeffs) if c),
+                          lambda k: "" if k == 0 else "z" if k == 1
+                          else f"z^{k}")
 
     __repr__ = __str__
 

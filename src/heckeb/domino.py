@@ -71,7 +71,11 @@ class SignedPermutation(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "SignedPermutation":
-        return cls(tuple(int(x) for x in text.replace(",", " ").split()))
+        try:
+            return cls(tuple(int(x) for x in text.replace(",", " ").split()))
+        except ValueError:
+            raise InvalidArgument(f"window {text!r} has a letter that is "
+                                  "not an integer") from None
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":

@@ -142,18 +142,15 @@ class FockVector(Value):
         return sorted(self.terms)
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
+        """The terms c*|b> in support order: a c of 1 is left out, a lone
+        +-v^k is bare, and any other c is bracketed."""
         bits = []
         for b in self.support():
-            c = self.terms[b]
-            cs = str(c)
-            if len(c.terms) > 1 or (cs not in ("1",) and not cs.lstrip("-").startswith(("v",))
-                                    and cs != "1"):
-                cs = f"({cs})"
-            bits.append(f"{cs}*|{format_bipartition(b)}>" if cs != "1"
-                        else f"|{format_bipartition(b)}>")
-        return " + ".join(bits)
+            cs = str(self.terms[b])
+            bare = len(self.terms[b].terms) == 1 and cs.lstrip("-")[:1] == "v"
+            prefix = "" if cs == "1" else f"{cs}*" if bare else f"({cs})*"
+            bits.append(f"{prefix}|{format_bipartition(b)}>")
+        return " + ".join(bits) or "0"
 
     def to_json(self) -> str:
         return json.dumps({

@@ -59,9 +59,8 @@ from bisect import insort
 
 from . import Value, bits, check_bound
 from .combinat import Bipartition, format_bipartition
-from .domino import (SignedPermutation, _len_key, group_elements,
-                     insertion_table, kernel, reduced_word,
-                     StandardBitableau)
+from .domino import (SignedPermutation, _len_key, insertion_table, kernel,
+                     reduced_word, StandardBitableau)
 from .errors import (ConjectureAViolation, InvalidArgument,
                      KLRecursionViolation)
 from .laurent import A_ONE, A_ZERO, ACoeff, XiOrder, add_product, pack
@@ -687,8 +686,7 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     report = {"n": n, "xi": str(order.xi), "r": r, "clauses": clauses}
     # (c+): two-sided preorder against ⊴_r on shapes.  Row w2 of the
     # preorder must be the union of the fibers of the shapes below its
-    # shape; only a mismatch is located by the pair scan, in group_elements
-    # order.
+    # shape; only a mismatch is located by the pair scan, in kernel order.
     reach = _preorders(n, order)["LR"]
     index, below = order_table(n, r)
     shapes, shape_at = list(index), [index[lam] for _, _, lam in table]
@@ -697,7 +695,7 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     bad = None
     if any(x != union[i] for x, i in zip(reach, shape_at)):
         # the first pair (w, w2) where "w below w2" and dominance disagree
-        scan = [kern.index[w] for w in group_elements(n)]
+        scan = range(len(table))
         bad = next((str(kern.elements[v]), str(kern.elements[v2]), klle, dom)
                    for v in scan for v2 in scan
                    if (klle := bool(reach[v2] >> v & 1))
@@ -743,12 +741,9 @@ def cell_datum(n: int, order: XiOrder) -> CellDatum:
     if not all(c["ok"] for c in _cell_clauses(n, order)[0].values()):
         raise ConjectureAViolation(json.dumps(
             conjecture_a_report(n, order, n)))
-    index, table = kernel(n).index, insertion_table(n, order.r)
     w_of = {}
     by_shape: dict[Bipartition, list] = {}
-    for w in group_elements(n):
-        v = index[w]
-        s, t, lam = table[v]
+    for v, (s, t, lam) in enumerate(insertion_table(n, order.r)):
         w_of[(s, t)] = v
         # insertion is onto the same-shape pairs, so each S meets (S, S) once
         if s == t:

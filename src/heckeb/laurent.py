@@ -18,6 +18,9 @@ Two rings live here, sharing the ring code of the base class Laurent:
 
 * VPoly -- Laurent polynomials in the crystal variable v, the coefficients
   of the Fock space.
+
+render_sum writes every sum of monomials that heckeb prints: these, and
+cyclo's CycloNumber.
 """
 
 from __future__ import annotations
@@ -45,6 +48,18 @@ def unpack(key: int) -> tuple[int, int]:
     """The exponent pair (alpha, beta) of a key."""
     beta = ((key + _HALF) & _MASK) - _HALF
     return (key - beta) >> _SHIFT, beta
+
+
+def render_sum(terms: Iterable[tuple], monomial) -> str:
+    """The sum of c * monomial(g) over the (g, c) of terms, c nonzero: c
+    bare at the unit (an empty monomial), +-monomial bare for c = +-1, and
+    "- " before a negative coefficient; "0" when empty."""
+    bits = []
+    for g, c in terms:
+        mono = monomial(g)
+        bits.append(f"{c}" if not mono else mono if c == 1
+                    else f"-{mono}" if c == -1 else f"{c}*{mono}")
+    return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
 class Laurent:
@@ -93,21 +108,7 @@ class Laurent:
         raise NotImplementedError
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
-            mono = self._monomial_text(exp)
-            if not mono:
-                bits.append(f"{c}")
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return render_sum(sorted(self.terms.items()), self._monomial_text)
 
     __repr__ = __str__
 

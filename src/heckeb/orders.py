@@ -20,7 +20,7 @@ from operator import le, or_
 
 from . import Value, bits, check_bound, resolve_r
 from .combinat import (Bipartition, Partition, enumerate_bipartitions,
-                       format_bipartition, q_r_inverse)
+                       format_bipartition, q_r_inverse, render_dot)
 from .errors import SizeMismatch
 
 HASSE_BOUND = 10
@@ -91,14 +91,7 @@ class HasseDiagram(Value):
         }, ensure_ascii=False, indent=2)
 
     def to_dot(self) -> str:
-        lines = ["digraph hasse {"]
-        for v in self.vertices:
-            lines.append(f'  "{format_bipartition(v)}";')
-        for a, b in self.edges:
-            lines.append(
-                f'  "{format_bipartition(a)}" -> "{format_bipartition(b)}";')
-        lines.append("}")
-        return "\n".join(lines)
+        return render_dot("hasse", self.vertices, self.edges)
 
     def to_text(self) -> str:
         """Chain notation when the order is total, else an edge list."""

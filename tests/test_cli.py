@@ -20,9 +20,25 @@ SRC = str(ROOT / "src")
 # The subcommands that take a weight order as --r, --xi or both.
 SLOPE_COMMANDS = ("klbasis", "cells", "check-conj-a", "check-cellular")
 
+# One malformed text per flag that reads a partition, a bipartition or a
+# window, with the text its error must name.
+MALFORMED_TEXT = {
+    "partition-not-integer": (("quotient", "--partition", "6x3"), "6x3"),
+    "bipartition-two-separators": (
+        ("quotient", "--bipartition", "1;2;3", "--r", "0"), "1;2;3"),
+    "a-no-separator": (("order", "--a", "(21)", "--b", "(2;1)", "--r", "0"),
+                       "(21)"),
+    "b-not-integer": (("order", "--a", "(1;1)", "--b", "(x;1)", "--r", "0"),
+                      "(x;1)"),
+    "w-not-integer": (("insert", "--w", "1 x", "--r", "0"), "1 x"),
+    "mu-no-separator": (("gamma", "--mu", "(2,2)", "--charge1", "0,0",
+                         "--charge2", "2,0", "--e", "2"), "(2,2)"),
+}
+
 # One malformed input per check that must raise a typed error, not an
 # assertion that python -O strips.
 MALFORMED = {
+    **{name: argv for name, (argv, _) in MALFORMED_TEXT.items()},
     "repeated-letter": ("insert", "--w", "1 1", "--r", "0"),
     "letter-out-of-range": ("insert", "--w", "1 3", "--r", "0"),
     "side": ("cells", "--n", "2", "--r", "0", "--side", "X"),
@@ -656,6 +672,14 @@ class TestMalformedInput:
         done = python(*flags, "-m", "heckeb.cli", *argv)
         assert done.returncode == 1 and done.stdout == ""
         assert_one_error_line(done.stderr)
+
+
+    @pytest.mark.parametrize("argv, text", MALFORMED_TEXT.values(),
+                             ids=MALFORMED_TEXT.keys())
+    def test_malformed_text_is_named(self, capsys, argv, text):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("heckeb: error: ") and repr(text) in err
 
 
 @pytest.mark.parametrize("argv", USAGE_CAPTURES,

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,20 @@ class TestFormatting:
         assert parse_partition("10.4.3") == P(10, 4, 3)
         assert parse_bipartition("(21;∅)") == B([2, 1], [])
         assert parse_bipartition("(1;11)") == B([1], [1, 1])
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_partition, "6x3"), (parse_partition, "1 2"),
+        (parse_partition, "4.a"), (parse_partition, "2,,1"),
+        (parse_bipartition, "(21)"), (parse_bipartition, "1;2;3"),
+        (parse_bipartition, "(x;1)"), (parse_bipartition, "(2;1.b)"),
+        (parse_bipartition, "(12;1)")],
+        ids=["letter", "space", "dotted-letter", "empty-part",
+             "no-separator", "two-separators", "bad-first", "bad-second",
+             "increasing"])
+    def test_malformed_text_raises_naming_it(self, parse, text):
+        # a typed error naming the whole input, never a bare ValueError
+        with pytest.raises(InvalidArgument, match=re.escape(repr(text))):
+            parse(text)
 
     @given(partition_strategy)
     def test_format_parse_roundtrip(self, p):

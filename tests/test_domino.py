@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import subprocess
 import sys
 from collections import deque
@@ -194,6 +195,11 @@ class TestSignedPermutation:
             assert w * w.inverse() == SignedPermutation.identity(3)
             assert length(w) == length(w.inverse())
 
+
+    @pytest.mark.parametrize("text", ["1 x 2", "-1;3", "1.5 2", "- 1"])
+    def test_parse_rejects_a_non_integer_letter(self, text):
+        with pytest.raises(InvalidArgument, match=re.escape(repr(text))):
+            SignedPermutation.parse(text)
 
     @pytest.mark.parametrize("window", [(1, 1), (1, 3), (0,), (2,), (-2, 2)])
     def test_rejects_non_permutation(self, window):
