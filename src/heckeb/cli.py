@@ -42,14 +42,20 @@ class _Parser(argparse.ArgumentParser):
 def _parse_r(text: str):
     if text in ("inf", "infinity", "∞"):
         return INFINITY
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"r must be an integer or 'inf', got {text!r}") from None
 
 
 def _parse_charge(text: str) -> tuple[int, int]:
-    bits = text.split(",")
-    if len(bits) != 2:
-        raise ValueError(f"charge must be 's0,s1', got {text!r}")
-    return (int(bits[0]), int(bits[1]))
+    try:
+        s0, s1 = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"charge must be 's0,s1', got {text!r}") from None
+    return s0, s1
 
 
 # name: (runner, help, arguments, formats, bounded), in declaration order
@@ -282,8 +288,7 @@ def _run_cells(args) -> int:
 
     order = _order_from(args, args.n)
     parts = cells(args.n, order, args.side, **_bound(args))
-    blocks = sorted((sorted(c, key=_len_key) for c in parts),
-                    key=lambda c: _len_key(c[0]))
+    blocks = [sorted(c, key=_len_key) for c in parts]
     if args.format == "json":
         _emit_json({"schema": "1", "n": args.n, "xi": str(order.xi),
                     "side": args.side,

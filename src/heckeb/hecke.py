@@ -22,24 +22,24 @@ The mu and the descent sets are the W-graph of H_n: on the right,
 C_w T_s = v_s C_w when ws < w, and C_w T_s = C_{ws} + sum_y mu^s_{y,w} C_y
 - v_s^{-1} C_w when ws > w.  It is the one source of both the cells and the
 cell-module action.  Cells are the strongly connected components of its
-edges w -> {w, ws, y}, of their star image (star(C_w) = C_{w^{-1}}, so a
-left mu at (y, w) is the right mu at (y^{-1}, w^{-1})) and of their union;
-the conjecture checkers compare them with the fibers of domino insertion.
+edges w -> {ws, y}, of their star image (star(C_w) = C_{w^{-1}}, so a
+left mu at (y, w) is the right mu at (y^{-1}, w^{-1})) and of their union
+(_cells); the conjecture checkers compare them with the insertion fibers.
 The cellular datum holds its sweep; the action of T_s on C_{S,T} =
 dagger(C_w) (_generator_action) and the Gram forms (gram_form) are read off
 its W-graph, with no expanded C_w and no product in the algebra.
 
 Whatever is built from a sweep is cached for two slopes, as the sweep is:
-kl_basis, cell_datum and _preorders keep two entries, the last two keyed
-by (n, order) alone as the sweep is (_preorders closes all three sides in
-one pass), and cells six (two slopes, three sides); tables keyed by rank
-and r alone are kept for good.
+kl_basis, cell_datum and _cells keep two entries, the last two keyed by
+(n, order) alone as the sweep is (_cells finds the components of all
+three sides in one pass), and cells six (two slopes, three sides); tables
+keyed by rank and r alone are kept for good.
 
 The hot paths run on the integer kernel of W_n (domino.kernel): products by
 a generator are table lookups, the sweep keys its terms by position, and
-the preorders are bitsets closed along successor lists, whose cells are
-compared with the insertion fibers as bitsets too.  Signed permutations
-appear only at the public boundary (HeckeElement, kl_basis, cells).
+each cell is a label by position, compared with the insertion table by
+position too.  Signed permutations appear only at the public boundary
+(HeckeElement, kl_basis, cells).
 
 An exponent q^alpha Q^beta is the integer key of laurent.pack, which holds
 it while |beta| < 2^15.  Every exponent met in H_n stays within
@@ -57,7 +57,7 @@ import json
 from array import array
 from bisect import insort
 
-from . import Value, bits, check_bound
+from . import Value, check_bound
 from .combinat import Bipartition, format_bipartition
 from .domino import (SignedPermutation, _len_key, insertion_table, kernel,
                      reduced_word, StandardBitableau)
@@ -153,12 +153,8 @@ class HeckeElement(Value):
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=_len_key):
-            bits.append(f"({self.terms[w]})*T[{w}]")
-        return " + ".join(bits)
+        return " + ".join(f"({self.terms[w]})*T[{w}]" for w in
+                          sorted(self.terms, key=_len_key)) or "0"
 
     __repr__ = __str__
 
@@ -564,117 +560,115 @@ def kl_basis(n: int, order: XiOrder, bound: int = KL_BOUND) \
             for w, cw in enumerate(basis)}
 
 
-def _closure(adjacency: list[int]) -> list[int]:
-    """Reflexive-transitive closure of successor bitsets on positions
-    0..N-1: each row ORs in the rows of its successors until a pass changes
-    nothing.  Rows go from the last position down: most cell-graph edges
-    run to a longer element (w -> ws), whose row is then already updated."""
-    reach = [a | 1 << v for v, a in enumerate(adjacency)]
-    successors = [(v, list(bits(a))) for v, a in enumerate(adjacency)][::-1]
-    changed = True
-    while changed:
-        changed = False
-        for v, succ in successors:
-            x = reach[v]
-            for u in succ:
-                x |= reach[u]
-            if x != reach[v]:
-                reach[v] = x
-                changed = True
-    return reach
-
-
-def _scc_partition(reach: list[int]) -> list[list[int]]:
-    """Strongly connected components of a reflexive-transitive closure:
-    two vertices share one exactly when they reach the same set."""
-    classes: dict[int, list[int]] = {}
-    for v, x in enumerate(reach):
-        classes.setdefault(x, []).append(v)
-    return list(classes.values())
+def _components(succ: list) -> tuple[list[int], list[int]]:
+    """The strongly connected components of the graph with successor lists
+    succ on 0..N-1, by Tarjan's algorithm (SIAM J. Comput. 1, 1972) on an
+    explicit DFS path: comp[v] numbers v's component in the order the
+    components close, so every edge v -> u has comp[u] <= comp[v]; bit d
+    of below[c] is set iff component c reaches d (so c too), ORed in as c
+    closes.  found[v] is v's place in opened, the vertices of the open
+    components in the order found; low[v] is the least place v reaches."""
+    found, low, comp = [-1] * len(succ), [0] * len(succ), [-1] * len(succ)
+    below: list[int] = []
+    opened: list[int] = []
+    for root in range(len(succ)):
+        if found[root] >= 0:
+            continue
+        found[root] = low[root] = 0
+        opened.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for u in edges:
+                if found[u] < 0:
+                    found[u] = low[u] = len(opened)
+                    opened.append(u)
+                    path.append((u, iter(succ[u])))
+                    break
+                if comp[u] < 0 and found[u] < low[v]:
+                    low[v] = found[u]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == found[v]:
+                    members = opened[found[v]:]
+                    del opened[found[v]:]
+                    for u in members:
+                        comp[u] = len(below)
+                    below.append(1 << len(below))
+                    for x in {x for u in members for x in succ[u]}:
+                        below[-1] |= below[comp[x]]
+    return comp, below
 
 
 @functools.lru_cache(maxsize=2)
-def _preorders(n: int, order: XiOrder) -> dict[str, list[int]]:
-    """The left, right and two-sided preorders by kernel position, as side
-    -> closure: y is below w iff bit y of preorder[side][w] is set.  The
-    right edges w -> y, y in the C-expansion of some C_w T_s, are read off
-    the W-graph once: w -> w always, and w -> ws and w -> y for each
-    mu^s_{y,w} at an ascent ws > w (Lusztig, Thm 6.6); the left ones are
-    their star images, as star(C_w) = C_{w^{-1}}; the two-sided ones are
-    the union of both."""
+def _cells(n: int, order: XiOrder) -> dict[str, tuple[list[int], list[int]]]:
+    """The left, right and two-sided cells by kernel position, as side ->
+    _components of its edges: y is below w iff bit comp[y] of
+    below[comp[w]] is set.  The right edges, read off the W-graph once, are
+    w -> ws and w -> y for each mu^s_{y,w} at an ascent ws > w (Lusztig,
+    Thm 6.6); the left ones are their star images, as star(C_w) =
+    C_{w^{-1}}; the two-sided ones are both."""
     kern = kernel(n)
-    inverse = kern.inverse
-    right = [1 << w for w in range(len(inverse))]
+    right: list[list[int]] = [[] for _ in kern.elements]
     for table, (starts, ys, _) in zip(kern.right, _kl_sweep(n, order)[1]):
         for w, ws in enumerate(table):
             if ws > w:
-                right[w] |= sum((1 << y for y in ys[starts[w]:starts[w + 1]]),
-                                1 << ws)
-    left = [0] * len(right)
-    for w, below in enumerate(right):
-        left[inverse[w]] = sum(1 << inverse[y] for y in bits(below))
-    return {"R": _closure(right), "L": _closure(left),
-            "LR": _closure([a | b for a, b in zip(right, left)])}
+                right[w] += [ws, *ys[starts[w]:starts[w + 1]]]
+    left = [[kern.inverse[y] for y in right[w]] for w in kern.inverse]
+    return {"R": _components(right), "L": _components(left),
+            "LR": _components([a + b for a, b in zip(right, left)])}
 
 
 @functools.lru_cache(maxsize=6)
 def cells(n: int, order: XiOrder, side: str = "LR", bound: int = KL_BOUND) \
         -> list[set[SignedPermutation]]:
-    """The left, right or two-sided cells of W_n, for side 'L', 'R' or 'LR'.
-
-    Cells are the strongly connected components of the left, right or
-    two-sided multiplication graph of the C-basis (Lusztig, Thm 6.6, via
-    the sweep that builds the basis); the preorder itself is
-    _preorders(n, order)[side].
+    """The left, right or two-sided cells of W_n, for side 'L', 'R' or 'LR',
+    in the order of their first elements: the strongly connected components
+    of that side's multiplication graph of the C-basis (Lusztig, Thm 6.6),
+    as _cells(n, order)[side] labels them.
     """
     if side not in ("L", "R", "LR"):
         raise InvalidArgument(f"side {side!r} must be 'L', 'R' or 'LR'")
     check_bound(n, bound)
-    elements = kernel(n).elements
-    return [{elements[v] for v in block}
-            for block in _scc_partition(_preorders(n, order)[side])]
+    blocks: dict[int, set[SignedPermutation]] = {}
+    for w, c in zip(kernel(n).elements, _cells(n, order)[side][0]):
+        blocks.setdefault(c, set()).add(w)
+    return list(blocks.values())
 
 
-def _same_partition(a: list[set], b: list[set]) -> tuple[bool, str | None]:
-    """Whether two partitions of the same set agree; if not, name the first
-    element in _len_key order whose blocks differ, and both its blocks."""
-    def names(block):
-        return [str(x) for x in sorted(block, key=_len_key)]
+def _same_partition(elements, a: list, b: list) -> tuple[bool, str | None]:
+    """Whether the labels a and b of the positions of elements (kernel
+    order, which is _len_key order) partition them alike; if not, name the
+    first element whose blocks differ, and both its blocks."""
+    if len(set(zip(a, b))) == len(set(a)) == len(set(b)):
+        return True, None
+    block: dict = {}
+    fiber: dict = {}
+    for w, x, y in zip(elements, a, b):
+        block.setdefault(x, []).append(str(w))
+        fiber.setdefault(y, []).append(str(w))
+    w, x, y = next((w, x, y) for w, x, y in zip(elements, a, b)
+                   if block[x] != fiber[y])
+    return False, (f"first differing element {w}: KL block {block[x]}, "
+                   f"fiber {fiber[y]}")
 
-    block_a = {w: block for block in a for w in block}
-    block_b = {w: block for block in b for w in block}
-    for w in sorted(block_a, key=_len_key):
-        if block_a[w] != block_b[w]:
-            return False, (f"first differing element {w}: KL block "
-                           f"{names(block_a[w])}, fiber {names(block_b[w])}")
-    return True, None
 
-
-def _cell_clauses(n: int, order: XiOrder) -> tuple[dict, dict]:
+def _cell_clauses(n: int, order: XiOrder) -> dict:
     """Clauses (a), (b) and (c) of Conjecture A: the left, right and
     two-sided cells against the fibers of T, S and the shape under
-    insertion, as clause -> {"ok", "detail" on a mismatch}; and the fibers
-    of the shapes, each a bitset of positions."""
-    kern, table = kernel(n), insertion_table(n, order.r)
-    fibers: tuple[dict, dict, dict] = ({}, {}, {})
-    for v, entry in enumerate(table):
-        for fiber, key in zip(fibers, entry):
-            fiber[key] = fiber.get(key, 0) | 1 << v
+    insertion, as clause -> {"ok", "detail" on a mismatch}."""
+    elements, table = kernel(n).elements, insertion_table(n, order.r)
+    found = _cells(n, order)
     clauses = {}
-    for clause, side, fiber in (("a_left_vs_T", "L", fibers[1]),
-                                ("b_right_vs_S", "R", fibers[0]),
-                                ("c_twosided_vs_shape", "LR", fibers[2])):
-        part = _scc_partition(_preorders(n, order)[side])
-        ok, why = set(fiber.values()) == {sum(1 << v for v in block)
-                                          for block in part}, None
-        if not ok:
-            # the elements are named only to locate a mismatch
-            ok, why = _same_partition(
-                [{kern.elements[v] for v in block} for block in part],
-                [{kern.elements[v] for v in bits(x)}
-                 for x in fiber.values()])
+    for clause, side, k in (("a_left_vs_T", "L", 1),
+                            ("b_right_vs_S", "R", 0),
+                            ("c_twosided_vs_shape", "LR", 2)):
+        ok, why = _same_partition(elements, found[side][0],
+                                  [entry[k] for entry in table])
         clauses[clause] = {"ok": ok, **({"detail": why} if why else {})}
-    return clauses, fibers[2]
+    return clauses
 
 
 def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
@@ -682,24 +676,24 @@ def conjecture_a_report(n: int, order: XiOrder, bound: int = KL_BOUND) -> dict:
     check_bound(n, bound)
     r = order.r
     kern, table = kernel(n), insertion_table(n, r)
-    clauses, shape_fibers = _cell_clauses(n, order)
-    report = {"n": n, "xi": str(order.xi), "r": r, "clauses": clauses}
-    # (c+): two-sided preorder against ⊴_r on shapes.  Row w2 of the
-    # preorder must be the union of the fibers of the shapes below its
-    # shape; only a mismatch is located by the pair scan, in kernel order.
-    reach = _preorders(n, order)["LR"]
-    index, below = order_table(n, r)
-    shapes, shape_at = list(index), [index[lam] for _, _, lam in table]
-    union = [sum(shape_fibers[shapes[j]] for j in bits(row))
-             for row in below]
+    report = {"n": n, "xi": str(order.xi), "r": r,
+              "clauses": _cell_clauses(n, order)}
+    # (c+): the two-sided preorder against ⊴_r on shapes, compared on the
+    # distinct (cell, shape) pairs, as each order reads only those; only a
+    # mismatch is located by the pair scan, in kernel order.
+    comp, below = _cells(n, order)["LR"]
+    index, lower = order_table(n, r)
+    shape_at = [index[lam] for _, _, lam in table]
+    pairs = set(zip(comp, shape_at))
     bad = None
-    if any(x != union[i] for x, i in zip(reach, shape_at)):
+    if any(below[c2] >> c & 1 != lower[s2] >> s & 1
+           for c2, s2 in pairs for c, s in pairs):
         # the first pair (w, w2) where "w below w2" and dominance disagree
         scan = range(len(table))
         bad = next((str(kern.elements[v]), str(kern.elements[v2]), klle, dom)
                    for v in scan for v2 in scan
-                   if (klle := bool(reach[v2] >> v & 1))
-                   != (dom := bool(below[shape_at[v2]] >> shape_at[v] & 1)))
+                   if (klle := bool(below[comp[v2]] >> comp[v] & 1))
+                   != (dom := bool(lower[shape_at[v2]] >> shape_at[v] & 1)))
     report["clauses"]["c_plus_preorder_vs_dominance"] = {
         "ok": bad is None, **({"detail": repr(bad)} if bad else {})}
     report["ok"] = all(c["ok"] for c in report["clauses"].values())
@@ -738,7 +732,7 @@ def cell_datum(n: int, order: XiOrder) -> CellDatum:
     KL cells of clauses (a), (b) and (c) (the construction would then be
     ill-defined); (c+) is not needed, and is built only for that report.
     """
-    if not all(c["ok"] for c in _cell_clauses(n, order)[0].values()):
+    if not all(c["ok"] for c in _cell_clauses(n, order).values()):
         raise ConjectureAViolation(json.dumps(
             conjecture_a_report(n, order, n)))
     w_of = {}

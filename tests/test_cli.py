@@ -20,8 +20,8 @@ SRC = str(ROOT / "src")
 # The subcommands that take a weight order as --r, --xi or both.
 SLOPE_COMMANDS = ("klbasis", "cells", "check-conj-a", "check-cellular")
 
-# One malformed text per flag that reads a partition, a bipartition or a
-# window, with the text its error must name.
+# One malformed text per flag that reads a partition, a bipartition, a
+# window, a charge or r, with the text its error must name.
 MALFORMED_TEXT = {
     "partition-not-integer": (("quotient", "--partition", "6x3"), "6x3"),
     "bipartition-two-separators": (
@@ -33,7 +33,16 @@ MALFORMED_TEXT = {
     "w-not-integer": (("insert", "--w", "1 x", "--r", "0"), "1 x"),
     "mu-no-separator": (("gamma", "--mu", "(2,2)", "--charge1", "0,0",
                          "--charge2", "2,0", "--e", "2"), "(2,2)"),
+    "charge-three-parts": (("crystal", "--charge", "0,0,0", "--e", "2",
+                            "--n", "2"), "0,0,0"),
+    "charge-not-integer": (("crystal", "--charge", "0,x", "--e", "2",
+                            "--n", "2"), "0,x"),
+    "r-not-integer": (("insert", "--w", "1", "--r", "x"), "x"),
 }
+# The texts that argparse refuses as it reads them, so that the usage of
+# the subcommand comes before the error line.
+REFUSED_BY_ARGPARSE = {"charge-three-parts", "charge-not-integer",
+                       "r-not-integer"}
 
 # One malformed input per check that must raise a typed error, not an
 # assertion that python -O strips.
@@ -674,12 +683,16 @@ class TestMalformedInput:
         assert_one_error_line(done.stderr)
 
 
-    @pytest.mark.parametrize("argv, text", MALFORMED_TEXT.values(),
-                             ids=MALFORMED_TEXT.keys())
-    def test_malformed_text_is_named(self, capsys, argv, text):
+    @pytest.mark.parametrize("name", MALFORMED_TEXT)
+    def test_malformed_text_is_named(self, capsys, name):
+        argv, text = MALFORMED_TEXT[name]
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("heckeb: error: ") and repr(text) in err
+        *usage, line = err.splitlines()
+        assert line.startswith("heckeb: error: ") and repr(text) in line
+        assert bool(usage) == (name in REFUSED_BY_ARGPARSE)
+        if usage:
+            assert usage[0].startswith(f"usage: heckeb {argv[0]} ")
 
 
 @pytest.mark.parametrize("argv", USAGE_CAPTURES,

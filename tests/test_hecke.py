@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import inspect
 import json
+import random
 import subprocess
 import sys
 import textwrap
@@ -181,6 +182,16 @@ def w0_duality_violations(n, reach):
             if sum(1 << dual[y] for y in bits(row)) != above[dual[w]]]
 
 
+def component_rows(comp, below):
+    """The reachability bitsets by position of a _components result: bit y
+    of row w is set iff bit comp[y] of below[comp[w]] is."""
+    members = [0] * len(below)
+    for v, c in enumerate(comp):
+        members[c] |= 1 << v
+    closed = [sum(members[d] for d in bits(x)) for x in below]
+    return [closed[c] for c in comp]
+
+
 def dfs_closure(adjacency):
     """Reference reflexive-transitive closure: a DFS from each vertex."""
     reach = {}
@@ -212,12 +223,14 @@ def product_reach(n, order, side):
     return dfs_closure(adjacency)
 
 
-def pair_scan_c_plus(n, order, dominance):
+def pair_scan_c_plus(n, order, dominance, reach=None):
     """Reference (c+) clause: the first pair (w, w2), in group_elements
-    order, where w below w2 in the two-sided preorder and the dominance of
-    their shapes disagree."""
+    order, where w below w2 in the two-sided preorder reach (w -> the set
+    below w, product_reach by default) and the dominance of their shapes
+    disagree."""
     r = order.r
-    reach = product_reach(n, order, "LR")
+    if reach is None:
+        reach = product_reach(n, order, "LR")
     shape_of = {w: s_t_lambda(w, r)[2] for w in group_elements(n)}
     shapes = list(dict.fromkeys(shape_of.values()))
     dominated = {(a, b): dominance(a, b, r) for a in shapes for b in shapes}
@@ -363,8 +376,10 @@ class TestAgainstOracles:
         order = XiOrder(Fraction(r) + offset)
         elements = kernel(n).elements
         for side in ("L", "R", "LR"):
-            reach = {elements[v]: {elements[y] for y in bits(x)}
-                     for v, x in enumerate(hecke._preorders(n, order)[side])}
+            comp, below = hecke._cells(n, order)[side]
+            reach = {elements[w]: {elements[y] for y, cy in enumerate(comp)
+                                   if below[cw] >> cy & 1}
+                     for w, cw in enumerate(comp)}
             assert reach == product_reach(n, order, side)
 
     def test_sweep_matches_full_sweep(self, n, r, offset):
@@ -647,9 +662,8 @@ def test_sweep_retained_memory():
 
 
 def test_sweep_cache_is_bounded():
-    # the cache keeps the last two sweeps, as _preorders does; the cells of
-    # a kept slope at another bound are read off _preorders without a new
-    # sweep
+    # the cache keeps the last two sweeps, as _cells does; the cells of a
+    # kept slope at another bound are read off _cells without a new sweep
     orders = [XiOrder(r + Fraction(1, 5)) for r in range(3)]
     misses = hecke._kl_sweep.cache_info().misses
     for order in orders:
@@ -657,44 +671,64 @@ def test_sweep_cache_is_bounded():
     info = hecke._kl_sweep.cache_info()
     assert info.currsize == 2
     assert info.misses == misses + 3
-    reached = hecke._preorders.cache_info().hits
+    reached = hecke._cells.cache_info().hits
     assert cells(3, orders[2], "LR", 3) == cells(3, orders[2])
     assert hecke._kl_sweep.cache_info().misses == misses + 3
-    assert hecke._preorders.cache_info().hits == reached + 1
+    assert hecke._cells.cache_info().hits == reached + 1
 
 
 def test_one_preorder_pass_per_slope():
     # the report, the datum and the cells of every side share one pass
     # over the W-graph
-    for cached in (hecke._preorders, hecke.cells, hecke.cell_datum):
+    for cached in (hecke._cells, hecke.cells, hecke.cell_datum):
         cached.cache_clear()
     order = XiOrder.for_r(1)
     assert conjecture_a_report(3, order)["ok"]
     cell_datum(3, order)
     for side in ("L", "R", "LR"):
         cells(3, order, side)
-    assert hecke._preorders.cache_info().misses == 1
+    assert hecke._cells.cache_info().misses == 1
 
 
-# Successor bitsets of small graphs, and their closures by hand.
+# Successor lists of small graphs, with their components and the order
+# on them by hand: (succ, comp, below), the components numbered as they
+# close.
 HAND_GRAPHS = {
-    "empty": ([], []),
-    "self-loop": ([0b1], [0b1]),
-    "2-cycle": ([0b10, 0b01], [0b11, 0b11]),
-    "chain": ([0b010, 0b100, 0b000], [0b111, 0b110, 0b100]),
-    "two-sccs": ([0b0010, 0b0101, 0b1000, 0b0100],
-                 [0b1111, 0b1111, 0b1100, 0b1100]),
+    "empty": ([], [], []),
+    "self-loop": ([[0]], [0], [0b1]),
+    "2-cycle": ([[1], [0]], [0, 0], [0b1]),
+    "chain": ([[1], [2], []], [2, 1, 0], [0b001, 0b011, 0b111]),
+    "two-sccs": ([[1], [0, 2], [3], [2]], [1, 1, 0, 0], [0b01, 0b11]),
 }
 CHAMBERS = [XiOrder.for_r(r) for r in range(4)] + [
     XiOrder(Fraction(3, 4)), XiOrder(Fraction(7, 4))]
 
 
 def preorder_edges(n, order):
-    """The successor bitsets _preorders closes, by side: _preorders run
-    uncached with _closure swapped for list, which returns them unclosed."""
+    """The successor lists _cells passes to _components, by side: _cells
+    run uncached with _components swapped for one that returns them."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hecke, "_closure", list)
-        return hecke._preorders.__wrapped__(n, order)
+        patch.setattr(hecke, "_components", lambda succ: succ)
+        return hecke._cells.__wrapped__(n, order)
+
+
+def as_bitsets(succ):
+    """Successor lists as bitsets, repeated successors once."""
+    return [sum(1 << u for u in set(row)) for row in succ]
+
+
+def assert_components(succ, comp, below):
+    """comp and below against Warshall's closure of succ: two vertices
+    share a label iff each reaches the other, below is reachability on
+    labels, and every edge runs to a label no higher."""
+    reach = warshall_closure(as_bitsets(succ))
+    assert component_rows(comp, below) == reach
+    mutual = [{u for u in bits(row) if reach[u] >> v & 1}
+              for v, row in enumerate(reach)]
+    assert [{u for u, c in enumerate(comp) if c == comp[v]}
+            for v in range(len(comp))] == mutual
+    assert sorted(set(comp)) == list(range(len(below)))
+    assert all(comp[u] <= comp[v] for v, row in enumerate(succ) for u in row)
 
 
 def xi_id(order):
@@ -702,37 +736,69 @@ def xi_id(order):
 
 
 class TestClosure:
+    """_components, the cells and the order on them, against closures."""
+
     @pytest.mark.parametrize("name", sorted(HAND_GRAPHS))
     def test_hand_graphs(self, name):
-        adjacency, closed = HAND_GRAPHS[name]
-        assert hecke._closure(adjacency) == closed
-        assert warshall_closure(adjacency) == closed
+        succ, comp, below = HAND_GRAPHS[name]
+        assert hecke._components(succ) == (comp, below)
+        assert_components(succ, comp, below)
 
     @pytest.mark.parametrize("order", CHAMBERS, ids=xi_id)
     def test_rank4_matches_warshall(self, order):
         edges = preorder_edges(4, order)
         for side in ("L", "R", "LR"):
-            assert hecke._preorders(4, order)[side] == warshall_closure(
-                edges[side])
+            comp, below = hecke._cells(4, order)[side]
+            reach = warshall_closure(as_bitsets(edges[side]))
+            # the SCCs grouped from the closure rows, in order of first
+            # element, are the cells
+            blocks = {}
+            for v, row in enumerate(reach):
+                blocks.setdefault(row, []).append(v)
+            assert cells(4, order, side) == [
+                {kernel(4).elements[v] for v in block}
+                for block in blocks.values()]
+            assert_components(edges[side], comp, below)
 
     @pytest.mark.parametrize("order", CHAMBERS, ids=xi_id)
     def test_w0_duality(self, order):
         for n in (1, 2, 3, 4):
             for side in ("L", "R", "LR"):
-                assert w0_duality_violations(
-                    n, hecke._preorders(n, order)[side]) == []
+                assert w0_duality_violations(n, component_rows(
+                    *hecke._cells(n, order)[side])) == []
 
     @pytest.mark.parametrize("side", ["L", "R", "LR"])
     def test_w0_duality_catches_a_reversed_edge(self, side):
         order = XiOrder.for_r(1)
-        adjacency = preorder_edges(3, order)[side]
-        reach = hecke._preorders(3, order)[side]
+        succ = [list(row) for row in preorder_edges(3, order)[side]]
+        comp = hecke._cells(3, order)[side][0]
         # the first edge u -> v between two different cells
-        u, v = next((u, v) for u, row in enumerate(adjacency)
-                    for v in bits(row) if not reach[v] >> u & 1)
-        adjacency[u] ^= 1 << v
-        adjacency[v] |= 1 << u
-        assert w0_duality_violations(3, hecke._closure(adjacency))
+        u, v = next((u, v) for u, row in enumerate(succ) for v in row
+                    if comp[u] != comp[v])
+        succ[u] = [x for x in succ[u] if x != v]
+        succ[v].append(u)
+        assert w0_duality_violations(
+            3, component_rows(*hecke._components(succ)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_match_warshall(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(0, 30)
+        density = rng.choice([0.02, 0.05, 0.1, 0.3])
+        succ = [[u for u in range(size) if rng.random() < density]
+                for _ in range(size)]
+        assert_components(succ, *hecke._components(succ))
+
+    @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+    def test_long_graphs_need_no_recursion(self, cycle):
+        size = 5000
+        succ = [[v + 1] for v in range(size - 1)] + [[0] if cycle else []]
+        comp, below = hecke._components(succ)
+        if cycle:
+            assert (comp, below) == ([0] * size, [1])
+        else:
+            assert comp == list(range(size - 1, -1, -1))
+            assert below == [(1 << c + 1) - 1 for c in range(size)]
 
 
 class TestCells:
@@ -749,9 +815,10 @@ class TestCells:
 
     def test_same_partition_names_both_blocks(self):
         ws = sorted(group_elements(2), key=_len_key)
-        a = [set(ws[:2]), set(ws[2:])]
-        assert _same_partition(a, [set(ws[2:]), set(ws[:2])]) == (True, None)
-        ok, detail = _same_partition(a, [set(ws[:1]), set(ws[1:])])
+        a = [0, 0] + [1] * (len(ws) - 2)
+        assert _same_partition(ws, a, ["x", "x"] + ["y"] * (len(ws) - 2)) \
+            == (True, None)
+        ok, detail = _same_partition(ws, a, [0] + [1] * (len(ws) - 1))
         assert not ok
         assert detail == (
             f"first differing element {ws[0]}: "
@@ -806,29 +873,32 @@ class TestCells:
             assert any(block <= c for c in lr)
 
 
-def merged_reach(reach, a, b):
-    """reach with blocks a and b of its cell partition made one cell: each
-    of their rows becomes the union of both."""
-    blocks = hecke._scc_partition(reach)
-    row = 0
-    for v in blocks[a] + blocks[b]:
-        row |= reach[v]
-    return [row if v in blocks[a] + blocks[b] else x
-            for v, x in enumerate(reach)]
+def merged_cells(found, a, b):
+    """found = (comp, below) with blocks a and b of its cells, numbered in
+    order of first element, made one cell: b's elements take a's label,
+    and every row that reaches either block reaches both and all that
+    either reaches."""
+    comp, below = found
+    labels = list(dict.fromkeys(comp))
+    la, lb = labels[a], labels[b]
+    both, union = 1 << la | 1 << lb, below[la] | below[lb]
+    return ([la if c == lb else c for c in comp],
+            [x | union if x & both else x for x in below])
 
 
 def merge_cells(monkeypatch, side, a, b):
-    """Make _preorders return the preorder of side with blocks a and b of
-    its cell partition merged, leaving the cached closures as they are."""
-    preorders = hecke._preorders
-    monkeypatch.setattr(hecke, "_preorders", lambda n, order: {
-        **preorders(n, order),
-        side: merged_reach(preorders(n, order)[side], a, b)})
+    """Make _cells return the cells of side with blocks a and b merged,
+    leaving the cached components as they are."""
+    found = hecke._cells
+    monkeypatch.setattr(hecke, "_cells", lambda n, order: {
+        **found(n, order), side: merged_cells(found(n, order)[side], a, b)})
 
 
 # The detail of each failing clause at r = 1 when the cells of one side
 # have two of their blocks merged: (n, side, a, b) -> {clause: detail}.
-# Captured while the report still compared sets of signed permutations.
+# Captured while the report still compared sets of signed permutations,
+# but for the (c+) detail of (3, "LR", 2, 5), recomputed by the pair scan
+# once the merged order was made transitive.
 MERGED_DETAILS = {
     (3, "L", 0, 1): {
         "a_left_vs_T":
@@ -865,7 +935,7 @@ MERGED_DETAILS = {
             "'2 -3 1', '3 1 -2', '-3 1 -2', '2 -3 -1', '1 -3 -2'], "
             "fiber ['1 3 2', '2 1 3', '2 3 1', '3 1 2']",
         "c_plus_preorder_vs_dominance":
-            "('-1 2 3', '3 2 1', True, False)",
+            "('-1 2 3', '-1 3 2', True, False)",
     },
     (4, "L", 2, 5): {
         "a_left_vs_T":
@@ -896,9 +966,19 @@ MERGED_DETAILS = {
 @pytest.mark.parametrize("n, side, a, b", sorted(MERGED_DETAILS))
 def test_mismatch_details(n, side, a, b, monkeypatch):
     merge_cells(monkeypatch, side, a, b)
-    report = conjecture_a_report(n, XiOrder.for_r(1))
+    order = XiOrder.for_r(1)
+    report = conjecture_a_report(n, order)
+    details = MERGED_DETAILS[n, side, a, b]
     assert {clause: c["detail"] for clause, c in report["clauses"].items()
-            if not c["ok"]} == MERGED_DETAILS[n, side, a, b]
+            if not c["ok"]} == details
+    if "c_plus_preorder_vs_dominance" in details:
+        # the pair scan on the merged order gives the same detail
+        elements = kernel(n).elements
+        reach = {elements[w]: {elements[y] for y in bits(row)}
+                 for w, row in enumerate(component_rows(
+                     *hecke._cells(n, order)["LR"]))}
+        assert pair_scan_c_plus(n, order, dominance_r, reach) == {
+            "ok": False, "detail": details["c_plus_preorder_vs_dominance"]}
 
 
 class TestCellularity:
@@ -1153,7 +1233,7 @@ def test_cellularity_check_keeps_two_slopes():
 def test_checks_build_no_hecke_element(monkeypatch):
     # from cold caches, the cellularity and Theorem 4.1 checks run on the
     # sweep's arrays and on exponent dicts alone
-    for cached in (hecke._kl_sweep, hecke._preorders, hecke.cells,
+    for cached in (hecke._kl_sweep, hecke._cells, hecke.cells,
                    hecke.kl_basis, hecke.cell_datum, specht._generic_data,
                    specht.decomposition_numbers):
         cached.cache_clear()
